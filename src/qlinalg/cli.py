@@ -43,6 +43,7 @@ from .elimination import (
     Inconsistent,
     Trace,
     Unique,
+    elementary_matrix,
     inverse_gauss_jordan,
     reduce,
     render_row_op,
@@ -93,6 +94,9 @@ _ANSWER_DEPENDENT_ERRORS = (
     ZeroVectorPresent,
     AllZeroInput,
 )
+
+# n! products: n = 8 answers in under a second, n = 10 takes nearly a minute.
+_COFACTOR_MAX_N = 8
 
 _CLI_FORMS = {
     "semi-reduced": "semi_reduced",
@@ -206,14 +210,18 @@ def _jsub(s: Subspace) -> dict:
 
 
 def _trace_lines(trace: Trace) -> list[str]:
+    n = trace.start.rows
     return [
-        f"{render_row_op(op)} :: E = {render_inline(e)}" for op, e in trace.steps
+        f"{render_row_op(op)} :: E = {render_inline(elementary_matrix(op, n))}"
+        for op in trace
     ]
 
 
 def _jtrace(trace: Trace) -> list[dict]:
+    n = trace.start.rows
     return [
-        {"op": render_row_op(op), "elementary": _jmat(e)} for op, e in trace.steps
+        {"op": render_row_op(op), "elementary": _jmat(elementary_matrix(op, n))}
+        for op in trace
     ]
 
 
@@ -342,6 +350,11 @@ def _cmd_det(args):
     if args.method == "cofactor":
         if args.trace:
             raise UsageError("--trace goes with --method rowred")
+        if m.rows > _COFACTOR_MAX_N:
+            raise UsageError(
+                f"--method cofactor takes at most {_COFACTOR_MAX_N} rows "
+                f"(n! work); use --method rowred for this {m.rows}x{m.cols} input"
+            )
         value = det_cofactor(m)
         return [format_scalar(value)], {
             "verb": "det",

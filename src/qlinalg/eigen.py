@@ -89,7 +89,10 @@ EigenvalueVerdict = Union[Split, NotSplit]
 
 def eigenvalues(a: Matrix) -> EigenvalueVerdict:
     """Rational roots of the characteristic polynomial, with multiplicity."""
-    p = char_poly(a)
+    return _roots_verdict(char_poly(a))
+
+
+def _roots_verdict(p: Polynomial) -> EigenvalueVerdict:
     roots, residual = rational_roots(p)
     ordered = tuple(sorted(roots, key=lambda rm: rm[0], reverse=True))
     if residual.degree <= 0:
@@ -176,33 +179,21 @@ def diagonalize(a: Matrix) -> DiagonalizeVerdict:
 
 
 def matrix_power(a: Matrix, k: int) -> Matrix:
-    """A^k exactly, for any integer k (negative needs A invertible).
+    """A^k exactly, for any integer k, by repeated squaring.
 
-    Diagonalizable matrices go through L D^k L^{-1}; everything else falls
-    back to repeated squaring.
+    A negative k takes the Gauss-Jordan inverse first, so A must be
+    invertible.
     """
     if not a.is_square:
         raise NotSquare("powers need a square matrix")
     if k < 0:
         try:
-            inv = inverse_gauss_jordan(a)
+            a = inverse_gauss_jordan(a)
         except NotInvertible:
             raise NegativePowerOfSingular(
                 f"A^{k} asks for an inverse, but det(A) = 0"
             ) from None
-        return matrix_power(inv, -k)
-    if k == 0:
-        return Matrix.identity(a.rows)
-    verdict = diagonalize(a)
-    if isinstance(verdict, Diagonalizable):
-        n = verdict.D.rows
-        dk = Matrix(
-            [
-                [verdict.D[i, i] ** k if i == j else Q(0) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        return verdict.L @ dk @ inverse_gauss_jordan(verdict.L)
+        k = -k
     return a ** k
 
 
@@ -230,7 +221,7 @@ def eigen_summary(a: Matrix) -> EigenSummary:
     """Characteristic polynomial, eigenvalues, eigenspaces, and the
     diagonalizability verdict, all at once."""
     p = char_poly(a)
-    verdict = eigenvalues(a)
+    verdict = _roots_verdict(p)
     roots = verdict.roots if isinstance(verdict, Split) else verdict.found
     spaces = tuple((lam, eigenspace(a, lam)) for lam, _ in roots)
     if isinstance(verdict, NotSplit):

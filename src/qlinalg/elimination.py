@@ -1,23 +1,25 @@
 """Row operations, elimination, and linear-system solving.
 
-Three row operations exist, each invertible and each realized by an
-elementary matrix (the operation applied to the identity):
+Three row operations exist, each invertible:
 
 * ``Scale(alpha, row)``            -- multiply a row by a nonzero scalar
 * ``AddMultiple(alpha, source, target)`` -- add alpha times one row to another
 * ``Swap(first, second)``          -- exchange two rows
 
 :func:`reduce` drives a matrix to one of five target forms, returning both
-the result and a :class:`Trace`: the ordered list of operations performed,
-each paired with its elementary matrix.  Replaying the trace reproduces the
-result; multiplying the elementary matrices together (newest on the left)
-gives a single left factor that does the same in one product.
+the result and a :class:`Trace`: the ordered operations performed.  Each
+operation's elementary matrix (the operation applied to the identity) is a
+view of it, derived on demand by :func:`elementary_matrix`.  Replaying the
+trace reproduces the result; replaying it on the identity gives the single
+left factor (:func:`left_factor`) that does the same in one product.
 
 Pivoting is deterministic: scan columns left to right, take the topmost
 usable row (swapping it up if needed), and clear downward.  The staggered
 result means the "echelon" forms coincide with what the sweep already
 produces; the form names differ in how far normalization and upward
-elimination go.
+elimination go.  Every stronger form continues the same downward sweep, so
+:func:`solve_with_trace` and :func:`~qlinalg.spaces.fundamental_subspaces`
+read the semi-reduced view and the completely reduced one off one pass.
 """
 
 from __future__ import annotations
@@ -155,19 +157,23 @@ def invert_row_op(op: RowOp) -> RowOp:
 
 @dataclass(frozen=True)
 class Trace:
-    """What an elimination did: ordered (operation, elementary matrix) pairs."""
+    """What an elimination did: the ordered row operations carrying start to end.
+
+    Iterating a trace yields its operations.  The elementary matrix of a step
+    is ``elementary_matrix(op, trace.start.rows)``, built only when asked for.
+    """
 
     start: Matrix
     end: Matrix
-    steps: tuple[tuple[RowOp, Matrix], ...]
+    steps: tuple[RowOp, ...]
 
     def ops(self) -> tuple[RowOp, ...]:
-        return tuple(op for op, _ in self.steps)
+        return self.steps
 
     def replay(self, m: Matrix | None = None) -> Matrix:
         """Apply the recorded operations to ``m`` (default: to ``start``)."""
         cur = self.start if m is None else m
-        for op, _ in self.steps:
+        for op in self.steps:
             cur = apply_row_op(cur, op)
         return cur
 
@@ -183,10 +189,7 @@ def left_factor(trace: Trace) -> Matrix:
 
     ``left_factor(t) @ t.start == t.end``.
     """
-    p = Matrix.identity(trace.start.rows)
-    for _, e in trace.steps:
-        p = e @ p
-    return p
+    return trace.replay(Matrix.identity(trace.start.rows))
 
 
 # ---- reduction ------------------------------------------------------------------
@@ -211,6 +214,51 @@ _FORM_STAGE = {
 }
 
 
+class _Elimination:
+    """One reduction in progress.  Construction runs the downward sweep (stage
+    0); :meth:`finish` carries the same grid and operations on to stage 1 or 2.
+    """
+
+    def __init__(self, m: Matrix):
+        self.start = m
+        self.grid = grid = [list(r) for r in m.entries]
+        self.ops: list[RowOp] = []
+        self.pivots: list[tuple[int, int]] = []
+        r = 0
+        for c in range(m.cols):
+            if r == m.rows:
+                break
+            src = next((k for k in range(r, m.rows) if grid[k][c] != 0), None)
+            if src is None:
+                continue
+            if src != r:
+                self._do(Swap(r, src))
+            for k in range(r + 1, m.rows):
+                if grid[k][c] != 0:
+                    self._do(AddMultiple(-grid[k][c] / grid[r][c], r, k))
+            self.pivots.append((r, c))
+            r += 1
+
+    def _do(self, op: RowOp) -> None:
+        _apply_in_place(self.grid, op)
+        self.ops.append(op)
+
+    def finish(self, stage: int) -> None:
+        grid = self.grid
+        if stage >= 1:
+            for pr, pc in self.pivots:
+                if grid[pr][pc] != 1:
+                    self._do(Scale(Fraction(1) / grid[pr][pc], pr))
+        if stage >= 2:
+            for pr, pc in reversed(self.pivots):
+                for k in range(pr - 1, -1, -1):
+                    if grid[k][pc] != 0:
+                        self._do(AddMultiple(-grid[k][pc], pr, k))
+
+    def trace(self) -> Trace:
+        return Trace(start=self.start, end=Matrix(self.grid), steps=tuple(self.ops))
+
+
 def reduce(m: Matrix, form: str = "completely_reduced") -> tuple[Matrix, Trace]:
     """Drive ``m`` to the named form, recording every operation.
 
@@ -221,42 +269,10 @@ def reduce(m: Matrix, form: str = "completely_reduced") -> tuple[Matrix, Trace]:
     beyond their reduced counterparts here.
     """
     stage = _form_stage(form)
-    grid = [list(r) for r in m.entries]
-    steps: list[tuple[RowOp, Matrix]] = []
-
-    def do(op: RowOp) -> None:
-        _apply_in_place(grid, op)
-        steps.append((op, elementary_matrix(op, m.rows)))
-
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        src = next((k for k in range(r, m.rows) if grid[k][c] != 0), None)
-        if src is None:
-            continue
-        if src != r:
-            do(Swap(r, src))
-        for k in range(r + 1, m.rows):
-            if grid[k][c] != 0:
-                do(AddMultiple(-grid[k][c] / grid[r][c], r, k))
-        pivots.append((r, c))
-        r += 1
-
-    if stage >= 1:
-        for pr, pc in pivots:
-            if grid[pr][pc] != 1:
-                do(Scale(Fraction(1) / grid[pr][pc], pr))
-
-    if stage >= 2:
-        for pr, pc in reversed(pivots):
-            for k in range(pr - 1, -1, -1):
-                if grid[k][pc] != 0:
-                    do(AddMultiple(-grid[k][pc], pr, k))
-
-    end = Matrix(grid)
-    return end, Trace(start=m, end=end, steps=tuple(steps))
+    run = _Elimination(m)
+    run.finish(stage)
+    trace = run.trace()
+    return trace.end, trace
 
 
 def _form_stage(form: str) -> int:
@@ -376,35 +392,31 @@ SolutionSet = Union[Inconsistent, Unique, Infinite]
 def solve_with_trace(a: Matrix, b) -> tuple[SolutionSet, Trace]:
     """Solve ``a x = b``; also hand back the elimination trace used.
 
-    Inconsistency is detected on the semi-reduced matrix, where the impossible
-    row still shows its raw ``0 = value``; otherwise the reduction is carried
-    to completion and the solution read off.
+    Inconsistency is detected after the downward sweep (the semi-reduced
+    matrix), where the impossible row still shows its raw ``0 = value``, and
+    the trace stops there; otherwise the same reduction is carried to
+    completion and the solution read off.
     """
     bvec = as_vector(b)
     if len(bvec) != a.rows:
         raise DimensionMismatch(f"{a.rows} equations, {len(bvec)} constants")
     aug = hstack(a, Matrix.column_vector(bvec))
 
-    semi, semi_trace = reduce(aug, "semi_reduced")
-    for i, j in leaders(semi):
+    run = _Elimination(aug)
+    for i, j in run.pivots:
         if j == a.cols:
-            return Inconsistent(row=i, value=semi[i, j]), semi_trace
+            return Inconsistent(row=i, value=run.grid[i][j]), run.trace()
 
-    full, trace = reduce(aug, "completely_reduced")
-    lead = leaders(full)
-    lead_cols = [j for _, j in lead]
-    if len(lead_cols) == a.cols:
-        values = [Fraction(0)] * a.cols
-        for i, j in lead:
-            values[j] = full[i, a.cols]
-        return Unique(tuple(values)), trace
-
+    run.finish(2)
+    lead_cols = [j for _, j in run.pivots]
+    constants = tuple(run.grid[i][a.cols] for i, _ in run.pivots)
     free = tuple(j for j in range(a.cols) if j not in lead_cols)
-    constants = tuple(full[i, a.cols] for i, _ in lead)
+    if not free:
+        return Unique(constants), run.trace()
     coefficients = tuple(
-        tuple(-full[i, f] for f in free) for i, _ in lead
+        tuple(-run.grid[i][f] for f in free) for i, _ in run.pivots
     )
-    return Infinite(tuple(lead_cols), free, constants, coefficients), trace
+    return Infinite(tuple(lead_cols), free, constants, coefficients), run.trace()
 
 
 def solve(a: Matrix, b) -> SolutionSet:

@@ -21,9 +21,8 @@ from .elimination import (
     Inconsistent,
     RowOp,
     Unique,
+    _Elimination,
     apply_row_op,
-    leaders,
-    reduce,
     solve,
 )
 from .errors import (
@@ -83,14 +82,14 @@ def _zero_rows(m: Matrix) -> set[int]:
 def independence(vectors) -> IndependenceVerdict:
     """Exact test: stack as rows, semi-reduce, look for vanished rows."""
     stacked = Matrix(_family(vectors))
-    reduced, trace = reduce(stacked, "semi_reduced")
-    if not _zero_rows(reduced):
+    run = _Elimination(stacked)
+    if len(run.pivots) == stacked.rows:
         return Independent()
     cur = stacked
     seen = _zero_rows(cur)
     if seen:
         return Dependent(row=min(seen), op=None)
-    for op, _ in trace.steps:
+    for op in run.ops:
         cur = apply_row_op(cur, op)
         now = _zero_rows(cur)
         if len(now) > len(seen):
@@ -123,6 +122,15 @@ class Subspace:
             raise InputDependent("a basis must be independent")
 
     @classmethod
+    def _trusted(cls, ambient: int, basis: tuple[Vector, ...]) -> "Subspace":
+        """A subspace over vectors of exact scalars that the library has just
+        shown to be independent, skipping the proof a user-built one gets."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "ambient", ambient)
+        object.__setattr__(space, "basis", basis)
+        return space
+
+    @classmethod
     def zero(cls, ambient: int) -> "Subspace":
         return cls(ambient, ())
 
@@ -152,9 +160,9 @@ class Subspace:
 def basis_of_span(vectors) -> Subspace:
     """Canonical basis of the span: nonzero rows after semi-reduction."""
     vecs = _family(vectors)
-    reduced, _ = reduce(Matrix(vecs), "semi_reduced")
-    rows = tuple(reduced.row(i) for i, _ in leaders(reduced))
-    return Subspace(len(vecs[0]), rows)
+    run = _Elimination(Matrix(vecs))
+    rows = tuple(tuple(run.grid[i]) for i, _ in run.pivots)
+    return Subspace._trusted(len(vecs[0]), rows)
 
 
 def span_contains(space: Subspace, q) -> tuple[Fraction, ...] | None:
@@ -381,33 +389,33 @@ class Fundamentals:
 
 
 def fundamental_subspaces(a: Matrix) -> Fundamentals:
-    """All three subspaces from two reductions of ``a``.
+    """All three subspaces from one reduction of ``a``.
 
-    Row space: nonzero rows of the semi-reduced matrix.  Column space: the
-    columns of the *original* matrix at the leader positions.  Null space:
-    one generator per free column (set it to 1, other free columns to 0, and
-    read each leading variable off the completely reduced matrix).
+    Row space: nonzero rows once the downward sweep is done (the
+    semi-reduced matrix).  Column space: the columns of the *original* matrix
+    at the leader positions.  Null space: one generator per free column (set
+    it to 1, other free columns to 0, and read each leading variable off the
+    completely reduced matrix).  Each basis is independent by construction.
     """
-    semi, _ = reduce(a, "semi_reduced")
-    row_space = Subspace(
-        a.cols, tuple(semi.row(i) for i, _ in leaders(semi))
+    run = _Elimination(a)
+    row_space = Subspace._trusted(
+        a.cols, tuple(tuple(run.grid[i]) for i, _ in run.pivots)
     )
 
-    full, _ = reduce(a, "completely_reduced")
-    lead = leaders(full)
-    lead_cols = [j for _, j in lead]
+    run.finish(2)
+    lead_cols = [j for _, j in run.pivots]
     rank = len(lead_cols)
-    column_space = Subspace(a.rows, tuple(a.col(j) for j in lead_cols))
+    column_space = Subspace._trusted(a.rows, tuple(a.col(j) for j in lead_cols))
 
     free = [j for j in range(a.cols) if j not in lead_cols]
     null_basis = []
     for f in free:
         v = [Q(0)] * a.cols
         v[f] = Q(1)
-        for r, c in lead:
-            v[c] = -full[r, f]
+        for r, c in run.pivots:
+            v[c] = -run.grid[r][f]
         null_basis.append(tuple(v))
-    null_space = Subspace(a.cols, tuple(null_basis))
+    null_space = Subspace._trusted(a.cols, tuple(null_basis))
 
     return Fundamentals(
         null=null_space,

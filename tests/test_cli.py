@@ -2,11 +2,13 @@
 
 import io
 import json
+import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
-from qlinalg import Matrix, char_poly, inverse_gauss_jordan
+from qlinalg import Matrix, char_poly, det, format_scalar, inverse_gauss_jordan
 from qlinalg.cli import main
 
 Q = Fraction
@@ -202,6 +204,32 @@ def test_cofactor_method_refuses_trace(capsys):
         capsys, "det", "1 0; 0 1", "--method", "cofactor", "--trace"
     )
     assert code == 2
+
+
+def _dense_integer_text(n, seed):
+    rng = random.Random(seed)
+    return "; ".join(
+        " ".join(str(rng.randint(-9, 9)) for _ in range(n)) for _ in range(n)
+    )
+
+
+def test_cofactor_method_refuses_more_than_eight_rows(capsys):
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "det", _dense_integer_text(9, 11), "--method", "cofactor"
+    )
+    # unguarded, this expansion takes several seconds
+    assert time.perf_counter() - started < 2
+    assert code == 2
+    assert out == ""
+    assert "--method rowred" in err and "Traceback" not in err
+
+
+def test_cofactor_method_still_answers_eight_rows(capsys):
+    text = _dense_integer_text(8, 11)
+    code, out, _ = run(capsys, "det", text, "--method", "cofactor")
+    assert code == 0
+    assert out == f"{format_scalar(det(Matrix.parse(text)))}\n"
 
 
 def test_bad_entry_flag_exits_two(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import qlinalg.eigen
 from qlinalg import (
     Diagonalizable,
     Matrix,
@@ -281,6 +282,18 @@ def test_summary_of_the_fixture():
     assert s.eigenspace_of(99) is None
     assert s.diagonalizable is True
     assert s.deficient is None
+
+
+def test_summary_computes_the_characteristic_polynomial_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return char_poly(a)
+
+    monkeypatch.setattr(qlinalg.eigen, "char_poly", counted)
+    assert eigen_summary(A_TRI).char == Polynomial([-2, 1, 2, -1])
+    assert len(calls) == 1
 
 
 def test_summary_names_the_deficiency():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import qlinalg.elimination
 from qlinalg import (
     AddMultiple,
     DimensionMismatch,
@@ -18,7 +19,11 @@ from qlinalg import (
     Unique,
     ZeroScale,
     apply_row_op,
+    det,
+    eigenspace,
     elementary_matrix,
+    fundamental_subspaces,
+    hstack,
     inverse_gauss_jordan,
     invert_row_op,
     leaders,
@@ -173,6 +178,11 @@ def test_trace_replay_and_left_factor():
     assert trace.start == m and trace.end == reduced
     assert trace.replay() == reduced
     assert left_factor(trace) @ m == reduced
+    # iterating yields the operations; each elementary matrix is derived
+    product = Matrix.identity(m.rows)
+    for op in trace:
+        product = elementary_matrix(op, m.rows) @ product
+    assert product == left_factor(trace)
 
 
 def test_left_factor_of_random_op_chains():
@@ -234,6 +244,7 @@ def test_every_form_is_satisfied_by_its_own_output():
             result, trace = reduce(m, form)
             assert satisfies_form(result, form), (form, m)
             assert trace.replay() == result
+            assert left_factor(trace) @ trace.start == trace.end
 
 
 def test_unknown_form_rejected():
@@ -374,6 +385,61 @@ def test_inconsistent_verdicts_are_genuine():
         ]
         assert not isinstance(solve(a, good_b), Inconsistent)
     assert seen > 10
+
+
+def _system_of_kind(rng, kind):
+    """A random system built to be "unique", "infinite" or "inconsistent"."""
+    n = rng.randrange(1, 5)
+    if kind == "unique":
+        a = Matrix(oracles.rand_invertible_grid(rng, n))
+        x = [oracles.rand_fraction(rng) for _ in range(n)]
+        return a, list((a @ Matrix.column_vector(x)).col(0))
+    cols = rng.randrange(n + 1, n + 3) if kind == "infinite" else rng.randrange(1, 5)
+    rows = oracles.rand_grid(rng, n, cols)
+    x = [oracles.rand_fraction(rng) for _ in range(cols)]
+    b = [sum((r[j] * x[j] for j in range(cols)), Q(0)) for r in rows]
+    if kind == "inconsistent":
+        # a row that combines the others, with a constant that breaks the combination
+        weights = [oracles.rand_fraction(rng) for _ in range(n)]
+        rows.append(
+            [sum((w * r[j] for w, r in zip(weights, rows)), Q(0)) for j in range(cols)]
+        )
+        miss = rng.choice([-2, -1, 1, Q(1, 2)])
+        b.append(sum((w * c for w, c in zip(weights, b)), Q(0)) + miss)
+    return Matrix(rows), b
+
+
+def test_solve_trace_is_the_reduction_trace():
+    rng = random.Random(7007)
+    for kind, expected in (
+        ("unique", Unique), ("infinite", Infinite), ("inconsistent", Inconsistent)
+    ):
+        for _ in range(60):
+            a, b = _system_of_kind(rng, kind)
+            result, trace = solve_with_trace(a, b)
+            assert isinstance(result, expected), (kind, a, b)
+            aug = hstack(a, Matrix.column_vector(b))
+            form = "semi_reduced" if kind == "inconsistent" else "completely_reduced"
+            end, reference = reduce(aug, form)
+            assert trace.start == aug
+            assert trace.ops() == reference.ops()
+            assert trace.end == end
+            if kind == "inconsistent":
+                assert end[result.row, a.cols] == result.value != 0
+
+
+def test_untraced_answers_never_build_elementary_matrices(monkeypatch):
+    def refuse(op, n):
+        raise AssertionError("an untraced answer built an elementary matrix")
+
+    monkeypatch.setattr(qlinalg.elimination, "elementary_matrix", refuse)
+    a = Matrix.parse("2 1 0; 1 3 1; 0 1 4")
+    assert det(a) == 18
+    assert inverse_gauss_jordan(a) @ a == Matrix.identity(3)
+    assert solve(a, [3, 5, 5]) == Unique((Q(1), Q(1), Q(1)))
+    singular = Matrix.parse("1 2 3; 2 4 6; 1 0 1")
+    assert fundamental_subspaces(singular).nullity == 1
+    assert eigenspace(Matrix.parse("2 0 1; 0 1 -2; 0 0 -1"), 2).basis == ((1, 0, 0),)
 
 
 # ---- inversion via [A | I] ---------------------------------------------------------

@@ -23,6 +23,7 @@ from qlinalg import (
     independence,
     infer_parameter_order,
     parse_linear_form,
+    reduce,
     span_contains,
     subspace_from_forms,
 )
@@ -293,6 +294,10 @@ def test_rank_nullity_property():
         cols = rng.randrange(1, 7)
         a = Matrix(oracles.rand_grid(rng, rows, cols))
         f = fundamental_subspaces(a)
+        semi, _ = reduce(a, "semi_reduced")
+        assert f.row.basis == tuple(r for r in semi.entries if any(r))
+        for space in (f.null, f.row, f.column):
+            assert space.is_zero or independence(space.basis)
         assert f.rank + f.nullity == cols
         assert f.rank == f.row.dimension == f.column.dimension
         assert f.nullity == f.null.dimension
