@@ -1,10 +1,12 @@
 """Eigenvalues, eigenspaces, and diagonalization — all over the rationals.
 
-The characteristic polynomial det(A - x I) is computed exactly by cofactor
-expansion over polynomial entries, then factored by the rational-root
-theorem.  Irrational or complex eigenvalues cannot be represented here; in
-that case the honest answer is a :class:`NotSplit` verdict carrying whatever
-rational roots were found and the unfactored remainder.
+The characteristic polynomial det(A - x I) is computed exactly by Berkowitz's
+division-free algorithm, and its rational roots are isolated by a Sturm
+sequence (:func:`qlinalg.poly.rational_roots`); both take time polynomial in
+n and in the entry bit size.  Irrational or complex eigenvalues cannot be
+represented here; in that case the honest answer is a :class:`NotSplit`
+verdict carrying whatever rational roots were found and the unfactored
+remainder.
 
 Eigenvalues are always reported in decreasing order, and the diagonal factor
 of a diagonalization lists them that way.
@@ -24,31 +26,33 @@ from .scalars import Q, as_scalar
 from .spaces import Subspace, fundamental_subspaces
 
 
-def _poly_det(grid) -> Polynomial:
-    if len(grid) == 1:
-        return grid[0][0]
-    total = Polynomial()
-    for j, p in enumerate(grid[0]):
-        if p.is_zero:
-            continue
-        minor = tuple(r[:j] + r[j + 1:] for r in grid[1:])
-        term = p * _poly_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def char_poly(a: Matrix) -> Polynomial:
-    """det(A - x I), ascending coefficients; leading coefficient (-1)^n."""
+    """det(A - x I), ascending coefficients; leading coefficient (-1)^n.
+
+    Berkowitz's division-free algorithm, O(n^4) field operations.  Write each
+    leading principal submatrix as A_k = [[M, C], [R, a_kk]].  The descending
+    coefficients of det(x I - A_k) are the lower-triangular Toeplitz matrix
+    with first column [1, -a_kk, -R C, -R M C, ..., -R M^(k-1) C] times those
+    of det(x I - M).
+    """
     if not a.is_square:
         raise NotSquare("characteristic polynomials need a square matrix")
-    grid = tuple(
-        tuple(
-            Polynomial([a[i, j], -1]) if i == j else Polynomial([a[i, j]])
-            for j in range(a.cols)
-        )
-        for i in range(a.rows)
-    )
-    return _poly_det(grid)
+    g = a.entries
+    coeffs = [Fraction(1)]
+    for k in range(a.rows):
+        m = [g[i][:k] for i in range(k)]
+        r = g[k][:k]
+        col = [Fraction(1), -g[k][k]]
+        v = [g[i][k] for i in range(k)]
+        for _ in range(k):
+            col.append(-sum(x * y for x, y in zip(r, v)))
+            v = [sum(x * y for x, y in zip(mi, v)) for mi in m]
+        coeffs = [
+            sum(col[i - j] * coeffs[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    sign = -1 if a.rows % 2 else 1
+    return Polynomial([sign * c for c in reversed(coeffs)])
 
 
 @dataclass(frozen=True)
@@ -234,23 +238,20 @@ def eigen_summary(a: Matrix) -> EigenSummary:
             diagonalizable=None,
             deficient=None,
         )
-    profile = [
-        (lam, alg, space.dimension)
-        for (lam, alg), (_, space) in zip(roots, spaces)
-    ]
-    bad = deficient_eigenvalue(profile)
-    deficient = None
-    if bad is not None:
-        for lam, alg, geom in profile:
-            if lam == bad:
-                deficient = (lam, alg, geom)
-                break
+    deficient = next(
+        (
+            (lam, alg, space.dimension)
+            for (lam, alg), (_, space) in zip(roots, spaces)
+            if space.dimension < alg
+        ),
+        None,
+    )
     return EigenSummary(
         char=p,
         split=True,
         roots=roots,
         residual=None,
         spaces=spaces,
-        diagonalizable=bad is None,
+        diagonalizable=deficient is None,
         deficient=deficient,
     )

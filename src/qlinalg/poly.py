@@ -197,26 +197,87 @@ def poly_eval(p: Polynomial, x) -> Fraction:
     return p(x)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _derivative(p: Polynomial) -> Polynomial:
+    return Polynomial([k * c for k, c in enumerate(p.coefficients)][1:])
+
+
+def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Euclid's algorithm; the result is defined up to a constant factor."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a
+
+
+def _sign_at(cs: tuple[int, ...], num: int, den: int) -> int:
+    """Sign of the integer polynomial ``cs`` (ascending) at num/den, den > 0.
+
+    Homogeneous Horner: den^d * p(num/den) in integers only.
+    """
+    acc, scale = 0, 1
+    for c in reversed(cs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _distinct_rational_roots(s: tuple[int, ...]) -> list[Fraction]:
+    """Every rational root of the squarefree primitive integer polynomial ``s``.
+
+    A rational root is y/L with y an integer and L = |leading coefficient|,
+    and |y| <= L + max|s_i| (Cauchy).  Roots are isolated on that grid by a
+    Sturm sequence, probed only at half-integer y, which no rational root
+    occupies; an interval holding a single grid point is tested directly,
+    since it may still hold two close irrational roots.
+    """
+    lead = abs(s[-1])
+    chain = [s, _derivative(Polynomial(s)).primitive_integer_coefficients()]
+    while len(chain[-1]) > 1:
+        rem = Polynomial(chain[-2]) % Polynomial(chain[-1])
+        chain.append((-rem).primitive_integer_coefficients())
+
+    def changes(e: int) -> int:
+        # sign changes of the Sturm sequence at x = (e + 1/2) / L
+        signs = [v for v in (_sign_at(cs, 2 * e + 1, 2 * lead) for cs in chain) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    bound = lead + max(abs(c) for c in s)
+    found = []
+    pending = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
+    while pending:
+        lo, hi, v_lo, v_hi = pending.pop()
+        count = v_lo - v_hi
+        if count == 0:
+            continue
+        if count == 1:
+            # one root left: bisect on the sign of s alone
+            s_lo = _sign_at(s, 2 * lo + 1, 2 * lead)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _sign_at(s, 2 * mid + 1, 2 * lead) == s_lo:
+                    lo = mid
+                else:
+                    hi = mid
+        if hi - lo == 1:
+            if _sign_at(s, hi, lead) == 0:
+                found.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        v_mid = changes(mid)
+        pending.append((lo, mid, v_lo, v_mid))
+        pending.append((mid, hi, v_mid, v_hi))
+    return found
 
 
 def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Polynomial]:
     """All rational roots of ``p`` with multiplicity, plus the unfactored rest.
 
     Returns ``(roots, residual)`` where ``roots`` is a tuple of
-    ``(root, multiplicity)`` pairs in the order found and ``residual`` is what
-    is left after dividing every rational root out.  ``residual`` has degree 0
-    exactly when ``p`` splits over the rationals.
+    ``(root, multiplicity)`` pairs in no specified order (``eigenvalues``
+    sorts them decreasing) and ``residual`` is what is left after dividing
+    every rational root out.  ``residual`` has degree 0 exactly when ``p``
+    splits over the rationals.  The roots are those of the squarefree part
+    p / gcd(p, p'), isolated by a Sturm sequence in time polynomial in the
+    degree and the coefficient bit size.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
@@ -230,25 +291,13 @@ def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Pol
     if mult:
         roots.append((Fraction(0), mult))
 
-    while q.degree > 0:
-        ints = q.primitive_integer_coefficients()
-        found = None
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if q(cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        mult = 0
-        while q.degree > 0 and q(found) == 0:
-            q = q.deflate(found)
-            mult += 1
-        roots.append((found, mult))
+    if q.degree > 0:
+        squarefree = q // _gcd(q, _derivative(q))
+        for root in _distinct_rational_roots(squarefree.primitive_integer_coefficients()):
+            mult = 0
+            while q.degree > 0 and q(root) == 0:
+                q = q.deflate(root)
+                mult += 1
+            roots.append((root, mult))
 
     return tuple(roots), q

@@ -80,3 +80,18 @@ def rand_invertible_grid(rng, n, **kw):
         g = rand_grid(rng, n, n, **kw)
         if leibniz_det(g) != 0:
             return g
+
+
+# An 8x8 matrix whose characteristic polynomial has no rational root; its
+# primitive integer form has a 67-bit constant term and a 56-bit leading
+# coefficient, which defeated enumerating divisors of the constant term.
+UNSPLIT_8X8 = (
+    "-2/3 3/2 -3/11 -8 -5/2 7/2 3/11 -9/5; "
+    "6/5 3/5 9/2 3 3 -9/11 -1/7 4/5; "
+    "3/11 -6/11 -1 -7/5 3 -8/3 -2/11 -7/5; "
+    "7/2 9/2 -1 -8/5 -3/2 9/5 9/5 0; "
+    "2/5 -5/2 -6/7 1/11 2/11 6/7 -1 -5/3; "
+    "7/3 7/11 -1 4 1 -3 1/2 -1; "
+    "4/3 1 2 3 -4/11 -9/2 -4/3 -6; "
+    "1 -4/7 2 -1 9/5 4/5 -1 -7/3"
+)

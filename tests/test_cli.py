@@ -2,14 +2,19 @@
 
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import qlinalg
 from qlinalg import Matrix, char_poly, det, format_scalar, inverse_gauss_jordan
 from qlinalg.cli import main
+
+import oracles
 
 Q = Fraction
 
@@ -230,6 +235,23 @@ def test_cofactor_method_still_answers_eight_rows(capsys):
     code, out, _ = run(capsys, "det", text, "--method", "cofactor")
     assert code == 0
     assert out == f"{format_scalar(det(Matrix.parse(text)))}\n"
+
+
+def test_eigen_on_an_unsplit_eight_by_eight_exits_zero():
+    env = dict(os.environ, PYTHONPATH=str(Path(qlinalg.__file__).parents[1]))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlinalg", "eigen", oracles.UNSPLIT_8X8],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.perf_counter() - started < 5
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    residual = char_poly(Matrix.parse(oracles.UNSPLIT_8X8))
+    assert proc.stdout.splitlines()[1:] == [
+        "rational eigenvalues: none",
+        f"unfactored residual: {residual}",
+    ]
 
 
 def test_bad_entry_flag_exits_two(capsys):

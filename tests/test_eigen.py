@@ -1,6 +1,7 @@
 """Characteristic polynomials, eigenspaces, diagonalization, and exact powers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -65,14 +66,44 @@ def test_char_poly_needs_square():
 def test_char_poly_leading_coefficient_and_constant_term():
     # leading coefficient is (-1)^n; constant term is det(A)
     rng = random.Random(15001)
-    for _ in range(20):
-        n = rng.randrange(1, 5)
+    for _ in range(30):
+        n = rng.randrange(1, 11)
         m = Matrix(oracles.rand_grid(rng, n, n))
         p = char_poly(m)
         assert p.degree == n
         assert p.coefficient(n) == (-1) ** n
         assert p.coefficient(0) == det(m)
-        assert p(0) == oracles.leibniz_det(m.entries)
+        if n <= 6:
+            assert p(0) == oracles.leibniz_det(m.entries)
+
+
+def _unit_triangular_product(rng, n):
+    # L U with unit diagonals: invertible by construction
+    lower = [[1 if i == j else oracles.rand_fraction(rng) if i > j else 0
+              for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else oracles.rand_fraction(rng) if i < j else 0
+              for j in range(n)] for i in range(n)]
+    return Matrix(lower) @ Matrix(upper)
+
+
+def test_char_poly_laws():
+    # Cayley-Hamilton, similarity invariance, and the trace coefficient
+    rng = random.Random(15003)
+    for case in range(12):
+        n = 10 if case < 2 else rng.randrange(1, 10)
+        a = Matrix(oracles.rand_grid(rng, n, n))
+        p = char_poly(a)
+
+        ident = Matrix.identity(n)
+        horner = p.coefficient(n) * ident
+        for k in range(n - 1, -1, -1):
+            horner = horner @ a + p.coefficient(k) * ident
+        assert horner == Matrix([[0] * n] * n)
+
+        s = _unit_triangular_product(rng, n)
+        assert char_poly(s @ a @ inverse_gauss_jordan(s)) == p
+
+        assert p.coefficient(n - 1) == (-1) ** (n - 1) * a.trace()
 
 
 # ---- eigenvalues -------------------------------------------------------------------
@@ -91,6 +122,17 @@ def test_eigenvalues_of_the_fixture_split_decreasing():
 def test_eigenvalues_of_diagonal_matrix_carry_multiplicity():
     verdict = eigenvalues(Matrix([[5, 0, 0], [0, 5, 0], [0, 0, 3]]))
     assert verdict.roots == ((5, 2), (3, 1))
+
+
+def test_unsplit_eight_by_eight_answers_quickly():
+    m = Matrix.parse(oracles.UNSPLIT_8X8)
+    started = time.perf_counter()
+    verdict = eigenvalues(m)
+    # enumerating divisors of its 67-bit constant term ran for over a minute
+    assert time.perf_counter() - started < 2
+    assert isinstance(verdict, NotSplit)
+    assert verdict.found == ()
+    assert verdict.residual == char_poly(m)
 
 
 def test_rotation_matrix_does_not_split():

@@ -97,6 +97,12 @@ def test_rational_roots_leaves_residual():
     assert dict(roots) == {Q(2): 1}
     assert residual == Polynomial([-2, 0, 1])
 
+    # sqrt(2) and sqrt(2 + 10^-6) are closer than one grid step 10^-6
+    close = Polynomial([-2, 0, 1]) * Polynomial([-2000001, 0, 10 ** 6])
+    roots, residual = rational_roots(close * Polynomial([-2, 1]))
+    assert dict(roots) == {Q(2): 1}
+    assert residual == close
+
 
 def test_reconstruction_from_roots_and_residual():
     p = Polynomial([-2, 1, 2, -1])
