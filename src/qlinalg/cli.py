@@ -22,6 +22,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .determinant import (
@@ -40,6 +41,7 @@ from .eigen import (
     matrix_power,
 )
 from .elimination import (
+    FORMS,
     Inconsistent,
     Trace,
     Unique,
@@ -64,6 +66,7 @@ from .errors import (
 )
 from .matrix import (
     Matrix,
+    _split_rows,
     as_vector,
     parse_matrix_text,
     render_block,
@@ -98,13 +101,7 @@ _ANSWER_DEPENDENT_ERRORS = (
 # n! products: n = 8 answers in under a second, n = 10 takes nearly a minute.
 _COFACTOR_MAX_N = 8
 
-_CLI_FORMS = {
-    "semi-reduced": "semi_reduced",
-    "reduced": "reduced",
-    "completely-reduced": "completely_reduced",
-    "echelon": "echelon",
-    "reduced-echelon": "reduced_echelon",
-}
+_CLI_FORMS = {form.replace("_", "-"): form for form in FORMS}
 
 
 # ---- argument reading -------------------------------------------------------
@@ -116,7 +113,9 @@ def _read_text(arg: str) -> str:
     try:
         p = Path(arg)
         if p.is_file():
-            return p.read_text()
+            return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"file {arg!r} is not UTF-8 text") from None
     except OSError:
         pass
     return arg
@@ -170,15 +169,6 @@ def _linear_map(arg: str):
     return from_matrix(Matrix.parse(text))
 
 
-def _split_rows(text: str) -> list[str]:
-    return [
-        piece.strip()
-        for chunk in text.splitlines()
-        for piece in chunk.split(";")
-        if piece.strip()
-    ]
-
-
 def _parse_entry(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", text)
     if not m or int(m.group(1)) < 1 or int(m.group(2)) < 1:
@@ -187,146 +177,135 @@ def _parse_entry(text: str) -> tuple[int, int]:
 
 
 # ---- rendering ----------------------------------------------------------------
+#
+# Each helper renders one kind of result as (plain lines, JSON payload).
+# Payloads carry library values as they are; ``main`` adds the verb and turns
+# every Fraction into its exact "p/q" string through ``_exact``.
+
+
+def _exact(value) -> str:
+    if isinstance(value, Fraction):
+        return format_scalar(value)
+    raise TypeError(f"{type(value).__name__} has no exact JSON form")
 
 
 def _fmt_vec(v) -> str:
     return "(" + ", ".join(format_scalar(x) for x in v) + ")"
 
 
-def _jvec(v) -> list[str]:
-    return [format_scalar(x) for x in v]
+def _var(j: int) -> str:
+    return f"x{j + 1}"
 
 
-def _jmat(m: Matrix) -> list[list[str]]:
-    return [[format_scalar(x) for x in row] for row in m.entries]
-
-
-def _jsub(s: Subspace) -> dict:
-    return {
-        "ambient": s.ambient,
-        "dimension": s.dimension,
-        "basis": [_jvec(v) for v in s.basis],
-    }
-
-
-def _trace_lines(trace: Trace) -> list[str]:
-    n = trace.start.rows
-    return [
-        f"{render_row_op(op)} :: E = {render_inline(elementary_matrix(op, n))}"
-        for op in trace
-    ]
-
-
-def _jtrace(trace: Trace) -> list[dict]:
-    n = trace.start.rows
-    return [
-        {"op": render_row_op(op), "elementary": _jmat(elementary_matrix(op, n))}
-        for op in trace
-    ]
+def _assignments(values) -> str:
+    return ", ".join(f"{_var(i)} = {format_scalar(v)}" for i, v in enumerate(values))
 
 
 def _block_lines(m: Matrix) -> list[str]:
     return render_block(m).splitlines()
 
 
-def _space_lines(space: Subspace) -> list[str]:
-    lines = [f"dimension: {space.dimension}"]
+def _scalar_result(value: Fraction, **extra):
+    return [format_scalar(value)], {**extra, "value": value}
+
+
+def _matrix_result(m: Matrix, **extra):
+    return _block_lines(m), {**extra, "matrix": m.entries}
+
+
+_NOT_INVERTIBLE = (["not invertible (det = 0)"], {"invertible": False})
+
+
+def _jsub(s: Subspace) -> dict:
+    return {"ambient": s.ambient, "dimension": s.dimension, "basis": s.basis}
+
+
+def _space_result(space: Subspace, *head: str, **extra):
+    lines = [*head, f"dimension: {space.dimension}"]
     if space.is_zero:
         lines.append("(zero subspace)")
     else:
         lines.extend(_fmt_vec(v) for v in space.basis)
-    return lines
+    return lines, {**extra, **_jsub(space)}
 
 
-def _var(j: int) -> str:
-    return f"x{j + 1}"
+def _constant_verdict(line: str, flag: str, verdict):
+    """NotLinear and NotSubspace: a coordinate formula with a nonzero constant."""
+    return [line], {
+        flag: False,
+        "coordinate": verdict.coordinate + 1,
+        "constant": verdict.constant,
+    }
 
 
-def _solution_lines(sol) -> list[str]:
+def _not_linear(verdict: NotLinear):
+    return _constant_verdict(f"not linear: {verdict}", "linear", verdict)
+
+
+def _traced(show: bool, trace: Trace, result):
+    """Put the row operations, each with its elementary matrix, before a result."""
+    if not show:
+        return result
+    n = trace.start.rows
+    steps = [(render_row_op(op), elementary_matrix(op, n)) for op in trace]
+    lines, payload = result
+    return (
+        [f"{op} :: E = {render_inline(e)}" for op, e in steps] + lines,
+        {**payload, "trace": [{"op": op, "elementary": e.entries} for op, e in steps]},
+    )
+
+
+def _solution_result(sol):
     if isinstance(sol, Unique):
-        pairs = ", ".join(
-            f"{_var(i)} = {format_scalar(v)}" for i, v in enumerate(sol.values)
-        )
-        return [f"unique: {pairs}"]
+        return [f"unique: {_assignments(sol.values)}"], {
+            "result": {"kind": "unique", "values": sol.values}
+        }
     if isinstance(sol, Inconsistent):
         return [
             f"inconsistent (row {sol.row + 1}: 0 = {format_scalar(sol.value)})"
-        ]
+        ], {"result": {"kind": "inconsistent", "row": sol.row + 1, "value": sol.value}}
     lines = [
         "infinite solutions",
         "free: " + ", ".join(_var(f) for f in sol.free),
     ]
+    equations = {}
     for r, var in enumerate(sol.leading):
-        form = LinearForm(
-            constant=sol.constants[r],
-            terms=tuple(
-                (_var(f), c) for f, c in zip(sol.free, sol.coefficients[r])
-            ),
-        )
-        lines.append(f"{_var(var)} = {form}")
-    return lines
-
-
-def _jsolution(sol) -> dict:
-    if isinstance(sol, Unique):
-        return {"kind": "unique", "values": _jvec(sol.values)}
-    if isinstance(sol, Inconsistent):
-        return {
-            "kind": "inconsistent",
-            "row": sol.row + 1,
-            "value": format_scalar(sol.value),
+        terms = tuple((_var(f), c) for f, c in zip(sol.free, sol.coefficients[r]))
+        lines.append(f"{_var(var)} = {LinearForm(sol.constants[r], terms)}")
+        equations[_var(var)] = {
+            "constant": sol.constants[r],
+            "coefficients": dict(terms),
         }
-    return {
-        "kind": "infinite",
-        "free": [_var(f) for f in sol.free],
-        "leading": [_var(v) for v in sol.leading],
-        "equations": {
-            _var(var): {
-                "constant": format_scalar(sol.constants[r]),
-                "coefficients": {
-                    _var(f): format_scalar(c)
-                    for f, c in zip(sol.free, sol.coefficients[r])
-                },
-            }
-            for r, var in enumerate(sol.leading)
-        },
+    return lines, {
+        "result": {
+            "kind": "infinite",
+            "free": [_var(f) for f in sol.free],
+            "leading": [_var(v) for v in sol.leading],
+            "equations": equations,
+        }
     }
+
+
+def _poly(p) -> dict:
+    return {"coefficients": p.coefficients, "text": p.render()}
 
 
 # ---- verb handlers ---------------------------------------------------------------
 
 
 def _cmd_solve(args):
-    a, b = _augmented(args.system)
-    sol, trace = solve_with_trace(a, b)
-    lines = _trace_lines(trace) if args.trace else []
-    lines += _solution_lines(sol)
-    payload = {"verb": "solve", "result": _jsolution(sol)}
-    if args.trace:
-        payload["trace"] = _jtrace(trace)
-    return lines, payload
+    sol, trace = solve_with_trace(*_augmented(args.system))
+    return _traced(args.trace, trace, _solution_result(sol))
 
 
 def _cmd_rref(args):
-    m = _plain_matrix(args.matrix)
-    result, trace = reduce(m, "completely_reduced")
-    lines = _trace_lines(trace) if args.trace else []
-    lines += _block_lines(result)
-    payload = {"verb": "rref", "matrix": _jmat(result)}
-    if args.trace:
-        payload["trace"] = _jtrace(trace)
-    return lines, payload
+    result, trace = reduce(_plain_matrix(args.matrix), "completely_reduced")
+    return _traced(args.trace, trace, _matrix_result(result))
 
 
 def _cmd_reduce(args):
-    m = _plain_matrix(args.matrix)
-    result, trace = reduce(m, _CLI_FORMS[args.form])
-    lines = _trace_lines(trace) if args.trace else []
-    lines += _block_lines(result)
-    payload = {"verb": "reduce", "form": args.form, "matrix": _jmat(result)}
-    if args.trace:
-        payload["trace"] = _jtrace(trace)
-    return lines, payload
+    result, trace = reduce(_plain_matrix(args.matrix), _CLI_FORMS[args.form])
+    return _traced(args.trace, trace, _matrix_result(result, form=args.form))
 
 
 def _cmd_inverse(args):
@@ -334,15 +313,8 @@ def _cmd_inverse(args):
     try:
         inv = inverse_gauss_jordan(m)
     except NotInvertible:
-        return ["not invertible (det = 0)"], {
-            "verb": "inverse",
-            "invertible": False,
-        }
-    return _block_lines(inv), {
-        "verb": "inverse",
-        "invertible": True,
-        "matrix": _jmat(inv),
-    }
+        return _NOT_INVERTIBLE
+    return _matrix_result(inv, invertible=True)
 
 
 def _cmd_det(args):
@@ -355,48 +327,29 @@ def _cmd_det(args):
                 f"--method cofactor takes at most {_COFACTOR_MAX_N} rows "
                 f"(n! work); use --method rowred for this {m.rows}x{m.cols} input"
             )
-        value = det_cofactor(m)
-        return [format_scalar(value)], {
-            "verb": "det",
-            "method": "cofactor",
-            "value": format_scalar(value),
-        }
+        return _scalar_result(det_cofactor(m), method="cofactor")
     value, log, _ = det_with_effects(m)
-    lines = []
-    if args.trace:
-        lines = [
-            f"{render_row_op(op)} :: factor {format_scalar(f)}"
-            for op, f in log.steps
-        ]
-        lines.append(f"det = {format_scalar(value)}")
-    else:
-        lines = [format_scalar(value)]
-    payload = {"verb": "det", "method": "rowred", "value": format_scalar(value)}
-    if args.trace:
-        payload["effects"] = [
-            {"op": render_row_op(op), "factor": format_scalar(f)}
-            for op, f in log.steps
-        ]
+    lines, payload = _scalar_result(value, method="rowred")
+    if not args.trace:
+        return lines, payload
+    steps = [(render_row_op(op), f) for op, f in log.steps]
+    lines = [f"{op} :: factor {format_scalar(f)}" for op, f in steps]
+    lines.append(f"det = {format_scalar(value)}")
+    payload["effects"] = [{"op": op, "factor": f} for op, f in steps]
     return lines, payload
 
 
 def _cmd_cofactor(args):
-    c = cofactor_matrix(_plain_matrix(args.matrix))
-    return _block_lines(c), {"verb": "cofactor", "matrix": _jmat(c)}
+    return _matrix_result(cofactor_matrix(_plain_matrix(args.matrix)))
 
 
 def _cmd_cramer(args):
-    a, b = _augmented(args.system)
-    values = cramer_solve(a, b)
-    pairs = ", ".join(
-        f"{_var(i)} = {format_scalar(v)}" for i, v in enumerate(values)
-    )
-    return [pairs], {"verb": "cramer", "values": _jvec(values)}
+    values = cramer_solve(*_augmented(args.system))
+    return [_assignments(values)], {"values": values}
 
 
 def _cmd_adjoint(args):
-    adj = adjoint(_plain_matrix(args.matrix))
-    return _block_lines(adj), {"verb": "adjoint", "matrix": _jmat(adj)}
+    return _matrix_result(adjoint(_plain_matrix(args.matrix)))
 
 
 def _cmd_inv_entry(args):
@@ -405,45 +358,30 @@ def _cmd_inv_entry(args):
     try:
         value = inverse_entry(m, i, k)
     except NotInvertible:
-        return ["not invertible (det = 0)"], {
-            "verb": "inv-entry",
-            "invertible": False,
-        }
-    return [format_scalar(value)], {
-        "verb": "inv-entry",
-        "entry": [i + 1, k + 1],
-        "value": format_scalar(value),
-    }
+        return _NOT_INVERTIBLE
+    return _scalar_result(value, entry=[i + 1, k + 1])
 
 
 def _cmd_basis(args):
-    space = basis_of_span(_vector_rows(args.vectors))
-    return _space_lines(space), {"verb": "basis", **_jsub(space)}
+    return _space_result(basis_of_span(_vector_rows(args.vectors)))
 
 
 def _cmd_span_member(args):
     space = basis_of_span(_vector_rows(args.generators))
-    q = _one_vector(args.vector)
-    coeffs = span_contains(space, q)
+    coeffs = span_contains(space, _one_vector(args.vector))
     if coeffs is None:
-        return ["member: no"], {
-            "verb": "span-member",
-            "member": False,
-            "basis": _jsub(space)["basis"],
-        }
+        return ["member: no"], {"member": False, "basis": space.basis}
     rendered = ", ".join(format_scalar(c) for c in coeffs) or "(empty)"
     return [f"member: yes (coefficients: {rendered})"], {
-        "verb": "span-member",
         "member": True,
-        "coefficients": _jvec(coeffs),
-        "basis": _jsub(space)["basis"],
+        "coefficients": coeffs,
+        "basis": space.basis,
     }
 
 
 def _cmd_extend_basis(args):
     space = extend_to_basis(_vector_rows(args.vectors))
-    lines = [_fmt_vec(v) for v in space.basis]
-    return lines, {"verb": "extend-basis", **_jsub(space)}
+    return [_fmt_vec(v) for v in space.basis], _jsub(space)
 
 
 def _cmd_subspace(args):
@@ -455,17 +393,8 @@ def _cmd_subspace(args):
     )
     result = subspace_from_forms(forms, params)
     if isinstance(result, NotSubspace):
-        return [f"subspace: no ({result})"], {
-            "verb": "subspace",
-            "subspace": False,
-            "coordinate": result.coordinate + 1,
-            "constant": format_scalar(result.constant),
-        }
-    return ["subspace: yes", *_space_lines(result)], {
-        "verb": "subspace",
-        "subspace": True,
-        **_jsub(result),
-    }
+        return _constant_verdict(f"subspace: no ({result})", "subspace", result)
+    return _space_result(result, "subspace: yes", subspace=True)
 
 
 def _cmd_fundamentals(args):
@@ -482,7 +411,6 @@ def _cmd_fundamentals(args):
         else:
             lines.extend(f"  {_fmt_vec(v)}" for v in space.basis)
     return lines, {
-        "verb": "fundamentals",
         "rank": f.rank,
         "nullity": f.nullity,
         "row": _jsub(f.row),
@@ -491,82 +419,60 @@ def _cmd_fundamentals(args):
     }
 
 
-def _not_linear_result(verb: str, verdict: NotLinear):
-    return [f"not linear: {verdict}"], {
-        "verb": verb,
-        "linear": False,
-        "coordinate": verdict.coordinate + 1,
-        "constant": format_scalar(verdict.constant),
-    }
-
-
 def _cmd_transform(args):
     obj = _linear_map(args.map)
     if isinstance(obj, NotLinear):
-        return _not_linear_result("transform", obj)
+        return _not_linear(obj)
     lines = ["standard matrix:", *_block_lines(obj.matrix)]
-    payload = {"verb": "transform", "linear": True, "matrix": _jmat(obj.matrix)}
+    payload = {"linear": True, "matrix": obj.matrix.entries}
     if args.apply is not None:
         v = _one_vector(args.apply)
         image = obj.apply(v)
         lines.append(f"T{_fmt_vec(v)} = {_fmt_vec(image)}")
-        payload["input"] = _jvec(v)
-        payload["image"] = _jvec(image)
+        payload.update(input=v, image=image)
     return lines, payload
 
 
 def _cmd_kernel(args):
     obj = _linear_map(args.map)
-    if isinstance(obj, NotLinear):
-        return _not_linear_result("kernel", obj)
-    space = obj.kernel()
-    return _space_lines(space), {"verb": "kernel", **_jsub(space)}
+    return _not_linear(obj) if isinstance(obj, NotLinear) else _space_result(obj.kernel())
 
 
 def _cmd_range(args):
     obj = _linear_map(args.map)
-    if isinstance(obj, NotLinear):
-        return _not_linear_result("range", obj)
-    space = obj.range()
-    return _space_lines(space), {"verb": "range", **_jsub(space)}
+    return _not_linear(obj) if isinstance(obj, NotLinear) else _space_result(obj.range())
 
 
 def _cmd_eigen(args):
     summary = eigen_summary(_plain_matrix(args.matrix))
     lines = [f"characteristic polynomial: {summary.char.render()}"]
-    payload = {
-        "verb": "eigen",
-        "char_poly": {
-            "coefficients": _jvec(summary.char.coefficients),
-            "text": summary.char.render(),
-        },
-        "split": summary.split,
-    }
-    jroots = []
+    eigenvalues = []
     for (lam, alg), (_, space) in zip(summary.roots, summary.spaces):
         lines.append(
             f"eigenvalue {format_scalar(lam)} "
             f"(algebraic {alg}, geometric {space.dimension})"
         )
         lines.extend(f"  {_fmt_vec(v)}" for v in space.basis)
-        jroots.append(
+        eigenvalues.append(
             {
-                "value": format_scalar(lam),
+                "value": lam,
                 "algebraic": alg,
                 "geometric": space.dimension,
-                "basis": [_jvec(v) for v in space.basis],
+                "basis": space.basis,
             }
         )
-    payload["eigenvalues"] = jroots
+    payload = {
+        "char_poly": _poly(summary.char),
+        "split": summary.split,
+        "eigenvalues": eigenvalues,
+    }
     if not summary.split:
         if not summary.roots:
             lines.insert(1, "rational eigenvalues: none")
         lines.append(f"unfactored residual: {summary.residual.render()}")
-        payload["residual"] = {
-            "coefficients": _jvec(summary.residual.coefficients),
-            "text": summary.residual.render(),
-        }
+        payload["residual"] = _poly(summary.residual)
         return lines, payload
+    payload["diagonalizable"] = summary.diagonalizable
     if summary.diagonalizable:
         lines.append("diagonalizable: yes")
     else:
@@ -575,14 +481,7 @@ def _cmd_eigen(args):
             f"diagonalizable: no (eigenvalue {format_scalar(lam)} "
             f"has geometric {geom} < algebraic {alg})"
         )
-    payload["diagonalizable"] = summary.diagonalizable
-    if summary.deficient is not None:
-        lam, alg, geom = summary.deficient
-        payload["deficient"] = {
-            "value": format_scalar(lam),
-            "algebraic": alg,
-            "geometric": geom,
-        }
+        payload["deficient"] = {"value": lam, "algebraic": alg, "geometric": geom}
     return lines, payload
 
 
@@ -590,14 +489,11 @@ def _cmd_diagonalize(args):
     m = _plain_matrix(args.matrix)
     verdict = diagonalize(m)
     if isinstance(verdict, NotSplit):
+        residual = verdict.residual.render()
         return [
             "eigenvalues do not all lie in Q",
-            f"unfactored residual: {verdict.residual.render()}",
-        ], {
-            "verb": "diagonalize",
-            "diagonalizable": None,
-            "residual": verdict.residual.render(),
-        }
+            f"unfactored residual: {residual}",
+        ], {"diagonalizable": None, "residual": residual}
     if not isinstance(verdict, Diagonalizable):
         line = (
             f"not diagonalizable: eigenvalue {format_scalar(verdict.eigenvalue)} "
@@ -605,9 +501,8 @@ def _cmd_diagonalize(args):
             f"< algebraic multiplicity {verdict.algebraic}"
         )
         return [line], {
-            "verb": "diagonalize",
             "diagonalizable": False,
-            "eigenvalue": format_scalar(verdict.eigenvalue),
+            "eigenvalue": verdict.eigenvalue,
             "algebraic": verdict.algebraic,
             "geometric": verdict.geometric,
         }
@@ -615,25 +510,19 @@ def _cmd_diagonalize(args):
     lines = ["L =", *_block_lines(verdict.L), "D =", *_block_lines(verdict.D)]
     lines.append(f"check L D L^-1 = A: {check}")
     return lines, {
-        "verb": "diagonalize",
         "diagonalizable": True,
-        "L": _jmat(verdict.L),
-        "D": _jmat(verdict.D),
+        "L": verdict.L.entries,
+        "D": verdict.D.entries,
     }
 
 
 def _cmd_power(args):
     result = matrix_power(_plain_matrix(args.matrix), args.power)
-    return _block_lines(result), {
-        "verb": "power",
-        "k": args.power,
-        "matrix": _jmat(result),
-    }
+    return _matrix_result(result, k=args.power)
 
 
 def _cmd_dot(args):
-    value = dot(_one_vector(args.u), _one_vector(args.v))
-    return [format_scalar(value)], {"verb": "dot", "value": format_scalar(value)}
+    return _scalar_result(dot(_one_vector(args.u), _one_vector(args.v)))
 
 
 def _cmd_gram_schmidt(args):
@@ -647,11 +536,10 @@ def _cmd_gram_schmidt(args):
             line += ", projections: " + ", ".join(format_scalar(c) for c in proj)
         lines.append(line)
     return lines, {
-        "verb": "gram-schmidt",
-        "vectors": [_jvec(w) for w in result.vectors],
-        "squared_norms": _jvec(result.squared_norms),
-        "projections": [_jvec(p) for p in result.projections],
-        "source": [_jvec(v) for v in result.source],
+        "vectors": result.vectors,
+        "squared_norms": result.squared_norms,
+        "projections": result.projections,
+        "source": result.source,
     }
 
 
@@ -663,17 +551,15 @@ def _cmd_decompose_sym(args):
         "C = A - A^T (skew-symmetric):",
         *_block_lines(c),
     ]
-    return lines, {"verb": "decompose-sym", "B": _jmat(b), "C": _jmat(c)}
+    return lines, {"B": b.entries, "C": c.entries}
 
 
 def _cmd_transpose(args):
-    t = _plain_matrix(args.matrix).transpose()
-    return _block_lines(t), {"verb": "transpose", "matrix": _jmat(t)}
+    return _matrix_result(_plain_matrix(args.matrix).transpose())
 
 
 def _cmd_mul(args):
-    product = _plain_matrix(args.a) @ _plain_matrix(args.b)
-    return _block_lines(product), {"verb": "mul", "matrix": _jmat(product)}
+    return _matrix_result(_plain_matrix(args.a) @ _plain_matrix(args.b))
 
 
 # ---- parser ---------------------------------------------------------------------
@@ -796,20 +682,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact answers may run to any length
     args = build_parser().parse_args(argv)
     try:
         lines, payload = args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _ANSWER_DEPENDENT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except LinAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _ANSWER_DEPENDENT_ERRORS) else 2
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"verb": args.verb, **payload}, indent=2, default=_exact))
     else:
         for line in lines:
             print(line)

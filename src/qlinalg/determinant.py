@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .elimination import AddMultiple, RowOp, Scale, Swap, Trace, reduce
+from .elimination import RowOp, Scale, Swap, Trace, reduce
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,

@@ -271,18 +271,23 @@ def as_vector(v) -> tuple[Fraction, ...]:
 # ---- text form ------------------------------------------------------------------
 
 
+def _split_rows(text: str) -> list[str]:
+    """The non-blank rows of the text format, split on ';' and newlines, stripped."""
+    return [
+        piece.strip()
+        for chunk in text.splitlines()
+        for piece in chunk.split(";")
+        if piece.strip()
+    ]
+
+
 def parse_matrix_text(text: str) -> tuple[Matrix, int | None]:
     """Read the row text format; returns the matrix and the ``|`` position.
 
     The boundary is the number of columns left of the ``|`` (None when the
     text has no bar).  Every row must put the bar in the same place.
     """
-    raw_rows = [
-        piece
-        for chunk in text.splitlines()
-        for piece in chunk.split(";")
-        if piece.strip()
-    ]
+    raw_rows = _split_rows(text)
     if not raw_rows:
         raise EmptyInput("no rows in matrix text")
     grid: list[list[str]] = []

@@ -11,7 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import qlinalg
-from qlinalg import Matrix, char_poly, det, format_scalar, inverse_gauss_jordan
+from qlinalg import (
+    Matrix,
+    char_poly,
+    det,
+    elementary_matrix,
+    format_scalar,
+    inverse_gauss_jordan,
+)
 from qlinalg.cli import main
 
 import oracles
@@ -327,3 +334,65 @@ def test_span_member_verb(capsys):
     )
     assert code == 0
     assert out.startswith("member: yes")
+
+
+def test_non_utf8_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"\xff\xfe1 2; 3 4\n")
+    code, out, err = run(capsys, "det", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: file {str(path)!r} is not UTF-8 text\n"
+
+
+def test_trace_builds_one_elementary_matrix_per_row_operation(capsys, monkeypatch):
+    import qlinalg.cli as cli
+
+    calls = []
+
+    def counting(op, n):
+        calls.append(op)
+        return elementary_matrix(op, n)
+
+    monkeypatch.setattr(cli, "elementary_matrix", counting)
+    code, out, _ = run(capsys, "solve", "3 2 | 5 ; -2 1 | -6", "--trace")
+    assert code == 0
+    assert out == (GOLDEN / "solve_trace.txt").read_text()
+    assert len(calls) == 4
+
+
+# ---- integers past the interpreter's 4300-digit string limit ----------------------
+
+
+def _qlinalg_subprocess(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(qlinalg.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "qlinalg", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def _long_str(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_power_prints_a_6021_digit_entry():
+    proc = _qlinalg_subprocess("power", "2", "--power", "20000")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    digits = _long_str(2**20000)
+    assert len(digits) == 6021
+    assert proc.stdout == f"[ {digits} ]\n"
+
+
+def test_det_reads_a_5000_digit_entry():
+    entry = "7" * 5000
+    proc = _qlinalg_subprocess("det", f"{entry} 0; 0 1")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == f"{entry}\n"
