@@ -55,6 +55,7 @@ from .errors import (
     AllZeroInput,
     DependentPoints,
     DimensionMismatch,
+    IndexOutOfRange,
     InputDependent,
     LinAlgError,
     NegativePowerOfSingular,
@@ -102,6 +103,10 @@ _ANSWER_DEPENDENT_ERRORS = (
 _COFACTOR_MAX_N = 8
 
 _CLI_FORMS = {form.replace("_", "-"): form for form in FORMS}
+
+# argparse's own negative numbers plus -p/q, so a lone negative fraction such
+# as `det -1/2` is read as a matrix rather than an unknown option.
+_NEGATIVE_SCALAR = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
 
 
 # ---- argument reading -------------------------------------------------------
@@ -359,6 +364,11 @@ def _cmd_inv_entry(args):
         value = inverse_entry(m, i, k)
     except NotInvertible:
         return _NOT_INVERTIBLE
+    except IndexOutOfRange:
+        n = m.rows
+        raise IndexOutOfRange(
+            f"entry ({i + 1}, {k + 1}) outside a {n}x{n} matrix"
+        ) from None
     return _scalar_result(value, entry=[i + 1, k + 1])
 
 
@@ -574,6 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_SCALAR
         p.add_argument(
             "--format",
             choices=("plain", "json"),

@@ -2,7 +2,8 @@
 
 The canonical basis of a span is what survives stacking the generators as
 rows and semi-reducing: the nonzero rows.  Dependence is witnessed by the
-reduction step that first zeroed a row.
+reduction step that first zeroed a row.  Extension to a basis and span
+comparison read the pivot columns of one reduction instead.
 
 Subspaces given by coordinate formulas ("(a, -2a+b, -a)") are handled by the
 switch trick: set one parameter to 1 and the rest to 0, once per parameter,
@@ -18,11 +19,12 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .elimination import (
+    AddMultiple,
     Inconsistent,
     RowOp,
     Unique,
+    _apply_in_place,
     _Elimination,
-    apply_row_op,
     solve,
 )
 from .errors import (
@@ -75,26 +77,22 @@ class Dependent:
 IndependenceVerdict = Union[Independent, Dependent]
 
 
-def _zero_rows(m: Matrix) -> set[int]:
-    return {i for i, row in enumerate(m.entries) if all(x == 0 for x in row)}
-
-
 def independence(vectors) -> IndependenceVerdict:
-    """Exact test: stack as rows, semi-reduce, look for vanished rows."""
-    stacked = Matrix(_family(vectors))
-    run = _Elimination(stacked)
-    if len(run.pivots) == stacked.rows:
+    """Exact test: stack as rows, semi-reduce, look for vanished rows.  The
+    first to vanish is a zero input, else the target of the AddMultiple that
+    emptied it (no other operation of the sweep changes what a row holds)."""
+    vecs = _family(vectors)
+    run = _Elimination(Matrix(vecs))
+    if len(run.pivots) == len(vecs):
         return Independent()
-    cur = stacked
-    seen = _zero_rows(cur)
-    if seen:
-        return Dependent(row=min(seen), op=None)
+    zero = next((i for i, v in enumerate(vecs) if not any(v)), None)
+    if zero is not None:
+        return Dependent(row=zero, op=None)
+    grid = [list(v) for v in vecs]
     for op in run.ops:
-        cur = apply_row_op(cur, op)
-        now = _zero_rows(cur)
-        if len(now) > len(seen):
-            return Dependent(row=min(now - seen), op=op)
-        seen = now
+        _apply_in_place(grid, op)
+        if isinstance(op, AddMultiple) and not any(grid[op.target]):
+            return Dependent(row=op.target, op=op)
     raise AssertionError("reduction lost a zero row it once created")
 
 
@@ -149,11 +147,13 @@ class Subspace:
         return span_contains(self, q) is not None
 
     def same_space(self, other: "Subspace") -> bool:
-        """Span equality: mutual membership of the two bases."""
-        if self.ambient != other.ambient:
+        """Span equality: the same ambient space and dimension, and stacking
+        both bases adds no dimension (one reduction)."""
+        if self.ambient != other.ambient or self.dimension != other.dimension:
             return False
-        return all(v in self for v in other.basis) and all(
-            v in other for v in self.basis
+        return (
+            self.is_zero
+            or basis_of_span(self.basis + other.basis).dimension == self.dimension
         )
 
 
@@ -189,23 +189,19 @@ def span_contains(space: Subspace, q) -> tuple[Fraction, ...] | None:
 def extend_to_basis(vectors, n: int | None = None) -> Subspace:
     """Grow an independent set to a basis of Q^n by appending standard vectors.
 
-    Candidates e1, e2, ... are tried in order; each that keeps the set
-    independent is kept.  The input vectors stay in front, untouched.
+    The pivot columns of one reduction of [v1 .. vk | e1 .. en] are the greedy
+    left-to-right choice; the inputs must all be pivots, and stay in front.
     """
     vecs = _family(vectors)
     ambient = len(vecs[0])
     if n is not None and n != ambient:
         raise DimensionMismatch(f"vectors live in Q^{ambient}, not Q^{n}")
-    if not independence(vecs):
+    units = tuple(tuple(Q(int(i == j)) for j in range(ambient)) for i in range(ambient))
+    columns = vecs + units
+    kept = [j for _, j in _Elimination(Matrix.from_columns(columns)).pivots]
+    if kept[: len(vecs)] != list(range(len(vecs))):
         raise InputDependent("can only extend an independent set")
-    current = list(vecs)
-    for j in range(ambient):
-        if len(current) == ambient:
-            break
-        candidate = tuple(Q(1) if t == j else Q(0) for t in range(ambient))
-        if independence(current + [candidate]):
-            current.append(candidate)
-    return Subspace(ambient, tuple(current))
+    return Subspace._trusted(ambient, tuple(columns[j] for j in kept))
 
 
 # ---- coordinate formulas ---------------------------------------------------------
@@ -315,7 +311,10 @@ def infer_parameter_order(forms: Sequence[LinearForm]) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _parse_forms(forms) -> list[LinearForm]:
+def _read_forms(forms, names, noun: str) -> tuple[list[LinearForm], tuple[str, ...]]:
+    """Parse coordinate formulas and fix the order of their ``noun``s
+    ("parameter" or "variable"): inferred when ``names`` is None, otherwise
+    the declared order, which every formula must keep to."""
     parsed = []
     for idx, f in enumerate(forms):
         try:
@@ -326,7 +325,16 @@ def _parse_forms(forms) -> list[LinearForm]:
             raise MalformedForm(f"coordinate {idx + 1}: {e}") from None
     if not parsed:
         raise EmptyInput("no coordinate formulas given")
-    return parsed
+    if names is None:
+        return parsed, infer_parameter_order(parsed)
+    names = tuple(names)
+    for idx, f in enumerate(parsed):
+        for name in f.parameters:
+            if name not in names:
+                raise MalformedForm(
+                    f"coordinate {idx + 1} uses undeclared {noun} {name!r}"
+                )
+    return parsed, names
 
 
 @dataclass(frozen=True)
@@ -353,18 +361,7 @@ def subspace_from_forms(forms, parameters=None) -> Union[Subspace, NotSubspace]:
     parameter set to 1, the rest to 0), then the canonical basis of the span.
     A nonzero constant anywhere is a NotSubspace verdict, not an error.
     """
-    parsed = _parse_forms(forms)
-    if parameters is None:
-        params = infer_parameter_order(parsed)
-    else:
-        params = tuple(parameters)
-        known = set(params)
-        for idx, f in enumerate(parsed):
-            for name in f.parameters:
-                if name not in known:
-                    raise MalformedForm(
-                        f"coordinate {idx + 1} uses undeclared parameter {name!r}"
-                    )
+    parsed, params = _read_forms(forms, parameters, "parameter")
     for idx, f in enumerate(parsed):
         if f.constant != 0:
             return NotSubspace(coordinate=idx, constant=f.constant)

@@ -18,8 +18,8 @@ from .errors import (
     DependentPoints,
     DimensionMismatch,
     EmptyInput,
-    MalformedForm,
     MixedDimensions,
+    NotInvertible,
     NotSpanning,
 )
 from .matrix import Matrix, as_vector
@@ -28,10 +28,8 @@ from .scalars import Q, format_scalar
 from .spaces import (
     Fundamentals,
     Subspace,
-    _parse_forms,
+    _read_forms,
     fundamental_subspaces,
-    independence,
-    infer_parameter_order,
 )
 
 
@@ -108,18 +106,7 @@ def from_forms(forms, variables=None) -> Union[LinearMap, NotLinear]:
     A nonzero constant anywhere is a NotLinear verdict; powers or parameter
     products raise NonLinearCoordinate already at parsing.
     """
-    parsed = _parse_forms(forms)
-    if variables is None:
-        names = infer_parameter_order(parsed)
-    else:
-        names = tuple(variables)
-        known = set(names)
-        for idx, f in enumerate(parsed):
-            for name in f.parameters:
-                if name not in known:
-                    raise MalformedForm(
-                        f"coordinate {idx + 1} uses undeclared variable {name!r}"
-                    )
+    parsed, names = _read_forms(forms, variables, "variable")
     for idx, f in enumerate(parsed):
         if f.constant != 0:
             return NotLinear(coordinate=idx, constant=f.constant)
@@ -157,11 +144,13 @@ def from_basis_images(pairs) -> LinearMap:
         raise NotSpanning(
             f"{len(pts)} points cannot determine a map on Q^{n}"
         )
-    if len(pts) > n or not independence(pts):
+    if len(pts) > n:  # P is not square
         raise DependentPoints("the domain points must form a basis")
-    p = Matrix.from_columns(pts)
-    y = Matrix.from_columns(imgs)
-    return LinearMap(matrix=y @ inverse_gauss_jordan(p))
+    try:
+        p_inverse = inverse_gauss_jordan(Matrix.from_columns(pts))
+    except NotInvertible:
+        raise DependentPoints("the domain points must form a basis") from None
+    return LinearMap(matrix=Matrix.from_columns(imgs) @ p_inverse)
 
 
 # ---- polynomial coordinates ---------------------------------------------------

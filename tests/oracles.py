@@ -67,6 +67,53 @@ def residual(a, x, b) -> list:
     ]
 
 
+def rank(rows) -> int:
+    """Rank by plain Gaussian elimination on a private copy (0 for no rows)."""
+    grid = [[Fraction(x) for x in row] for row in rows]
+    found = 0
+    for c in range(len(grid[0]) if grid else 0):
+        pivot = next((i for i in range(found, len(grid)) if grid[i][c] != 0), None)
+        if pivot is None:
+            continue
+        grid[found], grid[pivot] = grid[pivot], grid[found]
+        for i in range(found + 1, len(grid)):
+            f = grid[i][c] / grid[found][c]
+            grid[i] = [x - f * y for x, y in zip(grid[i], grid[found])]
+        found += 1
+    return found
+
+
+def greedy_extension(vectors):
+    """Extension to a basis by its definition: None for a dependent input,
+    else the inputs followed by each of e1, e2, ... that keeps the set
+    independent, tried in order."""
+    n = len(vectors[0])
+    current = [tuple(Fraction(x) for x in v) for v in vectors]
+    if rank(current) < len(current):
+        return None
+    for j in range(n):
+        if len(current) == n:
+            break
+        e = tuple(Fraction(int(t == j)) for t in range(n))
+        if rank(current + [e]) == len(current) + 1:
+            current.append(e)
+    return tuple(current)
+
+
+def in_span(basis, v) -> bool:
+    """Is ``v`` a combination of the independent ``basis`` (zero when empty)?"""
+    return rank(list(basis) + [v]) == len(basis)
+
+
+def same_span_by_membership(ambient_a, basis_a, ambient_b, basis_b) -> bool:
+    """Span equality as mutual membership of the two bases."""
+    return (
+        ambient_a == ambient_b
+        and all(in_span(basis_a, v) for v in basis_b)
+        and all(in_span(basis_b, v) for v in basis_a)
+    )
+
+
 def rand_fraction(rng, lo=-6, hi=6, denominators=(1, 1, 1, 2, 3)) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.choice(denominators))
 

@@ -267,6 +267,12 @@ def test_bad_entry_flag_exits_two(capsys):
     assert "1-based" in err
 
 
+def test_entry_outside_the_matrix_is_reported_one_based(capsys):
+    code, out, err = run(capsys, "inv-entry", "1 0; 0 1", "--entry", "3,1")
+    assert (code, out) == (2, "")
+    assert err == "error: entry (3, 1) outside a 2x2 matrix\n"
+
+
 # ---- input channels ----------------------------------------------------------------
 
 
@@ -276,6 +282,20 @@ def test_matrix_from_file(capsys, tmp_path):
     code, out, _ = run(capsys, "det", str(path))
     assert code == 0
     assert out == "16\n"
+
+
+def test_lone_negative_fraction_is_a_matrix(capsys):
+    assert run(capsys, "det", "-1/2") == (0, "-1/2\n", "")
+    assert run(capsys, "transpose", "-3/4") == (0, "[ -3/4 ]\n", "")
+
+
+def test_lone_negative_fraction_is_a_matrix_in_json(capsys):
+    code, out, err = run(capsys, "det", "-1/2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"verb": "det", "method": "rowred", "value": "-1/2"}
+    code, out, err = run(capsys, "transpose", "--format", "json", "-3/4")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"verb": "transpose", "matrix": [["-3/4"]]}
 
 
 def test_system_from_stdin(capsys, monkeypatch):

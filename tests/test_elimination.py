@@ -19,11 +19,15 @@ from qlinalg import (
     Unique,
     ZeroScale,
     apply_row_op,
+    basis_of_span,
     det,
     eigenspace,
     elementary_matrix,
+    extend_to_basis,
+    from_basis_images,
     fundamental_subspaces,
     hstack,
+    independence,
     inverse_gauss_jordan,
     invert_row_op,
     leaders,
@@ -440,6 +444,52 @@ def test_untraced_answers_never_build_elementary_matrices(monkeypatch):
     singular = Matrix.parse("1 2 3; 2 4 6; 1 0 1")
     assert fundamental_subspaces(singular).nullity == 1
     assert eigenspace(Matrix.parse("2 0 1; 0 1 -2; 0 0 -1"), 2).basis == ((1, 0, 0),)
+
+
+_A = Matrix.parse("2 1 0; 1 3 1; 0 1 4")
+_PLANE_A = basis_of_span([(1, 0, 1, 0), (0, 1, 0, 1)])
+_PLANE_B = basis_of_span([(1, 1, 1, 1), (1, -1, 1, -1)])
+_ZERO = basis_of_span([(0, 0, 0, 0)])
+
+# Each question and the number of reductions (_Elimination runs) it costs.
+_REDUCTIONS = {
+    "extend_to_basis": (lambda: extend_to_basis([(0, 2, 1, 4), (0, -2, 3, -10)]), 1),
+    "same_space": (lambda: _PLANE_A.same_space(_PLANE_B), 1),
+    "same_space, zero": (lambda: _ZERO.same_space(_ZERO), 0),
+    "from_basis_images": (
+        lambda: from_basis_images([((2, 0), (0, 1)), ((-1, 1), (2, 1))]),
+        1,
+    ),
+    "independence": (lambda: independence([(1, 0, -2), (-2, 2, 1), (-1, 0, 5)]), 1),
+    "independence, dependent": (
+        lambda: independence([(1, -2, 4, 6), (-1, 2, 0, 2), (1, -2, 8, 14)]),
+        1,
+    ),
+    "solve": (lambda: solve(_A, [3, 5, 5]), 1),
+    "fundamental_subspaces": (
+        lambda: fundamental_subspaces(Matrix.parse("1 2 3; 2 4 6")),
+        1,
+    ),
+    "basis_of_span": (lambda: basis_of_span([(1, 2, 3), (2, 4, 6), (0, 1, 1)]), 1),
+    "det": (lambda: det(_A), 1),
+    "inverse_gauss_jordan": (lambda: inverse_gauss_jordan(_A), 1),
+    "eigenspace": (lambda: eigenspace(Matrix.parse("2 0 1; 0 1 -2; 0 0 -1"), 2), 1),
+}
+
+
+@pytest.mark.parametrize("name", _REDUCTIONS)
+def test_each_question_runs_the_expected_number_of_reductions(monkeypatch, name):
+    question, expected = _REDUCTIONS[name]
+    runs = []
+    start = qlinalg.elimination._Elimination.__init__
+
+    def counted(self, m):
+        runs.append(m)
+        start(self, m)
+
+    monkeypatch.setattr(qlinalg.elimination._Elimination, "__init__", counted)
+    question()
+    assert len(runs) == expected
 
 
 # ---- inversion via [A | I] ---------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every module under src/qlinalg uses every name it imports."""
+"""Every module under src/qlinalg uses every name it imports, and every
+module-level private name is used by some module of the package."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,64 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_check_sees_an_unused_import():
     source = "from __future__ import annotations\nimport json\nfrom re import A, B\nB()\n"
     assert _unused_imports(source) == ["json (line 2)", "A (line 3)"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _dead_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module
+    references (a definition's mention of itself does not count)."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = _defined_names(node)
+            defined += [(module, name) for name in own if _is_private(name)]
+            used |= _referenced_names(node) - set(own)
+    return [f"{module}: {name}" for module, name in defined if name not in used]
+
+
+def test_no_module_keeps_a_private_name_nothing_uses():
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert _dead_privates(sources) == []
+
+
+def test_the_check_sees_a_dead_private_name():
+    sources = {
+        "a.py": (
+            "__all__ = ['f']\n"
+            "_LIMIT: int = 3\n"
+            "_UNUSED = 1\n"
+            "def _walk(n):\n    return _walk(n - 1) if n else _LIMIT\n"
+            "def _helper():\n    return 0\n"
+            "class _Kept:\n    pass\n"
+            "def f():\n    return _helper()\n"
+        ),
+        "b.py": "from .a import _Kept\n",
+    }
+    assert _dead_privates(sources) == ["a.py: _UNUSED", "a.py: _walk"]

@@ -17,6 +17,7 @@ from qlinalg import (
     NonLinearCoordinate,
     NotSubspace,
     Subspace,
+    apply_row_op,
     basis_of_span,
     extend_to_basis,
     fundamental_subspaces,
@@ -48,6 +49,19 @@ def test_dependent_triple_names_the_vanishing_row():
     assert not verdict
     assert verdict.row == 2
     assert verdict.op == AddMultiple(-1, 1, 2)
+
+
+def test_dependence_is_found_without_a_matrix_per_row_operation(monkeypatch):
+    built = []
+    start = Matrix.__init__
+
+    def counted(self, rows):
+        built.append(rows)
+        start(self, rows)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    assert independence([(1, -2, 4, 6), (-1, 2, 0, 2), (1, -2, 8, 14)]).row == 2
+    assert len(built) == 1
 
 
 def test_zero_vector_is_instantly_dependent():
@@ -166,6 +180,117 @@ def test_extension_of_exercise_spanning_set():
     assert k.dimension == 2
     extended = extend_to_basis(k.basis)
     assert extended.dimension == 3
+
+
+# ---- law suites against the definitions ------------------------------------------
+
+
+def _mixed_family(rng, n, k):
+    """k vectors of Q^n, some zero, some repeated, some combinations of others."""
+    vecs = []
+    for _ in range(k):
+        roll = rng.random()
+        if roll < 0.1:
+            vecs.append((Q(0),) * n)
+        elif roll < 0.2 and vecs:
+            vecs.append(rng.choice(vecs))
+        elif roll < 0.35 and vecs:
+            a, b, c = rng.choice(vecs), rng.choice(vecs), oracles.rand_fraction(rng)
+            vecs.append(tuple(x + c * y for x, y in zip(a, b)))
+        else:
+            vecs.append(tuple(oracles.rand_fraction(rng) for _ in range(n)))
+    return vecs
+
+
+def _families(seed, count):
+    """Seeded families of every shape: ambient 1 up, k = n, and k > n."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        k = rng.choice((1, n, n + 1, rng.randint(1, n + 2)))
+        yield rng, _mixed_family(rng, n, k)
+
+
+_EDGE_FAMILIES = (
+    [(0,)],
+    [(3,)],
+    [(1,), (2,)],
+    [(0, 0), (1, 0)],
+    [(1, 2), (1, 2)],
+    [(1, 0), (0, 1)],
+    [(1, 0), (0, 1), (1, 1)],
+    [(0, 1, 0), (0, 0, 0), (0, 0, 1)],
+)
+
+
+def _replayed_dependence(vectors):
+    """Independence as it was first defined: replay the semi-reduction one
+    Matrix per operation, rescanning every row for one that has just vanished."""
+    def zero_rows(m):
+        return {i for i, row in enumerate(m.entries) if all(x == 0 for x in row)}
+
+    cur = Matrix(vectors)
+    seen = zero_rows(cur)
+    if seen:
+        return Dependent(row=min(seen), op=None)
+    for op in reduce(cur, "semi_reduced")[1]:
+        cur = apply_row_op(cur, op)
+        now = zero_rows(cur)
+        if len(now) > len(seen):
+            return Dependent(row=min(now - seen), op=op)
+        seen = now
+    return Independent()
+
+
+def test_independence_matches_a_matrix_per_operation_replay():
+    verdicts = set()
+    families = [vecs for _, vecs in _families(11003, 400)] + list(_EDGE_FAMILIES)
+    for vecs in families:
+        verdict = independence(vecs)
+        assert verdict == _replayed_dependence(vecs), vecs
+        verdicts.add((type(verdict).__name__, getattr(verdict, "op", 0) is None))
+    assert verdicts == {("Independent", False), ("Dependent", True), ("Dependent", False)}
+
+
+def test_extension_matches_the_greedy_definition():
+    outcomes = set()
+    families = [vecs for _, vecs in _families(11004, 400)] + list(_EDGE_FAMILIES)
+    for vecs in families:
+        expected = oracles.greedy_extension(vecs)
+        outcomes.add(expected is None)
+        if expected is None:
+            with pytest.raises(InputDependent) as raised:
+                extend_to_basis(vecs)
+            assert str(raised.value) == "can only extend an independent set"
+        else:
+            assert extend_to_basis(vecs, n=len(vecs[0])).basis == expected, vecs
+    assert outcomes == {True, False}
+
+
+def test_span_comparison_matches_mutual_membership():
+    answers = set()
+    for rng, vecs in _families(11005, 400):
+        n = len(vecs[0])
+        a = basis_of_span(vecs) if any(any(v) for v in vecs) else Subspace.zero(n)
+        roll = rng.random()
+        if roll < 0.15:
+            b = Subspace.zero(n if rng.random() < 0.8 else n + 1)
+        elif roll < 0.6 and not a.is_zero:
+            # combinations of a's basis: usually the same space, sometimes less
+            combos = [
+                tuple(
+                    sum((oracles.rand_fraction(rng) * v[t] for v in a.basis), Q(0))
+                    for t in range(n)
+                )
+                for _ in range(a.dimension + rng.randint(0, 1))
+            ]
+            b = basis_of_span(combos) if any(any(c) for c in combos) else Subspace.zero(n)
+        else:
+            b = basis_of_span(_mixed_family(rng, n, rng.randint(1, n + 1)) + [(1,) * n])
+        expected = oracles.same_span_by_membership(a.ambient, a.basis, b.ambient, b.basis)
+        assert a.same_space(b) == b.same_space(a) == expected, (a, b)
+        answers.add((expected, a.is_zero or b.is_zero))
+    assert answers == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ---- parametrized coordinate descriptions -------------------------------------------
