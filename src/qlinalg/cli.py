@@ -29,6 +29,7 @@ from .determinant import (
     adjoint,
     cofactor_matrix,
     cramer_solve,
+    det,
     det_cofactor,
     det_with_effects,
     inverse_entry,
@@ -49,6 +50,7 @@ from .elimination import (
     inverse_gauss_jordan,
     reduce,
     render_row_op,
+    solve,
     solve_with_trace,
 )
 from .errors import (
@@ -299,8 +301,11 @@ def _poly(p) -> dict:
 
 
 def _cmd_solve(args):
-    sol, trace = solve_with_trace(*_augmented(args.system))
-    return _traced(args.trace, trace, _solution_result(sol))
+    system = _augmented(args.system)
+    if not args.trace:
+        return _solution_result(solve(*system))
+    sol, trace = solve_with_trace(*system)
+    return _traced(True, trace, _solution_result(sol))
 
 
 def _cmd_rref(args):
@@ -333,10 +338,10 @@ def _cmd_det(args):
                 f"(n! work); use --method rowred for this {m.rows}x{m.cols} input"
             )
         return _scalar_result(det_cofactor(m), method="cofactor")
-    value, log, _ = det_with_effects(m)
-    lines, payload = _scalar_result(value, method="rowred")
     if not args.trace:
-        return lines, payload
+        return _scalar_result(det(m), method="rowred")
+    value, log, _ = det_with_effects(m)
+    _, payload = _scalar_result(value, method="rowred")
     steps = [(render_row_op(op), f) for op, f in log.steps]
     lines = [f"{op} :: factor {format_scalar(f)}" for op, f in steps]
     lines.append(f"det = {format_scalar(value)}")

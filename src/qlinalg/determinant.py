@@ -2,9 +2,11 @@
 
 Two independent routes to the same number:
 
-* :func:`det` -- forward elimination, tracking how each row operation scales
-  the determinant (scaling by alpha multiplies it by alpha, a swap flips its
-  sign, adding a multiple of one row to another changes nothing);
+* :func:`det_with_effects` -- forward elimination, tracking how each row
+  operation scales the determinant (scaling by alpha multiplies it by alpha, a
+  swap flips its sign, adding a multiple of one row to another changes
+  nothing); :func:`det` gives the same number from the same pivots without
+  the trace, by fraction-free elimination on integers;
 * :func:`det_cofactor` / :func:`cofactor_expand` -- recursive signed-minor
   expansion along a chosen row or column.
 
@@ -17,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
-from .elimination import RowOp, Scale, Swap, Trace, reduce
+from .elimination import RowOp, Scale, Swap, Trace, _FractionFree, reduce
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -76,8 +79,15 @@ def det_with_effects(a: Matrix) -> tuple[Fraction, DetEffectLog, Trace]:
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant by row reduction (the fast route)."""
-    return det_with_effects(a)[0]
+    """Determinant by row reduction (the fast route): the last pivot of the
+    fraction-free sweep, signed by its swaps, over the product of its row
+    scales."""
+    if not a.is_square:
+        raise NotSquare("determinants need a square matrix")
+    run = _FractionFree(a)
+    if len(run.pivots) < a.rows:
+        return Fraction(0)
+    return Fraction(run.sign * run.last, prod(run.scales))
 
 
 def _cofactor_det(grid: tuple[tuple[Fraction, ...], ...]) -> Fraction:

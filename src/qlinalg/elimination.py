@@ -17,15 +17,25 @@ Pivoting is deterministic: scan columns left to right, take the topmost
 usable row (swapping it up if needed), and clear downward.  The staggered
 result means the "echelon" forms coincide with what the sweep already
 produces; the form names differ in how far normalization and upward
-elimination go.  Every stronger form continues the same downward sweep, so
-:func:`solve_with_trace` and :func:`~qlinalg.spaces.fundamental_subspaces`
-read the semi-reduced view and the completely reduced one off one pass.
+elimination go.
+
+Two engines share that pivoting rule, so they agree on every pivot, swap and
+rank.  ``_Elimination`` applies the three row operations to ``Fraction``
+entries and records them; it answers the questions whose answers carry row
+operations (:func:`reduce`, :func:`solve_with_trace`, ``det_with_effects``,
+``independence``).  ``_FractionFree`` eliminates on Python ints, dividing
+exactly by the previous pivot (E. H. Bareiss, Math. Comp. 22, 1968), so no
+entry update pays for a gcd; it answers the untraced questions
+(:func:`solve`, :func:`inverse_gauss_jordan`, ``det``,
+``fundamental_subspaces``, ``basis_of_span``, ``extend_to_basis``) and
+converts to ``Fraction`` only in the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .errors import (
@@ -259,6 +269,67 @@ class _Elimination:
         return Trace(start=self.start, end=Matrix(self.grid), steps=tuple(self.ops))
 
 
+class _FractionFree:
+    """One reduction on Python ints, for questions that need no trace.
+
+    Each row is multiplied by the lcm of its denominators; the scales travel
+    with the rows through swaps.  Pivots are chosen as in ``_Elimination``,
+    and each update ``(p*x - a*y) // prev`` divides exactly by the previous
+    pivot.  Forward mode clears below each pivot.  ``upward=True`` clears
+    every other row (fraction-free Gauss-Jordan); afterwards every pivot
+    entry equals the last pivot, so the completely reduced matrix is
+    ``grid / last``.  Rows are rebound, never mutated, so ``chosen[k]`` keeps
+    pivot row k as it was when chosen, with the pivot before it.
+    """
+
+    def __init__(self, m: Matrix, upward: bool = False):
+        self.grid = grid = []
+        self.scales = scales = []
+        for row in m.entries:
+            s = lcm(*(x.denominator for x in row))
+            scales.append(s)
+            grid.append([x.numerator * (s // x.denominator) for x in row])
+        self.pivots: list[tuple[int, int]] = []
+        self.chosen: list[tuple[list[int], int]] = []
+        self.sign = prev = 1
+        r = 0
+        for c in range(m.cols):
+            if r == m.rows:
+                break
+            src = next((k for k in range(r, m.rows) if grid[k][c]), None)
+            if src is None:
+                continue
+            if src != r:
+                grid[r], grid[src] = grid[src], grid[r]
+                scales[r], scales[src] = scales[src], scales[r]
+                self.sign = -self.sign
+            top = grid[r]
+            p = top[c]
+            for k in range(0 if upward else r + 1, m.rows):
+                if k == r:
+                    continue
+                a = grid[k][c]
+                if a:
+                    grid[k] = [(p * x - a * y) // prev for x, y in zip(grid[k], top)]
+                else:
+                    grid[k] = [p * x // prev for x in grid[k]]
+            self.pivots.append((r, c))
+            self.chosen.append((top, prev))
+            prev = p
+            r += 1
+        self.last = prev
+
+    def swept_row(self, k: int) -> tuple[Fraction, ...]:
+        """Row k of the ``Fraction`` downward sweep (the semi-reduced matrix)."""
+        row, prev = self.chosen[k]
+        d = prev * self.scales[k]
+        return tuple(Fraction(x, d) for x in row)
+
+    def reduced(self, i: int, j: int) -> Fraction:
+        """Entry (i, j) of the completely reduced matrix (after ``upward=True``)."""
+        return Fraction(self.grid[i][j], self.last)
+
+
 def reduce(m: Matrix, form: str = "completely_reduced") -> tuple[Matrix, Trace]:
     """Drive ``m`` to the named form, recording every operation.
 
@@ -389,6 +460,25 @@ class Infinite:
 SolutionSet = Union[Inconsistent, Unique, Infinite]
 
 
+def _augmented(a: Matrix, b) -> Matrix:
+    bvec = as_vector(b)
+    if len(bvec) != a.rows:
+        raise DimensionMismatch(f"{a.rows} equations, {len(bvec)} constants")
+    return hstack(a, Matrix.column_vector(bvec))
+
+
+def _solution(pivots: list[tuple[int, int]], n: int, entry) -> SolutionSet:
+    """A consistent system's answer, where ``entry(i, j)`` reads the
+    completely reduced augmented matrix and ``n`` counts the unknowns."""
+    lead_cols = [j for _, j in pivots]
+    constants = tuple(entry(i, n) for i, _ in pivots)
+    free = tuple(j for j in range(n) if j not in lead_cols)
+    if not free:
+        return Unique(constants)
+    coefficients = tuple(tuple(-entry(i, f) for f in free) for i, _ in pivots)
+    return Infinite(tuple(lead_cols), free, constants, coefficients)
+
+
 def solve_with_trace(a: Matrix, b) -> tuple[SolutionSet, Trace]:
     """Solve ``a x = b``; also hand back the elimination trace used.
 
@@ -397,31 +487,23 @@ def solve_with_trace(a: Matrix, b) -> tuple[SolutionSet, Trace]:
     the trace stops there; otherwise the same reduction is carried to
     completion and the solution read off.
     """
-    bvec = as_vector(b)
-    if len(bvec) != a.rows:
-        raise DimensionMismatch(f"{a.rows} equations, {len(bvec)} constants")
-    aug = hstack(a, Matrix.column_vector(bvec))
-
-    run = _Elimination(aug)
+    run = _Elimination(_augmented(a, b))
     for i, j in run.pivots:
         if j == a.cols:
             return Inconsistent(row=i, value=run.grid[i][j]), run.trace()
-
     run.finish(2)
-    lead_cols = [j for _, j in run.pivots]
-    constants = tuple(run.grid[i][a.cols] for i, _ in run.pivots)
-    free = tuple(j for j in range(a.cols) if j not in lead_cols)
-    if not free:
-        return Unique(constants), run.trace()
-    coefficients = tuple(
-        tuple(-run.grid[i][f] for f in free) for i, _ in run.pivots
-    )
-    return Infinite(tuple(lead_cols), free, constants, coefficients), run.trace()
+    return _solution(run.pivots, a.cols, lambda i, j: run.grid[i][j]), run.trace()
 
 
 def solve(a: Matrix, b) -> SolutionSet:
-    """Classify and solve ``a x = b`` exactly."""
-    return solve_with_trace(a, b)[0]
+    """Classify and solve ``a x = b`` exactly, with the same answer as
+    :func:`solve_with_trace` (an inconsistent row shows its semi-reduced
+    ``0 = value``) from one fraction-free reduction."""
+    run = _FractionFree(_augmented(a, b), upward=True)
+    for i, j in run.pivots:
+        if j == a.cols:
+            return Inconsistent(row=i, value=run.swept_row(i)[j])
+    return _solution(run.pivots, a.cols, run.reduced)
 
 
 def inverse_gauss_jordan(a: Matrix) -> Matrix:
@@ -429,7 +511,7 @@ def inverse_gauss_jordan(a: Matrix) -> Matrix:
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols} matrix has no inverse")
     n = a.rows
-    full, _ = reduce(hstack(a, Matrix.identity(n)), "completely_reduced")
-    if full.take_columns(0, n) != Matrix.identity(n):
+    run = _FractionFree(hstack(a, Matrix.identity(n)), upward=True)
+    if [j for _, j in run.pivots] != list(range(n)):
         raise NotInvertible("the matrix row-reduces short of the identity")
-    return full.take_columns(n, 2 * n)
+    return Matrix([[run.reduced(i, j) for j in range(n, 2 * n)] for i in range(n)])

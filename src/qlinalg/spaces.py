@@ -25,6 +25,7 @@ from .elimination import (
     Unique,
     _apply_in_place,
     _Elimination,
+    _FractionFree,
     solve,
 )
 from .errors import (
@@ -160,8 +161,8 @@ class Subspace:
 def basis_of_span(vectors) -> Subspace:
     """Canonical basis of the span: nonzero rows after semi-reduction."""
     vecs = _family(vectors)
-    run = _Elimination(Matrix(vecs))
-    rows = tuple(tuple(run.grid[i]) for i, _ in run.pivots)
+    run = _FractionFree(Matrix(vecs))
+    rows = tuple(run.swept_row(k) for k in range(len(run.pivots)))
     return Subspace._trusted(len(vecs[0]), rows)
 
 
@@ -198,7 +199,7 @@ def extend_to_basis(vectors, n: int | None = None) -> Subspace:
         raise DimensionMismatch(f"vectors live in Q^{ambient}, not Q^{n}")
     units = tuple(tuple(Q(int(i == j)) for j in range(ambient)) for i in range(ambient))
     columns = vecs + units
-    kept = [j for _, j in _Elimination(Matrix.from_columns(columns)).pivots]
+    kept = [j for _, j in _FractionFree(Matrix.from_columns(columns)).pivots]
     if kept[: len(vecs)] != list(range(len(vecs))):
         raise InputDependent("can only extend an independent set")
     return Subspace._trusted(ambient, tuple(columns[j] for j in kept))
@@ -394,14 +395,12 @@ def fundamental_subspaces(a: Matrix) -> Fundamentals:
     it to 1, other free columns to 0, and read each leading variable off the
     completely reduced matrix).  Each basis is independent by construction.
     """
-    run = _Elimination(a)
-    row_space = Subspace._trusted(
-        a.cols, tuple(tuple(run.grid[i]) for i, _ in run.pivots)
-    )
-
-    run.finish(2)
+    run = _FractionFree(a, upward=True)
     lead_cols = [j for _, j in run.pivots]
     rank = len(lead_cols)
+    row_space = Subspace._trusted(
+        a.cols, tuple(run.swept_row(k) for k in range(rank))
+    )
     column_space = Subspace._trusted(a.rows, tuple(a.col(j) for j in lead_cols))
 
     free = [j for j in range(a.cols) if j not in lead_cols]
@@ -410,7 +409,7 @@ def fundamental_subspaces(a: Matrix) -> Fundamentals:
         v = [Q(0)] * a.cols
         v[f] = Q(1)
         for r, c in run.pivots:
-            v[c] = -run.grid[r][f]
+            v[c] = -run.reduced(r, f)
         null_basis.append(tuple(v))
     null_space = Subspace._trusted(a.cols, tuple(null_basis))
 

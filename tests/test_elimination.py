@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlinalg.elimination
 from qlinalg import (
@@ -21,6 +23,7 @@ from qlinalg import (
     apply_row_op,
     basis_of_span,
     det,
+    det_with_effects,
     eigenspace,
     elementary_matrix,
     extend_to_basis,
@@ -446,50 +449,176 @@ def test_untraced_answers_never_build_elementary_matrices(monkeypatch):
     assert eigenspace(Matrix.parse("2 0 1; 0 1 -2; 0 0 -1"), 2).basis == ((1, 0, 0),)
 
 
+# ---- the fraction-free engine against the Fraction route ---------------------------
+
+_DENOMINATORS = (1, 2, 3, 5, 7)
+_SHAPES = ((1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (2, 5), (3, 6), (5, 2), (6, 3))
+_KINDS = ("dense", "zero", "rank_deficient", "zero_column", "forced_swap", "sparse")
+
+
+def _shaped_grid(rng, rows, cols, kind):
+    """A random grid with denominators in {1,2,3,5,7}, bent into ``kind``."""
+    grid = oracles.rand_grid(rng, rows, cols, lo=-9, hi=9, denominators=_DENOMINATORS)
+    if kind == "zero":
+        grid = [[Q(0)] * cols for _ in range(rows)]
+    elif kind == "rank_deficient":
+        for i in range(1 + rows // 2, rows):
+            w = oracles.rand_fraction(rng, denominators=_DENOMINATORS)
+            other = grid[rng.randrange(i)]
+            grid[i] = [x + w * y for x, y in zip(grid[i - 1], other)]
+    elif kind == "zero_column":
+        j = rng.randrange(cols)
+        for row in grid:
+            row[j] = Q(0)
+    elif kind == "forced_swap":
+        for row in grid[:-1]:
+            row[0] = Q(0)
+    elif kind == "sparse":
+        grid = [[x if rng.random() < 0.4 else Q(0) for x in row] for row in grid]
+    return grid
+
+
+def _assert_engines_agree(a: Matrix, b) -> None:
+    """Every untraced answer equals, repr for repr, the one the Fraction engine
+    gives through the traced APIs and the completely reduced matrix."""
+    if a.is_square:
+        assert repr(det(a)) == repr(det_with_effects(a)[0])
+        n = a.rows
+        both, _ = reduce(hstack(a, Matrix.identity(n)))
+        if both.take_columns(0, n) == Matrix.identity(n):
+            assert inverse_gauss_jordan(a) == both.take_columns(n, 2 * n)
+        else:
+            with pytest.raises(NotInvertible):
+                inverse_gauss_jordan(a)
+    assert repr(solve(a, b)) == repr(solve_with_trace(a, b)[0])
+
+    semi, _ = reduce(a, "semi_reduced")
+    full, _ = reduce(a)
+    lead = leaders(full)
+    rows = tuple(semi.row(i) for i, _ in lead)
+    free = [f for f in range(a.cols) if f not in {j for _, j in lead}]
+    null = []
+    for f in free:
+        v = [Q(0)] * a.cols
+        v[f] = Q(1)
+        for i, j in lead:
+            v[j] = -full[i, f]
+        null.append(tuple(v))
+    spaces = fundamental_subspaces(a)
+    assert repr(spaces.row.basis) == repr(rows)
+    assert spaces.column.basis == tuple(a.col(j) for _, j in lead)
+    assert repr(spaces.null.basis) == repr(tuple(null))
+    assert (spaces.rank, spaces.nullity) == (len(lead), len(free))
+    assert repr(basis_of_span(a.entries).basis) == repr(rows)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_fraction_free_answers_equal_the_fraction_route(kind):
+    rng = random.Random(f"engines/{kind}")
+    for _ in range(4):
+        for rows, cols in _SHAPES:
+            a = Matrix(_shaped_grid(rng, rows, cols, kind))
+            b = [oracles.rand_fraction(rng, denominators=_DENOMINATORS) for _ in range(rows)]
+            _assert_engines_agree(a, b)
+            _assert_engines_agree(a, [Q(0)] * rows)
+
+
+_entries = st.one_of(
+    st.just(Q(0)),
+    st.builds(Q, st.integers(-9, 9), st.sampled_from(_DENOMINATORS)),
+)
+
+
+@st.composite
+def _systems(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    grid = draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    b = draw(st.lists(_entries, min_size=rows, max_size=rows))
+    return Matrix(grid), b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_fraction_free_answers_equal_the_fraction_route_property(system):
+    _assert_engines_agree(*system)
+
+
 _A = Matrix.parse("2 1 0; 1 3 1; 0 1 4")
 _PLANE_A = basis_of_span([(1, 0, 1, 0), (0, 1, 0, 1)])
 _PLANE_B = basis_of_span([(1, 1, 1, 1), (1, -1, 1, -1)])
 _ZERO = basis_of_span([(0, 0, 0, 0)])
 
-# Each question and the number of reductions (_Elimination runs) it costs.
+_ELIM = qlinalg.elimination._Elimination
+_FREE = qlinalg.elimination._FractionFree
+
+# Each question, the engine it runs on, and the number of reductions it costs.
+# Questions whose answers carry row operations stay on the Fraction engine.
 _REDUCTIONS = {
-    "extend_to_basis": (lambda: extend_to_basis([(0, 2, 1, 4), (0, -2, 3, -10)]), 1),
-    "same_space": (lambda: _PLANE_A.same_space(_PLANE_B), 1),
-    "same_space, zero": (lambda: _ZERO.same_space(_ZERO), 0),
+    "extend_to_basis": (
+        lambda: extend_to_basis([(0, 2, 1, 4), (0, -2, 3, -10)]),
+        _FREE,
+        1,
+    ),
+    "same_space": (lambda: _PLANE_A.same_space(_PLANE_B), _FREE, 1),
+    "same_space, zero": (lambda: _ZERO.same_space(_ZERO), None, 0),
     "from_basis_images": (
         lambda: from_basis_images([((2, 0), (0, 1)), ((-1, 1), (2, 1))]),
+        _FREE,
         1,
     ),
-    "independence": (lambda: independence([(1, 0, -2), (-2, 2, 1), (-1, 0, 5)]), 1),
+    "independence": (
+        lambda: independence([(1, 0, -2), (-2, 2, 1), (-1, 0, 5)]),
+        _ELIM,
+        1,
+    ),
     "independence, dependent": (
         lambda: independence([(1, -2, 4, 6), (-1, 2, 0, 2), (1, -2, 8, 14)]),
+        _ELIM,
         1,
     ),
-    "solve": (lambda: solve(_A, [3, 5, 5]), 1),
+    "solve": (lambda: solve(_A, [3, 5, 5]), _FREE, 1),
     "fundamental_subspaces": (
         lambda: fundamental_subspaces(Matrix.parse("1 2 3; 2 4 6")),
+        _FREE,
         1,
     ),
-    "basis_of_span": (lambda: basis_of_span([(1, 2, 3), (2, 4, 6), (0, 1, 1)]), 1),
-    "det": (lambda: det(_A), 1),
-    "inverse_gauss_jordan": (lambda: inverse_gauss_jordan(_A), 1),
-    "eigenspace": (lambda: eigenspace(Matrix.parse("2 0 1; 0 1 -2; 0 0 -1"), 2), 1),
+    "basis_of_span": (
+        lambda: basis_of_span([(1, 2, 3), (2, 4, 6), (0, 1, 1)]),
+        _FREE,
+        1,
+    ),
+    "det": (lambda: det(_A), _FREE, 1),
+    "inverse_gauss_jordan": (lambda: inverse_gauss_jordan(_A), _FREE, 1),
+    "eigenspace": (
+        lambda: eigenspace(Matrix.parse("2 0 1; 0 1 -2; 0 0 -1"), 2),
+        _FREE,
+        1,
+    ),
+    "solve_with_trace": (lambda: solve_with_trace(_A, [3, 5, 5]), _ELIM, 1),
+    "solve_with_trace, inconsistent": (
+        lambda: solve_with_trace(Matrix.parse("1 2; 2 4"), [1, 3]),
+        _ELIM,
+        1,
+    ),
+    "reduce": (lambda: reduce(_A), _ELIM, 1),
+    "det_with_effects": (lambda: det_with_effects(_A), _ELIM, 1),
 }
 
 
 @pytest.mark.parametrize("name", _REDUCTIONS)
 def test_each_question_runs_the_expected_number_of_reductions(monkeypatch, name):
-    question, expected = _REDUCTIONS[name]
+    question, engine, expected = _REDUCTIONS[name]
     runs = []
-    start = qlinalg.elimination._Elimination.__init__
+    for cls in (_ELIM, _FREE):
 
-    def counted(self, m):
-        runs.append(m)
-        start(self, m)
+        def counted(self, *args, _start=cls.__init__, **kwargs):
+            runs.append(type(self))
+            _start(self, *args, **kwargs)
 
-    monkeypatch.setattr(qlinalg.elimination._Elimination, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     question()
-    assert len(runs) == expected
+    assert runs == [engine] * expected
 
 
 # ---- inversion via [A | I] ---------------------------------------------------------

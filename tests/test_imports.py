@@ -1,5 +1,6 @@
-"""Every module under src/qlinalg uses every name it imports, and every
-module-level private name is used by some module of the package."""
+"""Every module under src/qlinalg uses every name it imports, every
+module-level private name is used by some module of the package, and no
+module computes with floats."""
 
 import ast
 from pathlib import Path
@@ -97,3 +98,64 @@ def test_the_check_sees_a_dead_private_name():
         "b.py": "from .a import _Kept\n",
     }
     assert _dead_privates(sources) == ["a.py: _UNUSED", "a.py: _walk"]
+
+
+# math functions whose value is an int for int arguments; every other math name
+# (sqrt, log, pi, fsum, ...) gives a float.
+_INT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm", "prod", "trunc"}
+
+
+def _float_uses(source: str) -> list[str]:
+    """Float literals, ``float(...)`` calls, float-valued math names, and true
+    division inside ``_FractionFree``, whose entries are ints that ``/`` would
+    turn into floats."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append((node.lineno, "float()"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{a.name}") for a in node.names if a.name not in _INT_MATH]
+        elif (
+            isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "math"
+            and node.attr not in _INT_MATH
+        ):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ClassDef) and node.name == "_FractionFree":
+            found += [
+                (sub.lineno, "/ in _FractionFree")
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Div)
+            ]
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_no_module_computes_with_floats():
+    floats = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := _float_uses(path.read_text(encoding="utf-8")))
+    }
+    assert floats == {}
+
+
+def test_the_check_sees_a_float():
+    source = (
+        "import math\nfrom math import gcd, sqrt\n"
+        "x = 0.5 + float('2') + math.log(2) + math.lcm(2, 3)\n"
+        "class _FractionFree:\n"
+        "    def step(self, a, b):\n"
+        "        a /= b\n"
+        "        return a // b, a / b\n"
+        "def ratio(a, b):\n    return a / b\n"
+    )
+    assert _float_uses(source) == [
+        "math.sqrt (line 2)",
+        "float() (line 3)",
+        "literal 0.5 (line 3)",
+        "math.log (line 3)",
+        "/ in _FractionFree (line 6)",
+        "/ in _FractionFree (line 7)",
+    ]
