@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from .determinant import (
@@ -103,6 +104,10 @@ _ANSWER_DEPENDENT_ERRORS = (
 
 # n! products: n = 8 answers in under a second, n = 10 takes nearly a minute.
 _COFACTOR_MAX_N = 8
+
+# Bits of A^k's entries, as |k| * log2(n * max|numerator| * common denominator);
+# printing costs time quadratic in them.  An 8x8 of -9..9 at the limit: 1.5 s.
+_POWER_MAX_BITS = 100_000
 
 _CLI_FORMS = {form.replace("_", "-"): form for form in FORMS}
 
@@ -532,7 +537,17 @@ def _cmd_diagonalize(args):
 
 
 def _cmd_power(args):
-    result = matrix_power(_plain_matrix(args.matrix), args.power)
+    m = _plain_matrix(args.matrix)
+    entries = [x for row in m.entries for x in row]
+    bound = m.rows * max(abs(x.numerator) for x in entries)
+    bound *= lcm(*(x.denominator for x in entries))
+    bits = abs(args.power) * (bound.bit_length() - 1)
+    if bits > _POWER_MAX_BITS:
+        raise UsageError(
+            f"--power {args.power} would build entries of about {bits} bits, "
+            f"past the limit of {_POWER_MAX_BITS}"
+        )
+    result = matrix_power(m, args.power)
     return _matrix_result(result, k=args.power)
 
 

@@ -56,10 +56,7 @@ class DetEffectLog:
     @classmethod
     def from_ops(cls, ops: Iterable[RowOp]) -> "DetEffectLog":
         steps = tuple((op, row_op_det_effect(op)) for op in ops)
-        factor = Fraction(1)
-        for _, f in steps:
-            factor *= f
-        return cls(steps=steps, factor=factor)
+        return cls(steps=steps, factor=prod((f for _, f in steps), start=Fraction(1)))
 
     def applied_to(self, value: Fraction) -> Fraction:
         """det after the ops, given det before."""
@@ -72,9 +69,7 @@ def det_with_effects(a: Matrix) -> tuple[Fraction, DetEffectLog, Trace]:
         raise NotSquare("determinants need a square matrix")
     tri, trace = reduce(a, "semi_reduced")
     log = DetEffectLog.from_ops(trace.ops())
-    diag = Fraction(1)
-    for i in range(a.rows):
-        diag *= tri[i, i]
+    diag = prod((tri[i, i] for i in range(a.rows)), start=Fraction(1))
     return diag / log.factor, log, trace
 
 

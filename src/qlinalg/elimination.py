@@ -19,16 +19,12 @@ result means the "echelon" forms coincide with what the sweep already
 produces; the form names differ in how far normalization and upward
 elimination go.
 
-Two engines share that pivoting rule, so they agree on every pivot, swap and
-rank.  ``_Elimination`` applies the three row operations to ``Fraction``
-entries and records them; it answers the questions whose answers carry row
-operations (:func:`reduce`, :func:`solve_with_trace`, ``det_with_effects``,
-``independence``).  ``_FractionFree`` eliminates on Python ints, dividing
-exactly by the previous pivot (E. H. Bareiss, Math. Comp. 22, 1968), so no
-entry update pays for a gcd; it answers the untraced questions
-(:func:`solve`, :func:`inverse_gauss_jordan`, ``det``,
-``fundamental_subspaces``, ``basis_of_span``, ``extend_to_basis``) and
-converts to ``Fraction`` only in the answer.
+One engine, ``_FractionFree``, runs every reduction.  It eliminates on
+Python ints, dividing exactly by the previous pivot (E. H. Bareiss, Math.
+Comp. 22, 1968), so no entry update pays for a gcd.  Untraced questions
+convert to ``Fraction`` only in the answer; a trace is read off the same
+run afterwards, as the ``Fraction`` operations the paper's elimination
+performs.
 """
 
 from __future__ import annotations
@@ -138,14 +134,20 @@ def _apply_in_place(grid: list[list[Fraction]], op: RowOp) -> None:
         grid[op.first], grid[op.second] = grid[op.second], grid[op.first]
 
 
+def _replay(m: Matrix, ops) -> Matrix:
+    """``ops`` applied in turn to one copy of ``m``'s rows."""
+    grid = [list(r) for r in m.entries]
+    for op in ops:
+        for r in _op_rows(op):
+            if r >= m.rows:
+                raise IndexOutOfRange(f"row {r} outside a {m.rows}-row matrix")
+        _apply_in_place(grid, op)
+    return Matrix(grid)
+
+
 def apply_row_op(m: Matrix, op: RowOp) -> Matrix:
     """The matrix after one row operation (the input is untouched)."""
-    for r in _op_rows(op):
-        if r >= m.rows:
-            raise IndexOutOfRange(f"row {r} outside a {m.rows}-row matrix")
-    grid = [list(r) for r in m.entries]
-    _apply_in_place(grid, op)
-    return Matrix(grid)
+    return _replay(m, (op,))
 
 
 def elementary_matrix(op: RowOp, n: int) -> Matrix:
@@ -182,10 +184,7 @@ class Trace:
 
     def replay(self, m: Matrix | None = None) -> Matrix:
         """Apply the recorded operations to ``m`` (default: to ``start``)."""
-        cur = self.start if m is None else m
-        for op in self.steps:
-            cur = apply_row_op(cur, op)
-        return cur
+        return _replay(self.start if m is None else m, self.steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -224,65 +223,22 @@ _FORM_STAGE = {
 }
 
 
-class _Elimination:
-    """One reduction in progress.  Construction runs the downward sweep (stage
-    0); :meth:`finish` carries the same grid and operations on to stage 1 or 2.
-    """
-
-    def __init__(self, m: Matrix):
-        self.start = m
-        self.grid = grid = [list(r) for r in m.entries]
-        self.ops: list[RowOp] = []
-        self.pivots: list[tuple[int, int]] = []
-        r = 0
-        for c in range(m.cols):
-            if r == m.rows:
-                break
-            src = next((k for k in range(r, m.rows) if grid[k][c] != 0), None)
-            if src is None:
-                continue
-            if src != r:
-                self._do(Swap(r, src))
-            for k in range(r + 1, m.rows):
-                if grid[k][c] != 0:
-                    self._do(AddMultiple(-grid[k][c] / grid[r][c], r, k))
-            self.pivots.append((r, c))
-            r += 1
-
-    def _do(self, op: RowOp) -> None:
-        _apply_in_place(self.grid, op)
-        self.ops.append(op)
-
-    def finish(self, stage: int) -> None:
-        grid = self.grid
-        if stage >= 1:
-            for pr, pc in self.pivots:
-                if grid[pr][pc] != 1:
-                    self._do(Scale(Fraction(1) / grid[pr][pc], pr))
-        if stage >= 2:
-            for pr, pc in reversed(self.pivots):
-                for k in range(pr - 1, -1, -1):
-                    if grid[k][pc] != 0:
-                        self._do(AddMultiple(-grid[k][pc], pr, k))
-
-    def trace(self) -> Trace:
-        return Trace(start=self.start, end=Matrix(self.grid), steps=tuple(self.ops))
-
-
 class _FractionFree:
-    """One reduction on Python ints, for questions that need no trace.
+    """One reduction on Python ints.
 
     Each row is multiplied by the lcm of its denominators; the scales travel
-    with the rows through swaps.  Pivots are chosen as in ``_Elimination``,
-    and each update ``(p*x - a*y) // prev`` divides exactly by the previous
-    pivot.  Forward mode clears below each pivot.  ``upward=True`` clears
-    every other row (fraction-free Gauss-Jordan); afterwards every pivot
-    entry equals the last pivot, so the completely reduced matrix is
-    ``grid / last``.  Rows are rebound, never mutated, so ``chosen[k]`` keeps
-    pivot row k as it was when chosen, with the pivot before it.
+    with the rows through swaps.  Each update ``(p*x - a*y) // prev`` divides
+    exactly by the previous pivot.  Forward mode clears below each pivot.
+    ``upward=True`` clears every other row (fraction-free Gauss-Jordan);
+    afterwards every pivot entry equals the last pivot, so the completely
+    reduced matrix is ``grid / last``.  Rows are rebound, never mutated, so
+    ``chosen[k]`` keeps pivot row k as it was when chosen, with the pivot
+    before it.  ``steps`` holds each swap and, per row cleared below a pivot,
+    the raw ``(pivot row, row, entry, row scale)`` that :meth:`ops` reads.
     """
 
     def __init__(self, m: Matrix, upward: bool = False):
+        self.start = m
         self.grid = grid = []
         self.scales = scales = []
         for row in m.entries:
@@ -291,6 +247,7 @@ class _FractionFree:
             grid.append([x.numerator * (s // x.denominator) for x in row])
         self.pivots: list[tuple[int, int]] = []
         self.chosen: list[tuple[list[int], int]] = []
+        self.steps: list[Swap | tuple[int, int, int, int]] = []
         self.sign = prev = 1
         r = 0
         for c in range(m.cols):
@@ -303,6 +260,7 @@ class _FractionFree:
                 grid[r], grid[src] = grid[src], grid[r]
                 scales[r], scales[src] = scales[src], scales[r]
                 self.sign = -self.sign
+                self.steps.append(Swap(r, src))
             top = grid[r]
             p = top[c]
             for k in range(0 if upward else r + 1, m.rows):
@@ -311,6 +269,8 @@ class _FractionFree:
                 a = grid[k][c]
                 if a:
                     grid[k] = [(p * x - a * y) // prev for x, y in zip(grid[k], top)]
+                    if k > r:
+                        self.steps.append((r, k, a, scales[k]))
                 else:
                     grid[k] = [p * x // prev for x in grid[k]]
             self.pivots.append((r, c))
@@ -329,6 +289,45 @@ class _FractionFree:
         """Entry (i, j) of the completely reduced matrix (after ``upward=True``)."""
         return Fraction(self.grid[i][j], self.last)
 
+    def ops(self, stage: int) -> list[RowOp]:
+        """The ``Fraction`` operations carrying the start to ``stage`` (see
+        ``_FORM_STAGE``).  Row k of the sweep is ``chosen[k]`` over ``prev *
+        scale``; clearing above a pivot leaves the other pivot columns alone
+        (later pivot rows are zero there), so every multiplier is a ratio of
+        recorded ints."""
+        chosen, scales = self.chosen, self.scales
+        pivot = [row[c] for (_, c), (row, _) in zip(self.pivots, chosen)]
+        ops: list[RowOp] = []
+        for step in self.steps:
+            if isinstance(step, Swap):
+                ops.append(step)
+            else:
+                r, k, a, s = step
+                ops.append(AddMultiple(Fraction(-a * scales[r], pivot[r] * s), r, k))
+        if stage >= 1:
+            for r, (_, prev) in enumerate(chosen):
+                if pivot[r] != prev * scales[r]:
+                    ops.append(Scale(Fraction(prev * scales[r], pivot[r]), r))
+        if stage >= 2:
+            for r, c in reversed(self.pivots):
+                for k in range(r - 1, -1, -1):
+                    above = chosen[k][0][c]
+                    if above:
+                        ops.append(AddMultiple(Fraction(-above, pivot[k]), r, k))
+        return ops
+
+    def trace(self, stage: int) -> Trace:
+        """``ops(stage)`` and where they end; stage 2 needs ``upward=True``."""
+        if stage == 2:
+            end = [[Fraction(x, self.last) for x in row] for row in self.grid]
+        else:
+            end = []
+            for (r, c), (row, prev) in zip(self.pivots, self.chosen):
+                d = prev * self.scales[r] if stage == 0 else row[c]
+                end.append([Fraction(x, d) for x in row])
+            end += [[0] * self.start.cols] * (self.start.rows - len(end))
+        return Trace(self.start, Matrix(end), tuple(self.ops(stage)))
+
 
 def reduce(m: Matrix, form: str = "completely_reduced") -> tuple[Matrix, Trace]:
     """Drive ``m`` to the named form, recording every operation.
@@ -340,9 +339,7 @@ def reduce(m: Matrix, form: str = "completely_reduced") -> tuple[Matrix, Trace]:
     beyond their reduced counterparts here.
     """
     stage = _form_stage(form)
-    run = _Elimination(m)
-    run.finish(stage)
-    trace = run.trace()
+    trace = _FractionFree(m, upward=stage == 2).trace(stage)
     return trace.end, trace
 
 
@@ -467,43 +464,39 @@ def _augmented(a: Matrix, b) -> Matrix:
     return hstack(a, Matrix.column_vector(bvec))
 
 
-def _solution(pivots: list[tuple[int, int]], n: int, entry) -> SolutionSet:
-    """A consistent system's answer, where ``entry(i, j)`` reads the
-    completely reduced augmented matrix and ``n`` counts the unknowns."""
+def _solution(run: _FractionFree, n: int) -> SolutionSet:
+    """The answer read off an ``upward=True`` reduction of an augmented
+    matrix with ``n`` unknowns.  A pivot in the constants column is the
+    impossible row, reported as its semi-reduced ``0 = value``."""
+    pivots = run.pivots
+    for i, j in pivots:
+        if j == n:
+            return Inconsistent(row=i, value=run.swept_row(i)[j])
     lead_cols = [j for _, j in pivots]
-    constants = tuple(entry(i, n) for i, _ in pivots)
+    constants = tuple(run.reduced(i, n) for i, _ in pivots)
     free = tuple(j for j in range(n) if j not in lead_cols)
     if not free:
         return Unique(constants)
-    coefficients = tuple(tuple(-entry(i, f) for f in free) for i, _ in pivots)
+    coefficients = tuple(tuple(-run.reduced(i, f) for f in free) for i, _ in pivots)
     return Infinite(tuple(lead_cols), free, constants, coefficients)
 
 
 def solve_with_trace(a: Matrix, b) -> tuple[SolutionSet, Trace]:
     """Solve ``a x = b``; also hand back the elimination trace used.
 
-    Inconsistency is detected after the downward sweep (the semi-reduced
-    matrix), where the impossible row still shows its raw ``0 = value``, and
-    the trace stops there; otherwise the same reduction is carried to
-    completion and the solution read off.
+    An inconsistent system's trace stops at the semi-reduced matrix, where
+    the impossible row shows its raw ``0 = value``; any other runs on to the
+    completely reduced matrix the solution is read from.
     """
-    run = _Elimination(_augmented(a, b))
-    for i, j in run.pivots:
-        if j == a.cols:
-            return Inconsistent(row=i, value=run.grid[i][j]), run.trace()
-    run.finish(2)
-    return _solution(run.pivots, a.cols, lambda i, j: run.grid[i][j]), run.trace()
+    run = _FractionFree(_augmented(a, b), upward=True)
+    answer = _solution(run, a.cols)
+    return answer, run.trace(0 if isinstance(answer, Inconsistent) else 2)
 
 
 def solve(a: Matrix, b) -> SolutionSet:
-    """Classify and solve ``a x = b`` exactly, with the same answer as
-    :func:`solve_with_trace` (an inconsistent row shows its semi-reduced
-    ``0 = value``) from one fraction-free reduction."""
-    run = _FractionFree(_augmented(a, b), upward=True)
-    for i, j in run.pivots:
-        if j == a.cols:
-            return Inconsistent(row=i, value=run.swept_row(i)[j])
-    return _solution(run.pivots, a.cols, run.reduced)
+    """Classify and solve ``a x = b`` exactly: :func:`solve_with_trace`'s
+    answer without its trace."""
+    return _solution(_FractionFree(_augmented(a, b), upward=True), a.cols)
 
 
 def inverse_gauss_jordan(a: Matrix) -> Matrix:

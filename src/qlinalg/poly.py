@@ -8,7 +8,7 @@ zero polynomial has an empty coefficient tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import as_scalar, format_scalar
 
@@ -150,13 +150,9 @@ class Polynomial:
         """Scale to coprime integers (sign of the leading coefficient kept)."""
         if self.is_zero:
             return ()
-        common_den = 1
-        for c in self._coeffs:
-            common_den = common_den * c.denominator // gcd(common_den, c.denominator)
+        common_den = lcm(*(c.denominator for c in self._coeffs))
         ints = [int(c * common_den) for c in self._coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
+        g = gcd(*ints)
         return tuple(v // g for v in ints)
 
     def render(self, var: str = "x") -> str:

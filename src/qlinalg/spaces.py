@@ -24,7 +24,6 @@ from .elimination import (
     RowOp,
     Unique,
     _apply_in_place,
-    _Elimination,
     _FractionFree,
     solve,
 )
@@ -83,14 +82,14 @@ def independence(vectors) -> IndependenceVerdict:
     first to vanish is a zero input, else the target of the AddMultiple that
     emptied it (no other operation of the sweep changes what a row holds)."""
     vecs = _family(vectors)
-    run = _Elimination(Matrix(vecs))
+    run = _FractionFree(Matrix(vecs))
     if len(run.pivots) == len(vecs):
         return Independent()
     zero = next((i for i, v in enumerate(vecs) if not any(v)), None)
     if zero is not None:
         return Dependent(row=zero, op=None)
     grid = [list(v) for v in vecs]
-    for op in run.ops:
+    for op in run.ops(0):
         _apply_in_place(grid, op)
         if isinstance(op, AddMultiple) and not any(grid[op.target]):
             return Dependent(row=op.target, op=op)

@@ -83,6 +83,135 @@ def rank(rows) -> int:
     return found
 
 
+def apply_op(grid, op) -> None:
+    """One plain-tuple row operation, in place: ("swap", i, k),
+    ("add", alpha, source, target) or ("scale", alpha, row)."""
+    if op[0] == "swap":
+        _, i, k = op
+        grid[i], grid[k] = grid[k], grid[i]
+    elif op[0] == "add":
+        _, alpha, src, tgt = op
+        grid[tgt] = [t + alpha * s for t, s in zip(grid[tgt], grid[src])]
+    else:
+        _, alpha, row = op
+        grid[row] = [alpha * x for x in grid[row]]
+
+
+def eliminate(rows, stage):
+    """Row reduction by the textbook rule, on a private ``Fraction`` copy.
+
+    Columns left to right; the topmost nonzero row at or below the working
+    row is swapped up, and each nonzero entry below the pivot is cleared.
+    Stage 1 then scales every pivot that is not 1 to 1; stage 2 also clears
+    above the pivots, last pivot first, nearest row first.  Returns the
+    plain-tuple operations, the end grid as a tuple of tuples, and the
+    (row, column) of every pivot.
+    """
+    grid = [[Fraction(x) for x in row] for row in rows]
+    ops, pivots = [], []
+
+    def do(op):
+        apply_op(grid, op)
+        ops.append(op)
+
+    for c in range(len(grid[0])):
+        r = len(pivots)
+        if r == len(grid):
+            break
+        src = next((k for k in range(r, len(grid)) if grid[k][c] != 0), None)
+        if src is None:
+            continue
+        if src != r:
+            do(("swap", r, src))
+        for k in range(r + 1, len(grid)):
+            if grid[k][c] != 0:
+                do(("add", -grid[k][c] / grid[r][c], r, k))
+        pivots.append((r, c))
+    if stage >= 1:
+        for r, c in pivots:
+            if grid[r][c] != 1:
+                do(("scale", 1 / grid[r][c], r))
+    if stage >= 2:
+        for r, c in reversed(pivots):
+            for k in range(r - 1, -1, -1):
+                if grid[k][c] != 0:
+                    do(("add", -grid[k][c], r, k))
+    return ops, tuple(tuple(row) for row in grid), pivots
+
+
+def det_by_elimination(rows) -> Fraction:
+    """Product of the semi-reduced diagonal, signed by the swaps."""
+    ops, end, pivots = eliminate(rows, 0)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    value = Fraction((-1) ** sum(op[0] == "swap" for op in ops))
+    for i in range(len(rows)):
+        value *= end[i][i]
+    return value
+
+
+def solve_by_elimination(a_rows, b):
+    """("inconsistent", row, semi-reduced value), ("unique", values) or
+    ("infinite", leading, free, constants, coefficients), read off the
+    reduced augmented matrix."""
+    aug = [list(row) + [c] for row, c in zip(a_rows, b)]
+    n = len(a_rows[0])
+    _, semi, pivots = eliminate(aug, 0)
+    for i, j in pivots:
+        if j == n:
+            return ("inconsistent", i, semi[i][n])
+    _, full, pivots = eliminate(aug, 2)
+    leading = tuple(j for _, j in pivots)
+    free = tuple(j for j in range(n) if j not in leading)
+    constants = tuple(full[i][n] for i, _ in pivots)
+    if not free:
+        return ("unique", constants)
+    coefficients = tuple(tuple(-full[i][f] for f in free) for i, _ in pivots)
+    return ("infinite", leading, free, constants, coefficients)
+
+
+def inverse_by_elimination(rows):
+    """The right half of the reduced [A | I], or None when A is singular."""
+    n = len(rows)
+    both = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    _, full, pivots = eliminate(both, 2)
+    if [j for _, j in pivots] != list(range(n)):
+        return None
+    return tuple(row[n:] for row in full)
+
+
+def null_basis(rows):
+    """One kernel vector per free column: that column set to 1, the other
+    free columns to 0, the leading variables read off the reduced matrix."""
+    _, full, pivots = eliminate(rows, 2)
+    cols = len(rows[0])
+    lead = {j for _, j in pivots}
+    basis = []
+    for f in (f for f in range(cols) if f not in lead):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for i, j in pivots:
+            v[j] = -full[i][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def first_vanishing(rows):
+    """None for independent rows; else (row, op) for the first row the
+    downward sweep empties, op being None when a zero row was given."""
+    if rank(rows) == len(rows):
+        return None
+    zero = next((i for i, row in enumerate(rows) if not any(row)), None)
+    if zero is not None:
+        return (zero, None)
+    grid = [[Fraction(x) for x in row] for row in rows]
+    for op in eliminate(rows, 0)[0]:
+        apply_op(grid, op)
+        if op[0] == "add" and not any(grid[op[3]]):
+            return (op[3], op)
+    raise AssertionError("no row vanished in a dependent family")
+
+
 def greedy_extension(vectors):
     """Extension to a basis by its definition: None for a dependent input,
     else the inputs followed by each of e1, e2, ... that keeps the set

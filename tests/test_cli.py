@@ -177,6 +177,17 @@ def test_negative_power_of_singular_exits_one(capsys):
     assert "error:" in err
 
 
+def test_power_limit_counts_size_and_denominators(capsys):
+    # n * max|numerator| * common denominator = 2 * 2 * 3 = 12 gives 3 bits per
+    # power; 1 * 1 * 1 = 1 and a zero matrix give none
+    assert run(capsys, "power", "1/3 0; 0 2", "--power", "33333")[0] == 0
+    code, _, err = run(capsys, "power", "1/3 0; 0 2", "--power", "-33334")
+    assert code == 2
+    assert "about 100002 bits" in err
+    assert run(capsys, "power", "1", "--power", "-100000000")[0] == 0
+    assert run(capsys, "power", "0 0; 0 0", "--power", "100000000")[0] == 0
+
+
 def test_all_zero_gram_schmidt_exits_one(capsys):
     code, _, err = run(capsys, "gram-schmidt", "0 0; 0 0")
     assert code == 1
@@ -408,6 +419,19 @@ def test_power_prints_a_6021_digit_entry():
     digits = _long_str(2**20000)
     assert len(digits) == 6021
     assert proc.stdout == f"[ {digits} ]\n"
+
+
+def test_a_power_past_the_entry_size_limit_is_refused_before_computing():
+    start = time.perf_counter()
+    proc = _qlinalg_subprocess("power", "2", "--power", "100000000")
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "error: --power 100000000 would build entries of about 100000000 bits, "
+        "past the limit of 100000\n"
+    )
 
 
 def test_det_reads_a_5000_digit_entry():

@@ -18,6 +18,7 @@ from qlinalg import (
     NotSquare,
     Scale,
     Swap,
+    Trace,
     Unique,
     ZeroScale,
     apply_row_op,
@@ -190,6 +191,33 @@ def test_trace_replay_and_left_factor():
     for op in trace:
         product = elementary_matrix(op, m.rows) @ product
     assert product == left_factor(trace)
+
+
+def test_replay_builds_one_matrix(monkeypatch):
+    m = Matrix.parse("0 1 -1 1; -2 0 1 0; 0 -1 1 2")
+    _, trace = reduce(m)
+    assert len(trace) > 3
+    built = []
+    start = Matrix.__init__
+
+    def counted(self, rows):
+        built.append(rows)
+        start(self, rows)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    assert trace.replay() == trace.end
+    assert len(built) == 1
+    factor = left_factor(trace)
+    assert len(built) == 3  # and for the factor, the identity it starts from
+    assert factor @ m == trace.end
+
+
+def test_replay_checks_the_rows_of_every_operation():
+    m = Matrix.parse("1 2; 3 4; 5 6")
+    trace = Trace(m, m, (Scale(2, 0), Swap(0, 1), AddMultiple(1, 0, 2)))
+    assert trace.replay(Matrix.parse("1 0; 0 1; 1 1")) == Matrix.parse("0 1; 2 0; 1 2")
+    with pytest.raises(IndexOutOfRange):  # only the last operation reaches row 2
+        trace.replay(Matrix.parse("1 2; 3 4"))
 
 
 def test_left_factor_of_random_op_chains():
@@ -449,11 +477,18 @@ def test_untraced_answers_never_build_elementary_matrices(monkeypatch):
     assert eigenspace(Matrix.parse("2 0 1; 0 1 -2; 0 0 -1"), 2).basis == ((1, 0, 0),)
 
 
-# ---- the fraction-free engine against the Fraction route ---------------------------
+# ---- the engine against an independent Fraction elimination ------------------------
 
 _DENOMINATORS = (1, 2, 3, 5, 7)
 _SHAPES = ((1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (2, 5), (3, 6), (5, 2), (6, 3))
 _KINDS = ("dense", "zero", "rank_deficient", "zero_column", "forced_swap", "sparse")
+_STAGE = {
+    "semi_reduced": 0,
+    "echelon": 0,
+    "reduced": 1,
+    "reduced_echelon": 2,
+    "completely_reduced": 2,
+}
 
 
 def _shaped_grid(rng, rows, cols, kind):
@@ -478,38 +513,72 @@ def _shaped_grid(rng, rows, cols, kind):
     return grid
 
 
-def _assert_engines_agree(a: Matrix, b) -> None:
-    """Every untraced answer equals, repr for repr, the one the Fraction engine
-    gives through the traced APIs and the completely reduced matrix."""
+def _plain_op(op):
+    if isinstance(op, Scale):
+        return ("scale", op.alpha, op.row)
+    if isinstance(op, AddMultiple):
+        return ("add", op.alpha, op.source, op.target)
+    return ("swap", op.first, op.second)
+
+
+def _assert_trace_is(trace, reference) -> None:
+    ops, end, _ = reference
+    assert repr([_plain_op(op) for op in trace]) == repr(ops)
+    assert repr(trace.end.entries) == repr(end)
+
+
+def _plain_solution(result):
+    if isinstance(result, Inconsistent):
+        return ("inconsistent", result.row, result.value)
+    if isinstance(result, Unique):
+        return ("unique", result.values)
+    return ("infinite", result.leading, result.free, result.constants, result.coefficients)
+
+
+def _assert_matches_oracle(a: Matrix, b) -> None:
+    """Traced operations and end matrices equal the oracle's elimination repr
+    for repr; untraced answers equal what the oracle reads off it."""
+    rows = a.entries
+    for form in FORMS:
+        _assert_trace_is(reduce(a, form)[1], oracles.eliminate(rows, _STAGE[form]))
+
+    expected = oracles.solve_by_elimination(rows, b)
+    answer, trace = solve_with_trace(a, b)
+    aug = [list(row) + [c] for row, c in zip(rows, b)]
+    stage = 0 if expected[0] == "inconsistent" else 2
+    _assert_trace_is(trace, oracles.eliminate(aug, stage))
+    assert repr(_plain_solution(answer)) == repr(expected)
+    assert repr(_plain_solution(solve(a, b))) == repr(expected)
+
     if a.is_square:
-        assert repr(det(a)) == repr(det_with_effects(a)[0])
-        n = a.rows
-        both, _ = reduce(hstack(a, Matrix.identity(n)))
-        if both.take_columns(0, n) == Matrix.identity(n):
-            assert inverse_gauss_jordan(a) == both.take_columns(n, 2 * n)
-        else:
+        value = oracles.det_by_elimination(rows)
+        assert repr(det(a)) == repr(value)
+        traced_value, _, trace = det_with_effects(a)
+        assert repr(traced_value) == repr(value)
+        _assert_trace_is(trace, oracles.eliminate(rows, 0))
+        inverse = oracles.inverse_by_elimination(rows)
+        if inverse is None:
             with pytest.raises(NotInvertible):
                 inverse_gauss_jordan(a)
-    assert repr(solve(a, b)) == repr(solve_with_trace(a, b)[0])
+        else:
+            assert repr(inverse_gauss_jordan(a).entries) == repr(inverse)
 
-    semi, _ = reduce(a, "semi_reduced")
-    full, _ = reduce(a)
-    lead = leaders(full)
-    rows = tuple(semi.row(i) for i, _ in lead)
-    free = [f for f in range(a.cols) if f not in {j for _, j in lead}]
-    null = []
-    for f in free:
-        v = [Q(0)] * a.cols
-        v[f] = Q(1)
-        for i, j in lead:
-            v[j] = -full[i, f]
-        null.append(tuple(v))
+    vanished = oracles.first_vanishing(rows)
+    verdict = independence(rows)
+    if vanished is None:
+        assert verdict
+    else:
+        op = verdict.op and _plain_op(verdict.op)
+        assert repr((verdict.row, op)) == repr(vanished)
+
+    _, semi, pivots = oracles.eliminate(rows, 0)
+    swept = semi[: len(pivots)]
     spaces = fundamental_subspaces(a)
-    assert repr(spaces.row.basis) == repr(rows)
-    assert spaces.column.basis == tuple(a.col(j) for _, j in lead)
-    assert repr(spaces.null.basis) == repr(tuple(null))
-    assert (spaces.rank, spaces.nullity) == (len(lead), len(free))
-    assert repr(basis_of_span(a.entries).basis) == repr(rows)
+    assert repr(spaces.row.basis) == repr(swept)
+    assert spaces.column.basis == tuple(a.col(j) for _, j in pivots)
+    assert repr(spaces.null.basis) == repr(oracles.null_basis(rows))
+    assert (spaces.rank, spaces.nullity) == (len(pivots), a.cols - len(pivots))
+    assert repr(basis_of_span(rows).basis) == repr(swept)
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -519,8 +588,8 @@ def test_fraction_free_answers_equal_the_fraction_route(kind):
         for rows, cols in _SHAPES:
             a = Matrix(_shaped_grid(rng, rows, cols, kind))
             b = [oracles.rand_fraction(rng, denominators=_DENOMINATORS) for _ in range(rows)]
-            _assert_engines_agree(a, b)
-            _assert_engines_agree(a, [Q(0)] * rows)
+            _assert_matches_oracle(a, b)
+            _assert_matches_oracle(a, [Q(0)] * rows)
 
 
 _entries = st.one_of(
@@ -541,7 +610,7 @@ def _systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(_systems())
 def test_fraction_free_answers_equal_the_fraction_route_property(system):
-    _assert_engines_agree(*system)
+    _assert_matches_oracle(*system)
 
 
 _A = Matrix.parse("2 1 0; 1 3 1; 0 1 4")
@@ -549,76 +618,64 @@ _PLANE_A = basis_of_span([(1, 0, 1, 0), (0, 1, 0, 1)])
 _PLANE_B = basis_of_span([(1, 1, 1, 1), (1, -1, 1, -1)])
 _ZERO = basis_of_span([(0, 0, 0, 0)])
 
-_ELIM = qlinalg.elimination._Elimination
-_FREE = qlinalg.elimination._FractionFree
-
-# Each question, the engine it runs on, and the number of reductions it costs.
-# Questions whose answers carry row operations stay on the Fraction engine.
+# Each question and the number of reductions it costs.
 _REDUCTIONS = {
     "extend_to_basis": (
         lambda: extend_to_basis([(0, 2, 1, 4), (0, -2, 3, -10)]),
-        _FREE,
         1,
     ),
-    "same_space": (lambda: _PLANE_A.same_space(_PLANE_B), _FREE, 1),
-    "same_space, zero": (lambda: _ZERO.same_space(_ZERO), None, 0),
+    "same_space": (lambda: _PLANE_A.same_space(_PLANE_B), 1),
+    "same_space, zero": (lambda: _ZERO.same_space(_ZERO), 0),
     "from_basis_images": (
         lambda: from_basis_images([((2, 0), (0, 1)), ((-1, 1), (2, 1))]),
-        _FREE,
         1,
     ),
     "independence": (
         lambda: independence([(1, 0, -2), (-2, 2, 1), (-1, 0, 5)]),
-        _ELIM,
         1,
     ),
     "independence, dependent": (
         lambda: independence([(1, -2, 4, 6), (-1, 2, 0, 2), (1, -2, 8, 14)]),
-        _ELIM,
         1,
     ),
-    "solve": (lambda: solve(_A, [3, 5, 5]), _FREE, 1),
+    "solve": (lambda: solve(_A, [3, 5, 5]), 1),
     "fundamental_subspaces": (
         lambda: fundamental_subspaces(Matrix.parse("1 2 3; 2 4 6")),
-        _FREE,
         1,
     ),
     "basis_of_span": (
         lambda: basis_of_span([(1, 2, 3), (2, 4, 6), (0, 1, 1)]),
-        _FREE,
         1,
     ),
-    "det": (lambda: det(_A), _FREE, 1),
-    "inverse_gauss_jordan": (lambda: inverse_gauss_jordan(_A), _FREE, 1),
+    "det": (lambda: det(_A), 1),
+    "inverse_gauss_jordan": (lambda: inverse_gauss_jordan(_A), 1),
     "eigenspace": (
         lambda: eigenspace(Matrix.parse("2 0 1; 0 1 -2; 0 0 -1"), 2),
-        _FREE,
         1,
     ),
-    "solve_with_trace": (lambda: solve_with_trace(_A, [3, 5, 5]), _ELIM, 1),
+    "solve_with_trace": (lambda: solve_with_trace(_A, [3, 5, 5]), 1),
     "solve_with_trace, inconsistent": (
         lambda: solve_with_trace(Matrix.parse("1 2; 2 4"), [1, 3]),
-        _ELIM,
         1,
     ),
-    "reduce": (lambda: reduce(_A), _ELIM, 1),
-    "det_with_effects": (lambda: det_with_effects(_A), _ELIM, 1),
+    "reduce": (lambda: reduce(_A), 1),
+    "det_with_effects": (lambda: det_with_effects(_A), 1),
 }
 
 
 @pytest.mark.parametrize("name", _REDUCTIONS)
 def test_each_question_runs_the_expected_number_of_reductions(monkeypatch, name):
-    question, engine, expected = _REDUCTIONS[name]
+    question, expected = _REDUCTIONS[name]
+    engine = qlinalg.elimination._FractionFree
     runs = []
-    for cls in (_ELIM, _FREE):
 
-        def counted(self, *args, _start=cls.__init__, **kwargs):
-            runs.append(type(self))
-            _start(self, *args, **kwargs)
+    def counted(self, *args, _start=engine.__init__, **kwargs):
+        runs.append(args)
+        _start(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+    monkeypatch.setattr(engine, "__init__", counted)
     question()
-    assert runs == [engine] * expected
+    assert len(runs) == expected
 
 
 # ---- inversion via [A | I] ---------------------------------------------------------

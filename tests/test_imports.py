@@ -106,9 +106,10 @@ _INT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm"
 
 
 def _float_uses(source: str) -> list[str]:
-    """Float literals, ``float(...)`` calls, float-valued math names, and true
-    division inside ``_FractionFree``, whose entries are ints that ``/`` would
-    turn into floats."""
+    """Float literals, ``float(...)`` calls, float-valued math names, and,
+    anywhere inside ``_FractionFree`` (its methods included), true division
+    or a ``Fraction`` built from anything but ``Fraction(num, den)``: its
+    entries are ints, which ``/`` would turn into floats."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
@@ -124,11 +125,15 @@ def _float_uses(source: str) -> list[str]:
         ):
             found.append((node.lineno, f"math.{node.attr}"))
         elif isinstance(node, ast.ClassDef) and node.name == "_FractionFree":
-            found += [
-                (sub.lineno, "/ in _FractionFree")
-                for sub in ast.walk(node)
-                if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Div)
-            ]
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Div):
+                    found.append((sub.lineno, "/ in _FractionFree"))
+                elif (
+                    isinstance(sub, ast.Call)
+                    and getattr(sub.func, "id", None) == "Fraction"
+                    and len(sub.args) != 2
+                ):
+                    found.append((sub.lineno, "Fraction(x) in _FractionFree"))
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
@@ -149,7 +154,9 @@ def test_the_check_sees_a_float():
         "    def step(self, a, b):\n"
         "        a /= b\n"
         "        return a // b, a / b\n"
-        "def ratio(a, b):\n    return a / b\n"
+        "    def ops(self, rows):\n"
+        "        return [Fraction(x) / d for x, d in rows], [Fraction(x, d) for x, d in rows]\n"
+        "def ratio(a, b):\n    return a / b, Fraction(a)\n"
     )
     assert _float_uses(source) == [
         "math.sqrt (line 2)",
@@ -158,4 +165,6 @@ def test_the_check_sees_a_float():
         "math.log (line 3)",
         "/ in _FractionFree (line 6)",
         "/ in _FractionFree (line 7)",
+        "/ in _FractionFree (line 9)",
+        "Fraction(x) in _FractionFree (line 9)",
     ]
