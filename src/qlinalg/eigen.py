@@ -3,7 +3,10 @@
 The characteristic polynomial det(A - x I) is computed exactly by Berkowitz's
 division-free algorithm, and its rational roots are isolated by a Sturm
 sequence (:func:`qlinalg.poly.rational_roots`); both take time polynomial in
-n and in the entry bit size.  Irrational or complex eigenvalues cannot be
+n and in the entry bit size.  Both compute on Python ints: Berkowitz on d A,
+d the common denominator of A, and the root search on the polynomial's
+primitive integer coefficients; each coefficient and root becomes a
+``Fraction`` once, at the end.  Irrational or complex eigenvalues cannot be
 represented here; in that case the honest answer is a :class:`NotSplit`
 verdict carrying whatever rational roots were found and the unfactored
 remainder.
@@ -16,43 +19,50 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
 from .elimination import inverse_gauss_jordan
 from .errors import NegativePowerOfSingular, NotInvertible, NotSquare
 from .matrix import Matrix
 from .poly import Polynomial, rational_roots
-from .scalars import Q, as_scalar
+from .scalars import Q, _cleared, as_scalar
 from .spaces import Subspace, fundamental_subspaces
 
 
 def char_poly(a: Matrix) -> Polynomial:
     """det(A - x I), ascending coefficients; leading coefficient (-1)^n.
 
-    Berkowitz's division-free algorithm, O(n^4) field operations.  Write each
-    leading principal submatrix as A_k = [[M, C], [R, a_kk]].  The descending
-    coefficients of det(x I - A_k) are the lower-triangular Toeplitz matrix
-    with first column [1, -a_kk, -R C, -R M C, ..., -R M^(k-1) C] times those
-    of det(x I - M).
+    Berkowitz's division-free algorithm, O(n^4) ring operations, run on the
+    integer matrix B = d A, d the lcm of A's denominators.  Write each leading
+    principal submatrix as B_k = [[M, C], [R, b_kk]].  The descending
+    coefficients of det(x I - B_k) are the lower-triangular Toeplitz matrix
+    with first column [1, -b_kk, -R C, -R M C, ..., -R M^(k-1) C] times those
+    of det(x I - M).  Since det(x I - A) = d^-n det(d x I - B), its
+    coefficient of x^i is that of det(x I - B) over d^(n-i).
     """
     if not a.is_square:
         raise NotSquare("characteristic polynomials need a square matrix")
-    g = a.entries
-    coeffs = [Fraction(1)]
-    for k in range(a.rows):
+    n = a.rows
+    flat, d = _cleared([x for row in a.entries for x in row])
+    g = [flat[i * n:(i + 1) * n] for i in range(n)]
+    coeffs = [1]
+    for k in range(n):
         m = [g[i][:k] for i in range(k)]
         r = g[k][:k]
-        col = [Fraction(1), -g[k][k]]
+        col = [1, -g[k][k]]
         v = [g[i][k] for i in range(k)]
         for _ in range(k):
-            col.append(-sum(x * y for x, y in zip(r, v)))
-            v = [sum(x * y for x, y in zip(mi, v)) for mi in m]
+            col.append(-sum(map(mul, r, v)))
+            v = [sum(map(mul, mi, v)) for mi in m]
         coeffs = [
             sum(col[i - j] * coeffs[j] for j in range(min(i, k) + 1))
             for i in range(k + 2)
         ]
-    sign = -1 if a.rows % 2 else 1
-    return Polynomial([sign * c for c in reversed(coeffs)])
+    sign = -1 if n % 2 else 1
+    return Polynomial(
+        [Fraction(sign * c, d ** i) for i, c in enumerate(coeffs)][::-1]
+    )
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,10 @@ def eigenspace(a: Matrix, lam) -> Subspace:
     if not a.is_square:
         raise NotSquare("eigenspaces need a square matrix")
     lam = as_scalar(lam)
-    shifted = a - lam * Matrix.identity(a.rows)
+    shifted = Matrix(
+        [[x - lam if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(a.entries)]
+    )
     return fundamental_subspaces(shifted).null
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Union
 
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
     ZeroScale,
 )
 from .matrix import Matrix, as_vector, hstack
-from .scalars import as_scalar, format_scalar
+from .scalars import _cleared, as_scalar, format_scalar
 
 
 # ---- the three operations ----------------------------------------------------
@@ -242,9 +241,9 @@ class _FractionFree:
         self.grid = grid = []
         self.scales = scales = []
         for row in m.entries:
-            s = lcm(*(x.denominator for x in row))
+            ints, s = _cleared(row)
+            grid.append(ints)
             scales.append(s)
-            grid.append([x.numerator * (s // x.denominator) for x in row])
         self.pivots: list[tuple[int, int]] = []
         self.chosen: list[tuple[list[int], int]] = []
         self.steps: list[Swap | tuple[int, int, int, int]] = []

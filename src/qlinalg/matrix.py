@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     NotSquare,
     RaggedRows,
 )
-from .scalars import as_scalar, format_scalar
+from .scalars import _cleared, as_scalar, format_scalar
 
 
 class Matrix:
@@ -186,9 +187,12 @@ class Matrix:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        cols = [other.col(j) for j in range(other.cols)]
+        # entry (i, j) is sum(u*v) / (s*t) over row i of self cleared to
+        # (u, s) and column j of other cleared to (v, t): one gcd per entry
+        rows = [_cleared(row) for row in self._data]
+        cols = [_cleared(col) for col in zip(*other._data)]
         return Matrix(
-            [[_dot(row, c) for c in cols] for row in self._data]
+            [[Fraction(sum(map(mul, u, v)), s * t) for v, t in cols] for u, s in rows]
         )
 
     def __pow__(self, k: int) -> "Matrix":
@@ -240,10 +244,6 @@ class Matrix:
 
     def __str__(self):
         return render_block(self)
-
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def hstack(left: Matrix, right: Matrix) -> Matrix:

@@ -3,14 +3,20 @@
 Coefficients are stored in ascending order of degree with trailing zeros
 stripped, so ``Polynomial([-2, 1, 2, -1])`` is ``-2 + x + 2x^2 - x^3`` and the
 zero polynomial has an empty coefficient tuple.
+
+:func:`rational_roots` works on the primitive integer coefficients from
+start to end: the gcd with the derivative and the Sturm sequence come from
+integer pseudo-remainders, and each root y/L is divided out exactly as the
+integer factor L x - y.  The residual is rescaled to the input's leading
+coefficient once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .scalars import as_scalar, format_scalar
+from .scalars import _cleared, as_scalar, format_scalar
 
 
 class Polynomial:
@@ -150,10 +156,7 @@ class Polynomial:
         """Scale to coprime integers (sign of the leading coefficient kept)."""
         if self.is_zero:
             return ()
-        common_den = lcm(*(c.denominator for c in self._coeffs))
-        ints = [int(c * common_den) for c in self._coeffs]
-        g = gcd(*ints)
-        return tuple(v // g for v in ints)
+        return _primitive(_cleared(self._coeffs)[0])
 
     def render(self, var: str = "x") -> str:
         """Ascending human form: ``-2 + x + 2x^2 - x^3``."""
@@ -193,15 +196,51 @@ def poly_eval(p: Polynomial, x) -> Fraction:
     return p(x)
 
 
-def _derivative(p: Polynomial) -> Polynomial:
-    return Polynomial([k * c for k, c in enumerate(p.coefficients)][1:])
+def _primitive(cs) -> tuple[int, ...]:
+    """Integer coefficients without high zeros, over their content (sign kept)."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    g = gcd(*cs)
+    return tuple(c // g for c in cs)
 
 
-def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Euclid's algorithm; the result is defined up to a constant factor."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a
+def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive form of |lead(b)|^(deg a - deg b + 1) * (a mod b).
+
+    b is first given a positive leading coefficient (a mod -b is a mod b),
+    so the result is a positive multiple of the remainder over the
+    rationals: its signs, which Sturm's theorem reads, are unchanged.
+    """
+    if b[-1] < 0:
+        b = tuple(-y for y in b)
+    rem = list(a)
+    for top in range(len(a) - 1, len(b) - 2, -1):
+        f, shift = rem[top], top - len(b) + 1
+        rem = [b[-1] * x for x in rem[:top]]
+        for j, y in enumerate(b[:-1]):
+            rem[shift + j] -= f * y
+    return _primitive(rem)
+
+
+def _exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a / b for integer polynomials where b divides a over the integers."""
+    rem = list(a)
+    quot = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        f = quot[shift] = rem[shift + len(b) - 1] // b[-1]
+        for j, y in enumerate(b):
+            rem[shift + j] -= f * y
+    return tuple(quot)
+
+
+def _sturm_chain(s: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """s, s' and the negated pseudo-remainders after them, each primitive,
+    down to the last nonzero one: a multiple of gcd(s, s')."""
+    chain = [s, _primitive([k * c for k, c in enumerate(s)][1:])]
+    while len(chain[-1]) > 1 and (rem := _pseudo_rem(chain[-2], chain[-1])):
+        chain.append(tuple(-c for c in rem))
+    return chain
 
 
 def _sign_at(cs: tuple[int, ...], num: int, den: int) -> int:
@@ -226,10 +265,7 @@ def _distinct_rational_roots(s: tuple[int, ...]) -> list[Fraction]:
     since it may still hold two close irrational roots.
     """
     lead = abs(s[-1])
-    chain = [s, _derivative(Polynomial(s)).primitive_integer_coefficients()]
-    while len(chain[-1]) > 1:
-        rem = Polynomial(chain[-2]) % Polynomial(chain[-1])
-        chain.append((-rem).primitive_integer_coefficients())
+    chain = _sturm_chain(s)
 
     def changes(e: int) -> int:
         # sign changes of the Sturm sequence at x = (e + 1/2) / L
@@ -278,22 +314,25 @@ def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Pol
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
     roots: list[tuple[Fraction, int]] = []
-    q = p
+    q = p.primitive_integer_coefficients()
 
     mult = 0
-    while q.degree > 0 and q.coefficient(0) == 0:
-        q = q.deflate(0)
+    while len(q) > 1 and q[0] == 0:
+        q = q[1:]
         mult += 1
     if mult:
         roots.append((Fraction(0), mult))
 
-    if q.degree > 0:
-        squarefree = q // _gcd(q, _derivative(q))
-        for root in _distinct_rational_roots(squarefree.primitive_integer_coefficients()):
+    if len(q) > 1:
+        for root in _distinct_rational_roots(_exact_div(q, _sturm_chain(q)[-1])):
+            factor = (-root.numerator, root.denominator)
             mult = 0
-            while q.degree > 0 and q(root) == 0:
-                q = q.deflate(root)
+            while len(q) > 1 and _sign_at(q, root.numerator, root.denominator) == 0:
+                q = _exact_div(q, factor)
                 mult += 1
             roots.append((root, mult))
 
-    return tuple(roots), q
+    # q is p over its rational roots, up to a constant: rescale it to lead(p)
+    lead = p.coefficients[-1]
+    residual = [Fraction(c * lead.numerator, q[-1] * lead.denominator) for c in q]
+    return tuple(roots), Polynomial(residual)

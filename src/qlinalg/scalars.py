@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import MalformedScalar, ZeroDenominator
 
@@ -60,3 +61,10 @@ def as_scalar(value) -> Fraction:
             f"floats are not exact: got {value!r}; pass an int, Fraction, or string"
         )
     raise TypeError(f"cannot make an exact scalar from {type(value).__name__}")
+
+
+def _cleared(values) -> tuple[list[int], int]:
+    """Integers ``ints`` and the lcm ``s`` of the denominators of ``values``,
+    with ``values[i] == ints[i] / s``."""
+    s = lcm(*(x.denominator for x in values))
+    return [x.numerator * (s // x.denominator) for x in values], s

@@ -196,6 +196,26 @@ def null_basis(rows):
     return tuple(basis)
 
 
+def char_poly_by_interpolation(rows):
+    """Ascending coefficients of det(A - xI): the determinant by elimination
+    at x = 0..n, then the Lagrange polynomial through those n+1 points."""
+    n = len(rows)
+    points = range(n + 1)
+    coeffs = [Fraction(0)] * (n + 1)
+    for t in points:
+        shifted = [[Fraction(x) - (t if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(rows)]
+        value = det_by_elimination(shifted)
+        # basis: ascending coefficients of prod over s != t of (x - s)
+        basis, scale = [Fraction(1)], Fraction(1)
+        for s in points:
+            if s != t:
+                basis = [lo - s * hi for lo, hi in zip([0] + basis, basis + [0])]
+                scale *= t - s
+        coeffs = [c + value * b / scale for c, b in zip(coeffs, basis)]
+    return tuple(coeffs)
+
+
 def first_vanishing(rows):
     """None for independent rows; else (row, op) for the first row the
     downward sweep empties, op being None when a zero row was given."""

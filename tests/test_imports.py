@@ -105,11 +105,22 @@ def test_the_check_sees_a_dead_private_name():
 _INT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm", "prod", "trunc"}
 
 
+# Classes and functions that compute on cleared-denominator ints.
+_INTEGER_KERNELS = {
+    "_FractionFree",  # elimination.py
+    "__matmul__",  # matrix.py
+    "char_poly",  # eigen.py
+    "_cleared",  # scalars.py
+    "_primitive", "_pseudo_rem", "_exact_div", "_sturm_chain", "_sign_at",
+    "_distinct_rational_roots",  # poly.py
+}
+
+
 def _float_uses(source: str) -> list[str]:
     """Float literals, ``float(...)`` calls, float-valued math names, and,
-    anywhere inside ``_FractionFree`` (its methods included), true division
-    or a ``Fraction`` built from anything but ``Fraction(num, den)``: its
-    entries are ints, which ``/`` would turn into floats."""
+    anywhere inside an integer kernel (a class's methods included), true
+    division or a ``Fraction`` built from anything but ``Fraction(num, den)``:
+    its values are ints, which ``/`` would turn into floats."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
@@ -124,16 +135,19 @@ def _float_uses(source: str) -> list[str]:
             and node.attr not in _INT_MATH
         ):
             found.append((node.lineno, f"math.{node.attr}"))
-        elif isinstance(node, ast.ClassDef) and node.name == "_FractionFree":
+        elif (
+            isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name in _INTEGER_KERNELS
+        ):
             for sub in ast.walk(node):
                 if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Div):
-                    found.append((sub.lineno, "/ in _FractionFree"))
+                    found.append((sub.lineno, f"/ in {node.name}"))
                 elif (
                     isinstance(sub, ast.Call)
                     and getattr(sub.func, "id", None) == "Fraction"
                     and len(sub.args) != 2
                 ):
-                    found.append((sub.lineno, "Fraction(x) in _FractionFree"))
+                    found.append((sub.lineno, f"Fraction(x) in {node.name}"))
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
@@ -157,6 +171,12 @@ def test_the_check_sees_a_float():
         "    def ops(self, rows):\n"
         "        return [Fraction(x) / d for x, d in rows], [Fraction(x, d) for x, d in rows]\n"
         "def ratio(a, b):\n    return a / b, Fraction(a)\n"
+        "class Matrix:\n"
+        "    def __matmul__(self, other):\n"
+        "        return Fraction(sum(self) / other)\n"
+        "def char_poly(a):\n    return [Fraction(c, d) for c, d in a], Fraction(a[0])\n"
+        "def _pseudo_rem(a, b):\n    return a[-1] / b[-1]\n"
+        "def _sign_at(cs, num, den):\n    return cs[0] // den\n"
     )
     assert _float_uses(source) == [
         "math.sqrt (line 2)",
@@ -167,4 +187,8 @@ def test_the_check_sees_a_float():
         "/ in _FractionFree (line 7)",
         "/ in _FractionFree (line 9)",
         "Fraction(x) in _FractionFree (line 9)",
+        "/ in __matmul__ (line 14)",
+        "Fraction(x) in __matmul__ (line 14)",
+        "Fraction(x) in char_poly (line 16)",
+        "/ in _pseudo_rem (line 18)",
     ]
