@@ -106,8 +106,10 @@ _ANSWER_DEPENDENT_ERRORS = (
 _COFACTOR_MAX_N = 8
 
 # Bits of A^k's entries, as |k| * log2(n * max|numerator| * common denominator);
-# printing costs time quadratic in them.  An 8x8 of -9..9 at the limit: 1.5 s.
+# printing one costs time quadratic in them, so each entry has a limit, and so
+# has the whole answer.  An 8x8 of -9..9 at both limits: 1.5 s.
 _POWER_MAX_BITS = 100_000
+_POWER_MAX_OUTPUT_BITS = 64 * _POWER_MAX_BITS
 
 _CLI_FORMS = {form.replace("_", "-"): form for form in FORMS}
 
@@ -547,6 +549,11 @@ def _cmd_power(args):
             f"--power {args.power} would build entries of about {bits} bits, "
             f"past the limit of {_POWER_MAX_BITS}"
         )
+    if m.rows * m.cols * bits > _POWER_MAX_OUTPUT_BITS:
+        raise UsageError(
+            f"--power {args.power} would print {m.rows * m.cols} entries of about "
+            f"{bits} bits, past the limit of {_POWER_MAX_OUTPUT_BITS} bits in all"
+        )
     result = matrix_power(m, args.power)
     return _matrix_result(result, k=args.power)
 
@@ -595,14 +602,64 @@ def _cmd_mul(args):
 # ---- parser ---------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every verb or, when ``verb`` names one, for that verb
+    alone: a run uses one subparser, and building all 25 takes about three
+    times as long as building one.  The table is read at call time, so a
+    handler replaced on this module is the one the parser dispatches to."""
+    matrix, trace = ("matrix", {}), ("--trace", {"action": "store_true"})
+    verbs = {
+        "solve": (_cmd_solve, "solve a linear system given as an augmented matrix",
+                  ("system", {"help": "augmented matrix with '|' before the constants"}),
+                  ("--trace", {"action": "store_true", "help": "print every row operation"})),
+        "rref": (_cmd_rref, "completely reduce a matrix", matrix, trace),
+        "reduce": (_cmd_reduce, "reduce a matrix to a chosen form", matrix,
+                   ("--form", {"choices": tuple(_CLI_FORMS), "default": "completely-reduced"}),
+                   trace),
+        "inverse": (_cmd_inverse, "invert via Gauss-Jordan on [A | I]", matrix),
+        "det": (_cmd_det, "determinant", matrix,
+                ("--method", {"choices": ("rowred", "cofactor"), "default": "rowred"}),
+                ("--trace", {"action": "store_true", "help": "show per-op det factors"})),
+        "cofactor": (_cmd_cofactor, "matrix of signed minors", matrix),
+        "cramer": (_cmd_cramer, "solve a square system by Cramer's rule",
+                   ("system", {"help": "augmented matrix with '|'"})),
+        "adjoint": (_cmd_adjoint, "transpose of the cofactor matrix", matrix),
+        "inv-entry": (_cmd_inv_entry, "one entry of the inverse, via a single minor", matrix,
+                      ("--entry", {"required": True, "help": "1-based i,k (row, column)"})),
+        "basis": (_cmd_basis, "canonical basis of the span of the given rows",
+                  ("vectors", {"help": "one generator per row"})),
+        "span-member": (_cmd_span_member, "is a vector in the span?",
+                        ("generators", {"help": "one generator per row"}), ("vector", {})),
+        "extend-basis": (_cmd_extend_basis, "extend an independent set to a full basis",
+                         ("vectors", {})),
+        "subspace": (_cmd_subspace, "is a coordinate-formula set a subspace?",
+                     ("forms", {"help": "one formula per row, e.g. 'a; -2a+b; -a'"}),
+                     ("--params", {"help": "comma-separated parameter order"})),
+        "fundamentals": (_cmd_fundamentals, "row, column, and null spaces with rank", matrix),
+        "transform": (_cmd_transform, "standard matrix of a linear map",
+                      ("map", {"help":
+                               "coordinate formulas, 'point -> image' pairs, or a matrix"}),
+                      ("--apply", {"help": "vector to push through the map"})),
+        "kernel": (_cmd_kernel, "all vectors a map sends to zero", ("map", {})),
+        "range": (_cmd_range, "all values a map takes", ("map", {})),
+        "eigen": (_cmd_eigen, "characteristic polynomial, eigenvalues, eigenspaces", matrix),
+        "diagonalize": (_cmd_diagonalize, "factor A as L D L^-1 when possible", matrix),
+        "power": (_cmd_power, "integer matrix power (negative needs invertible)", matrix,
+                  ("--power", {"required": True, "type": int, "metavar": "k"})),
+        "dot": (_cmd_dot, "dot product of two vectors", ("u", {}), ("v", {})),
+        "gram-schmidt": (_cmd_gram_schmidt, "orthogonalize the span of the rows", ("vectors", {})),
+        "decompose-sym": (_cmd_decompose_sym, "split A into symmetric and skew parts", matrix),
+        "transpose": (_cmd_transpose, "transpose", matrix),
+        "mul": (_cmd_mul, "matrix product", ("a", {}), ("b", {})),
+    }
     parser = argparse.ArgumentParser(
         prog="qlinalg",
         description="Exact rational linear algebra.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def add(name, func, help_text):
+    for name, (func, help_text, *arguments) in verbs.items():
+        if verb in verbs and name != verb:
+            continue
         p = sub.add_parser(name, help=help_text)
         p._negative_number_matcher = _NEGATIVE_SCALAR
         p.add_argument(
@@ -611,111 +668,17 @@ def build_parser() -> argparse.ArgumentParser:
             default="plain",
             help="output style (default plain)",
         )
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.set_defaults(func=func)
-        return p
-
-    p = add("solve", _cmd_solve, "solve a linear system given as an augmented matrix")
-    p.add_argument("system", help="augmented matrix with '|' before the constants")
-    p.add_argument("--trace", action="store_true", help="print every row operation")
-
-    p = add("rref", _cmd_rref, "completely reduce a matrix")
-    p.add_argument("matrix")
-    p.add_argument("--trace", action="store_true")
-
-    p = add("reduce", _cmd_reduce, "reduce a matrix to a chosen form")
-    p.add_argument("matrix")
-    p.add_argument(
-        "--form",
-        choices=tuple(_CLI_FORMS),
-        default="completely-reduced",
-    )
-    p.add_argument("--trace", action="store_true")
-
-    p = add("inverse", _cmd_inverse, "invert via Gauss-Jordan on [A | I]")
-    p.add_argument("matrix")
-
-    p = add("det", _cmd_det, "determinant")
-    p.add_argument("matrix")
-    p.add_argument("--method", choices=("rowred", "cofactor"), default="rowred")
-    p.add_argument("--trace", action="store_true", help="show per-op det factors")
-
-    p = add("cofactor", _cmd_cofactor, "matrix of signed minors")
-    p.add_argument("matrix")
-
-    p = add("cramer", _cmd_cramer, "solve a square system by Cramer's rule")
-    p.add_argument("system", help="augmented matrix with '|'")
-
-    p = add("adjoint", _cmd_adjoint, "transpose of the cofactor matrix")
-    p.add_argument("matrix")
-
-    p = add("inv-entry", _cmd_inv_entry, "one entry of the inverse, via a single minor")
-    p.add_argument("matrix")
-    p.add_argument("--entry", required=True, help="1-based i,k (row, column)")
-
-    p = add("basis", _cmd_basis, "canonical basis of the span of the given rows")
-    p.add_argument("vectors", help="one generator per row")
-
-    p = add("span-member", _cmd_span_member, "is a vector in the span?")
-    p.add_argument("generators", help="one generator per row")
-    p.add_argument("vector")
-
-    p = add("extend-basis", _cmd_extend_basis, "extend an independent set to a full basis")
-    p.add_argument("vectors")
-
-    p = add("subspace", _cmd_subspace, "is a coordinate-formula set a subspace?")
-    p.add_argument("forms", help="one formula per row, e.g. 'a; -2a+b; -a'")
-    p.add_argument("--params", help="comma-separated parameter order")
-
-    p = add("fundamentals", _cmd_fundamentals, "row, column, and null spaces with rank")
-    p.add_argument("matrix")
-
-    p = add("transform", _cmd_transform, "standard matrix of a linear map")
-    p.add_argument(
-        "map",
-        help="coordinate formulas, 'point -> image' pairs, or a matrix",
-    )
-    p.add_argument("--apply", help="vector to push through the map")
-
-    p = add("kernel", _cmd_kernel, "all vectors a map sends to zero")
-    p.add_argument("map")
-
-    p = add("range", _cmd_range, "all values a map takes")
-    p.add_argument("map")
-
-    p = add("eigen", _cmd_eigen, "characteristic polynomial, eigenvalues, eigenspaces")
-    p.add_argument("matrix")
-
-    p = add("diagonalize", _cmd_diagonalize, "factor A as L D L^-1 when possible")
-    p.add_argument("matrix")
-
-    p = add("power", _cmd_power, "integer matrix power (negative needs invertible)")
-    p.add_argument("matrix")
-    p.add_argument("--power", required=True, type=int, metavar="k")
-
-    p = add("dot", _cmd_dot, "dot product of two vectors")
-    p.add_argument("u")
-    p.add_argument("v")
-
-    p = add("gram-schmidt", _cmd_gram_schmidt, "orthogonalize the span of the rows")
-    p.add_argument("vectors")
-
-    p = add("decompose-sym", _cmd_decompose_sym, "split A into symmetric and skew parts")
-    p.add_argument("matrix")
-
-    p = add("transpose", _cmd_transpose, "transpose")
-    p.add_argument("matrix")
-
-    p = add("mul", _cmd_mul, "matrix product")
-    p.add_argument("a")
-    p.add_argument("b")
-
     return parser
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact answers may run to any length
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         lines, payload = args.func(args)
     except LinAlgError as exc:

@@ -17,7 +17,6 @@ inverse computed without the rest of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable
@@ -30,6 +29,7 @@ from .errors import (
     NotSquare,
     SingularCoefficient,
     WrongSize,
+    _Record,
 )
 from .matrix import Matrix, as_vector
 
@@ -43,8 +43,7 @@ def row_op_det_effect(op: RowOp) -> Fraction:
     return Fraction(1)
 
 
-@dataclass(frozen=True)
-class DetEffectLog:
+class DetEffectLog(_Record):
     """Per-operation determinant factors, in order, with their product.
 
     If ops carry A to B then ``det(B) == factor * det(A)``.
@@ -107,8 +106,7 @@ def det_cofactor(a: Matrix) -> Fraction:
     return _cofactor_det(a.entries)
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(_Record):
     """One cofactor expansion: the signed term per position and the total."""
 
     terms: tuple[Fraction, ...]

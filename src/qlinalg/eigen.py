@@ -17,13 +17,12 @@ of a diagonalization lists them that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Union
 
 from .elimination import inverse_gauss_jordan
-from .errors import NegativePowerOfSingular, NotInvertible, NotSquare
+from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
 from .matrix import Matrix
 from .poly import Polynomial, rational_roots
 from .scalars import Q, _cleared, as_scalar
@@ -65,8 +64,7 @@ def char_poly(a: Matrix) -> Polynomial:
     )
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(_Record):
     """Every eigenvalue is rational: (eigenvalue, algebraic multiplicity) pairs,
     eigenvalues decreasing."""
 
@@ -87,8 +85,7 @@ class Split:
         return 0
 
 
-@dataclass(frozen=True)
-class NotSplit:
+class NotSplit(_Record):
     """The characteristic polynomial has an irreducible-over-Q part left."""
 
     found: tuple[tuple[Fraction, int], ...]
@@ -139,8 +136,7 @@ def deficient_eigenvalue(profile) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class Diagonalizable:
+class Diagonalizable(_Record):
     """A = L D L^{-1}; D's diagonal is decreasing, L's columns are the
     matching eigenspace bases."""
 
@@ -154,8 +150,7 @@ class Diagonalizable:
         return self.L @ self.D @ inverse_gauss_jordan(self.L)
 
 
-@dataclass(frozen=True)
-class NotDiagonalizable:
+class NotDiagonalizable(_Record):
     """Some eigenspace is too small."""
 
     eigenvalue: Fraction
@@ -214,8 +209,7 @@ def matrix_power(a: Matrix, k: int) -> Matrix:
     return a ** k
 
 
-@dataclass(frozen=True)
-class EigenSummary:
+class EigenSummary(_Record):
     """Everything the eigen analysis found, in one bundle."""
 
     char: Polynomial

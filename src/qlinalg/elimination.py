@@ -29,7 +29,6 @@ performs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -39,59 +38,63 @@ from .errors import (
     NotInvertible,
     NotSquare,
     ZeroScale,
+    _Record,
 )
 from .matrix import Matrix, as_vector, hstack
 from .scalars import _cleared, as_scalar, format_scalar
 
 
 # ---- the three operations ----------------------------------------------------
+#
+# A traced reduction builds one per row operation, so each validates and sets
+# its fields in its own __init__, faster than _Record's generic one.
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(_Record):
     """alpha * R[row], alpha nonzero."""
 
     alpha: Fraction
     row: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_scalar(self.alpha))
-        if self.alpha == 0:
+    def __init__(self, alpha, row):
+        alpha = as_scalar(alpha)
+        if alpha == 0:
             raise ZeroScale("scaling a row by zero is not a row operation")
-        if self.row < 0:
-            raise IndexOutOfRange(f"row {self.row}")
+        if row < 0:
+            raise IndexOutOfRange(f"row {row}")
+        self.__dict__.update(alpha=alpha, row=row)
 
 
-@dataclass(frozen=True)
-class AddMultiple:
+class AddMultiple(_Record):
     """alpha * R[source] + R[target] -> R[target], alpha nonzero."""
 
     alpha: Fraction
     source: int
     target: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_scalar(self.alpha))
-        if self.alpha == 0:
+    def __init__(self, alpha, source, target):
+        alpha = as_scalar(alpha)
+        if alpha == 0:
             raise ZeroScale("adding zero times a row is not a row operation")
-        if self.source == self.target:
+        if source == target:
             raise ValueError("source and target rows must differ")
-        if min(self.source, self.target) < 0:
-            raise IndexOutOfRange(f"rows {self.source}, {self.target}")
+        if min(source, target) < 0:
+            raise IndexOutOfRange(f"rows {source}, {target}")
+        self.__dict__.update(alpha=alpha, source=source, target=target)
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(_Record):
     """R[first] <-> R[second]."""
 
     first: int
     second: int
 
-    def __post_init__(self):
-        if self.first == self.second:
+    def __init__(self, first, second):
+        if first == second:
             raise ValueError("swapping a row with itself is not a row operation")
-        if min(self.first, self.second) < 0:
-            raise IndexOutOfRange(f"rows {self.first}, {self.second}")
+        if min(first, second) < 0:
+            raise IndexOutOfRange(f"rows {first}, {second}")
+        self.__dict__.update(first=first, second=second)
 
 
 RowOp = Union[Scale, AddMultiple, Swap]
@@ -166,8 +169,7 @@ def invert_row_op(op: RowOp) -> RowOp:
 # ---- traces -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Record):
     """What an elimination did: the ordered row operations carrying start to end.
 
     Iterating a trace yields its operations.  The elementary matrix of a step
@@ -394,8 +396,7 @@ def satisfies_form(m: Matrix, form: str) -> bool:
 # ---- linear systems ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Inconsistent:
+class Inconsistent(_Record):
     """A row reduced to 0 = value with value nonzero."""
 
     row: int
@@ -405,13 +406,11 @@ class Inconsistent:
         return False
 
 
-@dataclass(frozen=True)
-class Unique:
+class Unique(_Record):
     values: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Infinite:
+class Infinite(_Record):
     """Solutions parametrized by the free variables.
 
     For the r-th leading variable:

@@ -1,8 +1,64 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the base of its result records.
 
 Everything deliberate derives from LinAlgError so callers can catch the whole
 family at once; most are also ValueErrors (IndexOutOfRange is an IndexError).
 """
+
+
+class _Record:
+    """A frozen record whose fields are the subclass's own annotations, in order.
+
+    It behaves as ``@dataclass(frozen=True)`` would (same ``__init__``
+    signature, repr, equality, hash and ``match`` pattern) without importing
+    ``dataclasses`` and generating code per class, which together cost every
+    one-shot CLI run about 30 ms of import.  A field's class attribute is its
+    default; ``__post_init__``, when defined, runs after the fields are set.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in vars(cls):
+                values[name] = vars(cls)[name]
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got unexpected or repeated {sorted(kwargs)}")
+        self.__dict__.update(values)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class LinAlgError(Exception):

@@ -6,10 +6,9 @@ are not scaled to unit length; their squared norms ride along instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AllZeroInput, DimensionMismatch, ZeroVectorPresent
+from .errors import AllZeroInput, DimensionMismatch, ZeroVectorPresent, _Record
 from .matrix import as_vector
 from .spaces import Subspace, _family, basis_of_span
 
@@ -25,8 +24,7 @@ def squared_norm(v) -> Fraction:
     return dot(v, v)
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(_Record):
     """Truthy when pairwise orthogonal; otherwise names the first bad pair."""
 
     ok: bool
@@ -51,8 +49,7 @@ def is_orthogonal_set(vectors) -> OrthogonalityReport:
     return OrthogonalityReport(ok=True)
 
 
-@dataclass(frozen=True)
-class OrthogonalBasis:
+class OrthogonalBasis(_Record):
     """Result of Gram-Schmidt.
 
     ``vectors[i]`` is W_{i+1}; ``squared_norms[i]`` its |W|^2;

@@ -14,7 +14,6 @@ the zero vector is missing and the set is no subspace at all.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -34,6 +33,7 @@ from .errors import (
     MalformedForm,
     MixedDimensions,
     NonLinearCoordinate,
+    _Record,
 )
 from .matrix import Matrix, as_vector
 from .scalars import Q, as_scalar, format_scalar, parse_scalar
@@ -53,14 +53,12 @@ def _family(vectors) -> tuple[Vector, ...]:
 # ---- independence -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Independent:
+class Independent(_Record):
     def __bool__(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Dependent:
+class Dependent(_Record):
     """A row of the stacked generators vanished.
 
     ``row`` is its position at that moment; ``op`` is the reduction step that
@@ -99,8 +97,7 @@ def independence(vectors) -> IndependenceVerdict:
 # ---- subspaces ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Record):
     """A subspace of Q^ambient, carried by an independent (possibly empty) basis."""
 
     ambient: int
@@ -213,8 +210,7 @@ _TOKEN = re.compile(r"[+-]?[^+-]+")
 _NONLINEAR = re.compile(rf"\^|\*\*|{_NAME}\s*\*\s*{_NAME}")
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(_Record):
     """constant + sum of coefficient * parameter, exactly."""
 
     constant: Fraction
@@ -337,8 +333,7 @@ def _read_forms(forms, names, noun: str) -> tuple[list[LinearForm], tuple[str, .
     return parsed, names
 
 
-@dataclass(frozen=True)
-class NotSubspace:
+class NotSubspace(_Record):
     """The described set misses the zero vector."""
 
     coordinate: int
@@ -374,8 +369,7 @@ def subspace_from_forms(forms, parameters=None) -> Union[Subspace, NotSubspace]:
 # ---- the fundamental subspaces of a matrix -------------------------------------
 
 
-@dataclass(frozen=True)
-class Fundamentals:
+class Fundamentals(_Record):
     """Null space, row space, column space, with rank and nullity."""
 
     null: Subspace

@@ -8,7 +8,6 @@ coefficient isomorphism: a polynomial of degree < n is the vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -21,6 +20,7 @@ from .errors import (
     MixedDimensions,
     NotInvertible,
     NotSpanning,
+    _Record,
 )
 from .matrix import Matrix, as_vector
 from .poly import Polynomial
@@ -33,8 +33,7 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class NotLinear:
+class NotLinear(_Record):
     """A coordinate formula carries a nonzero constant, so zero does not map to zero."""
 
     coordinate: int
@@ -50,8 +49,7 @@ class NotLinear:
         )
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(_Record):
     """A linear map Q^n -> Q^m as its standard matrix (m x n).
 
     ``domain_kind`` / ``codomain_kind`` record how coordinates should be

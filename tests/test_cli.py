@@ -188,6 +188,27 @@ def test_power_limit_counts_size_and_denominators(capsys):
     assert run(capsys, "power", "0 0; 0 0", "--power", "100000000")[0] == 0
 
 
+def test_power_limit_counts_every_entry_printed(capsys):
+    # 16 * 9 = 144 gives 7 bits per power: each entry is inside its limit, but
+    # 256 of them would take seconds and megabytes to print
+    r = random.Random(2)
+    text = "; ".join(" ".join(str(r.randint(-9, 9)) for _ in range(16)) for _ in range(16))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "power", text, "--power", "14285")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --power 14285 would print 256 entries of about 99995 bits, "
+        "past the limit of 6400000 bits in all\n"
+    )
+    # 100 * 1 = 100 gives 6 bits per power: one entry of 642 bits is far inside
+    # its limit, 10,000 of them pass the limit in all
+    ones = "; ".join(" ".join(["1"] * 100) for _ in range(100))
+    code, _, err = run(capsys, "power", ones, "--power", "107")
+    assert code == 2
+    assert err.startswith("error: --power 107 would print 10000 entries of about 642 bits")
+
+
 def test_all_zero_gram_schmidt_exits_one(capsys):
     code, _, err = run(capsys, "gram-schmidt", "0 0; 0 0")
     assert code == 1

@@ -8,7 +8,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qlinalg import Matrix, parse_matrix_text, parse_scalar, render_inline
+from qlinalg import Matrix, cli, parse_matrix_text, parse_scalar, render_inline
 from qlinalg.cli import build_parser, main
 
 # verb: (arguments of one answer, arguments of one malformed input)
@@ -41,9 +41,9 @@ CONTRACT = {
 }
 
 
-def parser_verbs() -> set[str]:
+def parser_verbs(verb=None) -> set[str]:
     (sub,) = [
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        a for a in build_parser(verb)._actions if isinstance(a, argparse._SubParsersAction)
     ]
     return set(sub.choices)
 
@@ -73,6 +73,37 @@ def test_every_verb_answers_with_exit_zero_and_rejects_malformed_input_with_two(
             assert code == 2, verb
             assert out == "", verb
             assert err.startswith("error:") and "Traceback" not in err, verb
+
+
+# ---- one subparser per run -----------------------------------------------------------
+
+
+def test_a_verb_builds_only_its_own_subparser():
+    for verb in CONTRACT:
+        assert parser_verbs(verb) == {verb}
+    assert parser_verbs("bogus") == set(CONTRACT)
+
+
+# argvs whose first word names no verb: main builds every subparser for them
+NO_VERB_FIRST = [
+    [], ["--help"], ["-h"], ["bogus"], ["bogus", "1"], ["Det", "1"],
+    ["--format", "json", "det", "1"], ["--", "det", "1"],
+]
+
+
+def test_main_answers_as_the_full_parser_does(monkeypatch):
+    """Exit code, stdout and stderr of every verb's help, missing argument and
+    unknown option, of every contract answer, and of argvs with no verb first,
+    equal what the parser with every verb gives."""
+    full = cli.build_parser
+    argvs = list(NO_VERB_FIRST)
+    for verb, (answer, _) in CONTRACT.items():
+        argvs += [[verb, "--help"], [verb], [verb, "1", "--bogus"], [verb, *answer]]
+    for argv in argvs:
+        lean = run(argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda verb=None: full())
+            assert run(argv) == lean, argv
 
 
 # ---- round trips -------------------------------------------------------------------

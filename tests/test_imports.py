@@ -1,13 +1,49 @@
 """Every module under src/qlinalg uses every name it imports, every
 module-level private name is used by some module of the package, and no
-module computes with floats."""
+module computes with floats.  The public names are pinned, and importing the
+CLI loads no module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import qlinalg
 
 PACKAGE = Path(qlinalg.__file__).parent
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_public_names_are_pinned():
+    public = (GOLDEN / "public_names.txt").read_text().split()
+    assert sorted(qlinalg.__all__) == public
+    module_attributes = [
+        "__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+        "__name__", "__package__", "__path__", "__spec__", "__version__",
+    ]
+    names = [
+        name
+        for name in dir(qlinalg)
+        if not isinstance(getattr(qlinalg, name), types.ModuleType)
+    ]
+    assert names == sorted(public + module_attributes)
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, which pulls in ast, dis and tokenize: import
+    # time every one-shot run would pay for nothing an answer uses.  -S keeps
+    # site (and whatever its .pth files import) out of the count.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import qlinalg.cli, sys; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _unused_imports(source: str) -> list[str]:
