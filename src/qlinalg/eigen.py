@@ -21,12 +21,12 @@ from fractions import Fraction
 from operator import mul
 from typing import Union
 
-from .elimination import inverse_gauss_jordan
+from .elimination import _FractionFree, inverse_gauss_jordan
 from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
 from .matrix import Matrix
 from .poly import Polynomial, rational_roots
 from .scalars import Q, _cleared, as_scalar
-from .spaces import Subspace, fundamental_subspaces
+from .spaces import Subspace, _null_space
 
 
 def char_poly(a: Matrix) -> Polynomial:
@@ -120,7 +120,7 @@ def eigenspace(a: Matrix, lam) -> Subspace:
         [[x - lam if i == j else x for j, x in enumerate(row)]
          for i, row in enumerate(a.entries)]
     )
-    return fundamental_subspaces(shifted).null
+    return _null_space(_FractionFree(shifted))
 
 
 def deficient_eigenvalue(profile) -> Fraction | None:

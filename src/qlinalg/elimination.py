@@ -16,20 +16,22 @@ left factor (:func:`left_factor`) that does the same in one product.
 Pivoting is deterministic: scan columns left to right, take the topmost
 usable row (swapping it up if needed), and clear downward.  The staggered
 result means the "echelon" forms coincide with what the sweep already
-produces; the form names differ in how far normalization and upward
-elimination go.
+produces; the form names differ in how far normalization and clearing above
+the leaders go.
 
-One engine, ``_FractionFree``, runs every reduction.  It eliminates on
-Python ints, dividing exactly by the previous pivot (E. H. Bareiss, Math.
-Comp. 22, 1968), so no entry update pays for a gcd.  Untraced questions
-convert to ``Fraction`` only in the answer; a trace is read off the same
-run afterwards, as the ``Fraction`` operations the paper's elimination
-performs.
+One engine, ``_FractionFree``, runs every reduction as one downward sweep.
+It eliminates on Python ints, dividing exactly by the previous pivot (E. H.
+Bareiss, Math. Comp. 22, 1968), so no entry update pays for a gcd; exact
+back-substitution reads the completely reduced matrix off the same run, on
+only the columns a question reads.  Untraced questions convert to
+``Fraction`` only in the answer; a trace is read off the run afterwards, as
+the ``Fraction`` operations the paper's elimination performs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
 from .errors import (
@@ -225,22 +227,20 @@ _FORM_STAGE = {
 
 
 class _FractionFree:
-    """One reduction on Python ints.
+    """One forward reduction on Python ints.
 
     Each row is multiplied by the lcm of its denominators; the scales travel
-    with the rows through swaps.  Each update ``(p*x - a*y) // prev`` divides
-    exactly by the previous pivot.  Forward mode clears below each pivot.
-    ``upward=True`` clears every other row (fraction-free Gauss-Jordan);
-    afterwards every pivot entry equals the last pivot, so the completely
-    reduced matrix is ``grid / last``.  Rows are rebound, never mutated, so
-    ``chosen[k]`` keeps pivot row k as it was when chosen, with the pivot
-    before it.  ``steps`` holds each swap and, per row cleared below a pivot,
-    the raw ``(pivot row, row, entry, row scale)`` that :meth:`ops` reads.
+    with the rows through swaps.  Each pivot clears the rows below it by
+    ``(p*x - a*y) // prev``, dividing exactly by the previous pivot, and is
+    then left alone: ``chosen[k]`` is pivot row k with the pivot before it,
+    and ``last`` is the final pivot.  ``steps`` holds each swap and, per row
+    cleared below a pivot, the raw ``(pivot row, row, entry, row scale)``
+    that :meth:`ops` reads.
     """
 
-    def __init__(self, m: Matrix, upward: bool = False):
+    def __init__(self, m: Matrix):
         self.start = m
-        self.grid = grid = []
+        grid = []
         self.scales = scales = []
         for row in m.entries:
             ints, s = _cleared(row)
@@ -264,14 +264,11 @@ class _FractionFree:
                 self.steps.append(Swap(r, src))
             top = grid[r]
             p = top[c]
-            for k in range(0 if upward else r + 1, m.rows):
-                if k == r:
-                    continue
+            for k in range(r + 1, m.rows):
                 a = grid[k][c]
                 if a:
                     grid[k] = [(p * x - a * y) // prev for x, y in zip(grid[k], top)]
-                    if k > r:
-                        self.steps.append((r, k, a, scales[k]))
+                    self.steps.append((r, k, a, scales[k]))
                 else:
                     grid[k] = [p * x // prev for x in grid[k]]
             self.pivots.append((r, c))
@@ -286,9 +283,19 @@ class _FractionFree:
         d = prev * self.scales[k]
         return tuple(Fraction(x, d) for x in row)
 
-    def reduced(self, i: int, j: int) -> Fraction:
-        """Entry (i, j) of the completely reduced matrix (after ``upward=True``)."""
-        return Fraction(self.grid[i][j], self.last)
+    def reduced(self, cols) -> list[list[Fraction]]:
+        """The pivot rows of the completely reduced matrix R, restricted to
+        ``cols``, by back-substitution on the pivot rows U_k = ``chosen[k]``
+        from the last pivot up: with c_i the pivot column of row i,
+        ``last*R_k = (last*U_k - sum(U_k[c_i] * last*R_i for i > k)) // U_k[c_k]``.
+        ``last*R`` is integral (Bareiss), so every division is exact."""
+        last, later, columns = self.last, [], [[] for _ in cols]
+        for (_, c), (row, _) in zip(reversed(self.pivots), reversed(self.chosen)):
+            coeffs, p = [row[ci] for ci in later], row[c]
+            for j, done in zip(cols, columns):  # done: last*R_i[j], last pivot first
+                done.append((last * row[j] - sum(map(mul, coeffs, done))) // p)
+            later.append(c)
+        return [[Fraction(done[i], last) for done in columns] for i in reversed(range(len(later)))]
 
     def ops(self, stage: int) -> list[RowOp]:
         """The ``Fraction`` operations carrying the start to ``stage`` (see
@@ -318,15 +325,17 @@ class _FractionFree:
         return ops
 
     def trace(self, stage: int) -> Trace:
-        """``ops(stage)`` and where they end; stage 2 needs ``upward=True``."""
+        """``ops(stage)`` and where they end: the pivot rows of the sweep
+        (stage 0), scaled to leading 1s (stage 1) or completely reduced
+        (stage 2), over the zero rows."""
         if stage == 2:
-            end = [[Fraction(x, self.last) for x in row] for row in self.grid]
+            end = self.reduced(range(self.start.cols))
         else:
             end = []
             for (r, c), (row, prev) in zip(self.pivots, self.chosen):
                 d = prev * self.scales[r] if stage == 0 else row[c]
                 end.append([Fraction(x, d) for x in row])
-            end += [[0] * self.start.cols] * (self.start.rows - len(end))
+        end += [[0] * self.start.cols] * (self.start.rows - len(end))
         return Trace(self.start, Matrix(end), tuple(self.ops(stage)))
 
 
@@ -340,7 +349,7 @@ def reduce(m: Matrix, form: str = "completely_reduced") -> tuple[Matrix, Trace]:
     beyond their reduced counterparts here.
     """
     stage = _form_stage(form)
-    trace = _FractionFree(m, upward=stage == 2).trace(stage)
+    trace = _FractionFree(m).trace(stage)
     return trace.end, trace
 
 
@@ -463,19 +472,21 @@ def _augmented(a: Matrix, b) -> Matrix:
 
 
 def _solution(run: _FractionFree, n: int) -> SolutionSet:
-    """The answer read off an ``upward=True`` reduction of an augmented
-    matrix with ``n`` unknowns.  A pivot in the constants column is the
-    impossible row, reported as its semi-reduced ``0 = value``."""
+    """The answer read off the forward reduction of an augmented matrix with
+    ``n`` unknowns: a pivot in the constants column is the impossible row,
+    reported as its semi-reduced ``0 = value``; else back-substitution reads
+    only the constants column and the free columns."""
     pivots = run.pivots
     for i, j in pivots:
         if j == n:
             return Inconsistent(row=i, value=run.swept_row(i)[j])
     lead_cols = [j for _, j in pivots]
-    constants = tuple(run.reduced(i, n) for i, _ in pivots)
     free = tuple(j for j in range(n) if j not in lead_cols)
+    rows = run.reduced((n, *free))
+    constants = tuple(row[0] for row in rows)
     if not free:
         return Unique(constants)
-    coefficients = tuple(tuple(-run.reduced(i, f) for f in free) for i, _ in pivots)
+    coefficients = tuple(tuple(-x for x in row[1:]) for row in rows)
     return Infinite(tuple(lead_cols), free, constants, coefficients)
 
 
@@ -486,7 +497,7 @@ def solve_with_trace(a: Matrix, b) -> tuple[SolutionSet, Trace]:
     the impossible row shows its raw ``0 = value``; any other runs on to the
     completely reduced matrix the solution is read from.
     """
-    run = _FractionFree(_augmented(a, b), upward=True)
+    run = _FractionFree(_augmented(a, b))
     answer = _solution(run, a.cols)
     return answer, run.trace(0 if isinstance(answer, Inconsistent) else 2)
 
@@ -494,7 +505,7 @@ def solve_with_trace(a: Matrix, b) -> tuple[SolutionSet, Trace]:
 def solve(a: Matrix, b) -> SolutionSet:
     """Classify and solve ``a x = b`` exactly: :func:`solve_with_trace`'s
     answer without its trace."""
-    return _solution(_FractionFree(_augmented(a, b), upward=True), a.cols)
+    return _solution(_FractionFree(_augmented(a, b)), a.cols)
 
 
 def inverse_gauss_jordan(a: Matrix) -> Matrix:
@@ -502,7 +513,7 @@ def inverse_gauss_jordan(a: Matrix) -> Matrix:
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols} matrix has no inverse")
     n = a.rows
-    run = _FractionFree(hstack(a, Matrix.identity(n)), upward=True)
+    run = _FractionFree(hstack(a, Matrix.identity(n)))
     if [j for _, j in run.pivots] != list(range(n)):
         raise NotInvertible("the matrix row-reduces short of the identity")
-    return Matrix([[run.reduced(i, j) for j in range(n, 2 * n)] for i in range(n)])
+    return Matrix(run.reduced(range(n, 2 * n)))

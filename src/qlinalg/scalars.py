@@ -64,7 +64,10 @@ def as_scalar(value) -> Fraction:
 
 
 def _cleared(values) -> tuple[list[int], int]:
-    """Integers ``ints`` and the lcm ``s`` of the denominators of ``values``,
-    with ``values[i] == ints[i] / s``."""
-    s = lcm(*(x.denominator for x in values))
-    return [x.numerator * (s // x.denominator) for x in values], s
+    """Integers ``ints`` and the lcm ``s`` of the denominators of the
+    sequence ``values``, with ``values[i] == ints[i] / s``."""
+    dens = [x.denominator for x in values]
+    s = lcm(*dens)
+    if s == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (s // d) for x, d in zip(values, dens)], s

@@ -379,37 +379,38 @@ class Fundamentals(_Record):
     nullity: int
 
 
+def _null_space(run: _FractionFree) -> Subspace:
+    """The null space of ``run.start``: one generator per free column (set it
+    to 1, the other free columns to 0, and read each leading variable off the
+    completely reduced matrix, on the free columns only)."""
+    cols = run.start.cols
+    lead_cols = [c for _, c in run.pivots]
+    free = [j for j in range(cols) if j not in lead_cols]
+    rows = run.reduced(free)
+    basis = []
+    for s, f in enumerate(free):
+        v = [Q(0)] * cols
+        v[f] = Q(1)
+        for c, row in zip(lead_cols, rows):
+            v[c] = -row[s]
+        basis.append(tuple(v))
+    return Subspace._trusted(cols, tuple(basis))
+
+
 def fundamental_subspaces(a: Matrix) -> Fundamentals:
-    """All three subspaces from one reduction of ``a``.
+    """All three subspaces from one forward reduction of ``a``.
 
     Row space: nonzero rows once the downward sweep is done (the
     semi-reduced matrix).  Column space: the columns of the *original* matrix
-    at the leader positions.  Null space: one generator per free column (set
-    it to 1, other free columns to 0, and read each leading variable off the
-    completely reduced matrix).  Each basis is independent by construction.
+    at the leader positions.  Null space: see :func:`_null_space`.  Each
+    basis is independent by construction.
     """
-    run = _FractionFree(a, upward=True)
-    lead_cols = [j for _, j in run.pivots]
-    rank = len(lead_cols)
-    row_space = Subspace._trusted(
-        a.cols, tuple(run.swept_row(k) for k in range(rank))
-    )
-    column_space = Subspace._trusted(a.rows, tuple(a.col(j) for j in lead_cols))
-
-    free = [j for j in range(a.cols) if j not in lead_cols]
-    null_basis = []
-    for f in free:
-        v = [Q(0)] * a.cols
-        v[f] = Q(1)
-        for r, c in run.pivots:
-            v[c] = -run.reduced(r, f)
-        null_basis.append(tuple(v))
-    null_space = Subspace._trusted(a.cols, tuple(null_basis))
-
+    run = _FractionFree(a)
+    rank = len(run.pivots)
     return Fundamentals(
-        null=null_space,
-        row=row_space,
-        column=column_space,
+        null=_null_space(run),
+        row=Subspace._trusted(a.cols, tuple(run.swept_row(k) for k in range(rank))),
+        column=Subspace._trusted(a.rows, tuple(a.col(j) for _, j in run.pivots)),
         rank=rank,
         nullity=a.cols - rank,
     )

@@ -613,6 +613,117 @@ def test_fraction_free_answers_equal_the_fraction_route_property(system):
     _assert_matches_oracle(*system)
 
 
+# ---- the back-substitution reader --------------------------------------------------
+
+
+def _rank_grid(rng, rows, cols, rank):
+    """A rows x cols grid of rank ``rank``: the product of random p/q grids of
+    shapes rows x rank and rank x cols, drawn again until the rank is exact."""
+    while True:
+        left = oracles.rand_grid(rng, rows, rank, denominators=_DENOMINATORS)
+        right = oracles.rand_grid(rng, rank, cols, denominators=_DENOMINATORS)
+        grid = oracles.naive_matmul(left, right)
+        if oracles.rank(grid) == rank:
+            return grid
+
+
+def _reader_grid(rng, kind):
+    if kind == "wide":
+        return oracles.rand_grid(rng, 3, 7, denominators=_DENOMINATORS)
+    if kind == "tall":
+        return oracles.rand_grid(rng, 7, 3, denominators=_DENOMINATORS)
+    if kind == "square":
+        return oracles.rand_grid(rng, 5, 5, lo=-99, hi=99)
+    if kind in ("rank n-1", "rank n-2"):
+        n = rng.randrange(3, 7)
+        return _rank_grid(rng, n, n, n - int(kind[-1]))
+    if kind == "zero columns":
+        grid = _rank_grid(rng, 4, 6, 3)
+        for j in rng.sample(range(6), 2):
+            for row in grid:
+                row[j] = Q(0)
+        return grid
+    if kind == "sparse":
+        return _shaped_grid(rng, 5, 6, "sparse")
+    return [[Q(0)] * 4 for _ in range(3)]
+
+
+_READER_KINDS = ("wide", "tall", "square", "rank n-1", "rank n-2", "zero columns", "sparse", "zero")
+
+
+@pytest.mark.parametrize("kind", _READER_KINDS)
+def test_reader_gives_the_completely_reduced_pivot_rows(kind):
+    rng = random.Random(f"reader/{kind}")
+    for _ in range(12):
+        rows = _reader_grid(rng, kind)
+        run = qlinalg.elimination._FractionFree(Matrix(rows))
+        _, full, pivots = oracles.eliminate(rows, 2)
+        expected = [list(row) for row in full[: len(pivots)]]
+        assert repr(run.reduced(range(len(rows[0])))) == repr(expected)
+        # Any columns, in any order, are the same entries.
+        cols = rng.sample(range(len(rows[0])), rng.randrange(len(rows[0]) + 1))
+        assert run.reduced(cols) == [[row[j] for j in cols] for row in expected]
+        # The reader's floor divisions are exact because last * R is integral.
+        assert all((run.last * x).denominator == 1 for row in full for x in row)
+
+
+def test_reader_asks_only_for_the_columns_it_is_given(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        qlinalg.elimination, "Fraction", lambda *a: built.append(a) or Fraction(*a)
+    )
+    a = Matrix.parse("2 1 0 1; 1 3 1 0; 0 1 4 5")
+    run = qlinalg.elimination._FractionFree(a)
+    built.clear()
+    full = oracles.eliminate(a.entries, 2)[1]
+    assert run.reduced((3, 1)) == [[row[3], row[1]] for row in full]
+    assert len(built) == 6
+
+
+# ---- a differential of the answers against the oracles --------------------------
+
+
+def _system(rng, kind):
+    """A p/q system ``(a, b)`` whose solution set is of the named kind."""
+    n = rng.randrange(1, 6)
+    if kind == "unique":
+        a = _rank_grid(rng, n, n, n)
+        return a, [oracles.rand_fraction(rng, denominators=_DENOMINATORS) for _ in range(n)]
+    cols = rng.randrange(2, 7)
+    rank = rng.randrange(1, cols)
+    rows = rank + rng.randrange(1, 3) if kind == "inconsistent" else rng.randrange(1, 6)
+    rank = min(rank, rows)
+    a = _rank_grid(rng, rows, cols, rank)
+    x = [oracles.rand_fraction(rng, denominators=_DENOMINATORS) for _ in range(cols)]
+    b = [sum((p * q for p, q in zip(row, x)), Q(0)) for row in a]
+    if kind == "inconsistent":
+        # a has more rows than its rank: a left null vector y exists, and a
+        # constant with y . b != 0 has no solution.
+        while oracles.rank([row + [c] for row, c in zip(a, b)]) == rank:
+            b[rng.randrange(rows)] += oracles.rand_fraction(rng, lo=1, hi=6)
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ("unique", "infinite", "inconsistent"))
+def test_answers_equal_the_oracles_on_seeded_systems(kind):
+    rng = random.Random(f"differential/{kind}")
+    for _ in range(110):
+        rows, b = _system(rng, kind)
+        expected = oracles.solve_by_elimination(rows, b)
+        assert expected[0] == kind
+        a = Matrix(rows)
+        assert repr(_plain_solution(solve(a, b))) == repr(expected)
+        assert repr(_plain_solution(solve_with_trace(a, b)[0])) == repr(expected)
+        assert repr(fundamental_subspaces(a).null.basis) == repr(oracles.null_basis(rows))
+        if a.is_square:
+            inverse = oracles.inverse_by_elimination(rows)
+            if inverse is None:
+                with pytest.raises(NotInvertible):
+                    inverse_gauss_jordan(a)
+            else:
+                assert repr(inverse_gauss_jordan(a).entries) == repr(inverse)
+
+
 _A = Matrix.parse("2 1 0; 1 3 1; 0 1 4")
 _PLANE_A = basis_of_span([(1, 0, 1, 0), (0, 1, 0, 1)])
 _PLANE_B = basis_of_span([(1, 1, 1, 1), (1, -1, 1, -1)])
