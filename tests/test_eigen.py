@@ -163,6 +163,14 @@ def test_eigenspaces_of_the_fixture():
     assert eigenspace(A_TRI, -1).basis == ((Q(-1, 3), 1, 1),)
 
 
+def test_eigenspace_builds_only_the_null_space(monkeypatch):
+    def row_space(self, k):
+        raise AssertionError("eigenspace read a row of the sweep")
+
+    monkeypatch.setattr(qlinalg.elimination._FractionFree, "swept_row", row_space)
+    assert eigenspace(A_TRI, -1).basis == ((Q(-1, 3), 1, 1),)
+
+
 def test_eigenspace_vectors_are_actual_eigenvectors():
     for lam in (2, 1, -1):
         for v in eigenspace(A_TRI, lam).basis:
