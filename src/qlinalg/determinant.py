@@ -10,15 +10,16 @@ Two independent routes to the same number:
 * :func:`det_cofactor` / :func:`cofactor_expand` -- recursive signed-minor
   expansion along a chosen row or column.
 
-On top of these: the 2x2 shortcut inverse, Cramer's rule, the cofactor
-matrix and adjoint, the adjoint-route inverse, and single entries of the
-inverse computed without the rest of it.
+On top of these: the 2x2 shortcut inverse, and the cofactor matrix, one
+reduction per row, with the adjoint, the adjoint-route inverse, single
+inverse entries and Cramer's rule read off its rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Iterable
 
 from .elimination import RowOp, Scale, Swap, Trace, _FractionFree, reduce
@@ -32,6 +33,7 @@ from .errors import (
     _Record,
 )
 from .matrix import Matrix, as_vector
+from .spaces import _null_space
 
 
 def row_op_det_effect(op: RowOp) -> Fraction:
@@ -165,45 +167,45 @@ def inverse_2x2(a: Matrix) -> Matrix:
     )
 
 
+def _cofactor_row(a: Matrix, i: int) -> tuple[Fraction, ...]:
+    """Row i of the cofactor matrix from one reduction of B, A without row i.
+    Expanding det(A) along row i with another row of A in its place gives 0,
+    so the row is a null vector of B: zero when rank B < n - 1, else C_if
+    times the null vector with 1 at B's one free column f, where C_if =
+    (-1)^(i+f) det(B without column f) is the run's signed last pivot / scales."""
+    n = a.rows
+    if n == 1:
+        return (Fraction(1),)  # the cofactor of the empty minor
+    run = _FractionFree(a.drop(row=i))
+    if len(run.pivots) < n - 1:
+        return (Fraction(0),) * n
+    f = n * (n - 1) // 2 - sum(c for _, c in run.pivots)  # the column with no pivot
+    minor = Fraction((-1) ** (i + f) * run.sign * run.last, prod(run.scales))
+    return tuple(minor * x for x in _null_space(run).basis[0])
+
+
 def cramer_solve(c: Matrix, b) -> tuple[Fraction, ...]:
-    """Solve ``c x = b`` by determinant ratios; needs det(c) nonzero."""
+    """Solve ``c x = b`` by determinant ratios (det(c) nonzero), each expanded down
+    a column of cofactors: det(c) down column 0, c with column j set to b down j."""
     if not c.is_square:
         raise NotSquare("Cramer's rule needs a square coefficient matrix")
     bvec = as_vector(b)
     if len(bvec) != c.rows:
         raise DimensionMismatch(f"{c.rows} equations, {len(bvec)} constants")
-    d = det(c)
+    cof = [_cofactor_row(c, i) for i in range(c.rows)]
+    d = sum(map(mul, c.col(0), (row[0] for row in cof)))
     if d == 0:
         raise SingularCoefficient("coefficient determinant is zero")
-    values = []
-    for j in range(c.cols):
-        replaced = Matrix(
-            [
-                [bvec[i] if jj == j else c[i, jj] for jj in range(c.cols)]
-                for i in range(c.rows)
-            ]
-        )
-        values.append(det(replaced) / d)
-    return tuple(values)
+    return tuple(sum(map(mul, bvec, column)) / d for column in zip(*cof))
 
 
 def cofactor_matrix(a: Matrix) -> Matrix:
-    """Matrix of signed minors; defined for square n >= 2."""
+    """Matrix of signed minors, one reduction per row; defined for square n >= 2."""
     if not a.is_square:
         raise NotSquare("cofactor matrix needs a square matrix")
     if a.rows < 2:
         raise WrongSize("cofactor matrix needs n >= 2")
-    n = a.rows
-    return Matrix(
-        [
-            [
-                (Fraction(-1) if (i + j) % 2 else Fraction(1))
-                * det(a.drop(row=i, col=j))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+    return Matrix([_cofactor_row(a, i) for i in range(a.rows)])
 
 
 def adjoint(a: Matrix) -> Matrix:
@@ -220,10 +222,8 @@ def inverse_adjoint(a: Matrix) -> Matrix:
 
 
 def inverse_entry(a: Matrix, i: int, k: int) -> Fraction:
-    """Entry (i, k) of the inverse, from a single minor (0-based indices).
-
-    Equals (-1)^(i+k) det(A with row k and column i removed) / det(A).
-    """
+    """Entry (i, k) of the inverse (0-based indices): C_ki / det(A), with
+    det(A) expanded along the same row of cofactors as sum_j a_kj C_kj."""
     if not a.is_square:
         raise NotSquare("inverse entries need a square matrix")
     if a.rows < 2:
@@ -231,8 +231,8 @@ def inverse_entry(a: Matrix, i: int, k: int) -> Fraction:
     n = a.rows
     if not (0 <= i < n and 0 <= k < n):
         raise IndexOutOfRange(f"entry ({i}, {k}) outside a {n}x{n} matrix")
-    d = det(a)
+    row = _cofactor_row(a, k)
+    d = sum(map(mul, a.row(k), row))
     if d == 0:
         raise NotInvertible("determinant is zero")
-    sign = Fraction(-1) if (i + k) % 2 else Fraction(1)
-    return sign * det(a.drop(row=k, col=i)) / d
+    return row[i] / d

@@ -233,32 +233,23 @@ def eigen_summary(a: Matrix) -> EigenSummary:
     diagonalizability verdict, all at once."""
     p = char_poly(a)
     verdict = _roots_verdict(p)
-    roots = verdict.roots if isinstance(verdict, Split) else verdict.found
+    split = isinstance(verdict, Split)
+    roots = verdict.roots if split else verdict.found
     spaces = tuple((lam, eigenspace(a, lam)) for lam, _ in roots)
-    if isinstance(verdict, NotSplit):
-        return EigenSummary(
-            char=p,
-            split=False,
-            roots=roots,
-            residual=verdict.residual,
-            spaces=spaces,
-            diagonalizable=None,
-            deficient=None,
-        )
     deficient = next(
         (
             (lam, alg, space.dimension)
             for (lam, alg), (_, space) in zip(roots, spaces)
-            if space.dimension < alg
+            if split and space.dimension < alg
         ),
         None,
     )
     return EigenSummary(
         char=p,
-        split=True,
+        split=split,
         roots=roots,
-        residual=None,
+        residual=None if split else verdict.residual,
         spaces=spaces,
-        diagonalizable=deficient is None,
+        diagonalizable=deficient is None if split else None,
         deficient=deficient,
     )

@@ -206,24 +206,18 @@ def left_factor(trace: Trace) -> Matrix:
 
 # ---- reduction ------------------------------------------------------------------
 
-FORMS = (
-    "semi_reduced",
-    "reduced",
-    "completely_reduced",
-    "echelon",
-    "reduced_echelon",
-)
-
 # How far each form goes: 0 = clear below leaders, 1 = also scale leaders
 # to 1, 2 = also clear above leaders.  Reduced-echelon is a completely
 # reduced matrix whose leaders are staggered, so it shares stage 2.
 _FORM_STAGE = {
     "semi_reduced": 0,
-    "echelon": 0,
     "reduced": 1,
-    "reduced_echelon": 2,
     "completely_reduced": 2,
+    "echelon": 0,
+    "reduced_echelon": 2,
 }
+
+FORMS = tuple(_FORM_STAGE)
 
 
 class _FractionFree:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .elimination import inverse_gauss_jordan
+from .elimination import _FractionFree, inverse_gauss_jordan
 from .errors import (
     DegreeTooHigh,
     DependentPoints,
@@ -25,12 +25,7 @@ from .errors import (
 from .matrix import Matrix, as_vector
 from .poly import Polynomial
 from .scalars import Q, format_scalar
-from .spaces import (
-    Fundamentals,
-    Subspace,
-    _read_forms,
-    fundamental_subspaces,
-)
+from .spaces import Subspace, _null_space, _read_forms, fundamental_subspaces
 
 
 class NotLinear(_Record):
@@ -80,16 +75,13 @@ class LinearMap(_Record):
     def __call__(self, v) -> tuple[Fraction, ...]:
         return self.apply(v)
 
-    def _fundamentals(self) -> Fundamentals:
-        return fundamental_subspaces(self.matrix)
-
     def kernel(self) -> Subspace:
         """All domain vectors sent to zero (the matrix's null space)."""
-        return self._fundamentals().null
+        return _null_space(_FractionFree(self.matrix))
 
     def range(self) -> Subspace:
         """All values actually taken (the matrix's column space)."""
-        return self._fundamentals().column
+        return fundamental_subspaces(self.matrix).column
 
 
 def from_matrix(m: Matrix) -> LinearMap:

@@ -455,6 +455,19 @@ def test_a_power_past_the_entry_size_limit_is_refused_before_computing():
     )
 
 
+def test_adjoint_of_a_40x40_answers_in_bounded_time():
+    rng = random.Random(4040)
+    text = "; ".join(" ".join(str(rng.randint(-9, 9)) for _ in range(40)) for _ in range(40))
+    env = dict(os.environ, PYTHONPATH=str(Path(qlinalg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlinalg", "adjoint", text],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stdout.splitlines()) == 40
+
+
 def test_det_reads_a_5000_digit_entry():
     entry = "7" * 5000
     proc = _qlinalg_subprocess("det", f"{entry} 0; 0 1")

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -234,6 +235,74 @@ def test_adjoint_identity_holds_even_when_singular():
     a = Matrix.parse("1 2 3; 2 4 6; 1 1 1")  # rank 2
     assert det(a) == 0
     assert a @ adjoint(a) == Matrix.zero(3, 3)
+
+
+def test_one_by_one_adjoint_routes():
+    # det comes first, so a zero 1x1 is not invertible before it is too small
+    with pytest.raises(NotInvertible):
+        inverse_adjoint(Matrix.parse("0"))
+    with pytest.raises(WrongSize):
+        inverse_adjoint(Matrix.parse("5"))
+    # the cofactor of a 1x1 is that of the empty minor, 1
+    assert cramer_solve(Matrix.parse("4"), [2]) == (Q(1, 2),)
+    assert cramer_solve(Matrix.parse("-1/3"), [0]) == (Q(0),)
+    with pytest.raises(SingularCoefficient):
+        cramer_solve(Matrix.parse("0"), [1])
+
+
+# ---- cofactors against the per-minor definition -----------------------------------
+
+
+def _grid_of_rank(rng, n, rank, denominators):
+    """An n x n grid of rank ``rank``: an n x rank grid times a rank x n grid,
+    drawn again until the rank is exact."""
+    while True:
+        left = oracles.rand_grid(rng, n, rank, denominators=denominators)
+        right = oracles.rand_grid(rng, rank, n, denominators=denominators)
+        grid = [
+            [sum((left[i][k] * right[k][j] for k in range(rank)), Q(0)) for j in range(n)]
+            for i in range(n)
+        ]
+        if oracles.rank(grid) == rank:
+            return grid
+
+
+def _minor(grid, i, j):
+    return [row[:j] + row[j + 1:] for k, row in enumerate(grid) if k != i]
+
+
+@pytest.mark.parametrize("entries", ["integer", "p/q"])
+@pytest.mark.parametrize("deficiency", [0, 1, 2])
+def test_cofactors_are_the_signed_minors(entries, deficiency):
+    rng = random.Random(f"cofactors/{entries}/{deficiency}")
+    denominators = (1,) if entries == "integer" else (1, 2, 3, 5, 7)
+    for n in [*range(2, 9)] * 2:
+        grid = _grid_of_rank(rng, n, n - deficiency, denominators)
+        a = Matrix(grid)
+        expected = [
+            [(-1) ** (i + j) * oracles.det_by_elimination(_minor(grid, i, j)) for j in range(n)]
+            for i in range(n)
+        ]
+        cof = cofactor_matrix(a)
+        assert cof == Matrix(expected)
+        d = oracles.det_by_elimination(grid)
+        assert a @ adjoint(a) == adjoint(a) @ a == d * Matrix.identity(n)
+        # Cramer's numerators: the determinants with column j replaced by b
+        b = [oracles.rand_fraction(rng) for _ in range(n)]
+        numerators = [
+            oracles.det_by_elimination([row[:j] + [b_i] + row[j + 1:] for row, b_i in zip(grid, b)])
+            for j in range(n)
+        ]
+        assert [sum(map(operator.mul, b, cof.col(j))) for j in range(n)] == numerators
+        if deficiency:
+            with pytest.raises(SingularCoefficient):
+                cramer_solve(a, b)
+            with pytest.raises(NotInvertible):
+                inverse_entry(a, rng.randrange(n), rng.randrange(n))
+        else:
+            assert cramer_solve(a, b) == tuple(x / d for x in numerators)
+            i, k = rng.randrange(n), rng.randrange(n)
+            assert inverse_entry(a, i, k) == expected[k][i] / d
 
 
 # ---- single inverse entries -------------------------------------------------------

@@ -23,6 +23,8 @@ from qlinalg import (
     ZeroScale,
     apply_row_op,
     basis_of_span,
+    cofactor_matrix,
+    cramer_solve,
     det,
     det_with_effects,
     eigenspace,
@@ -32,6 +34,8 @@ from qlinalg import (
     fundamental_subspaces,
     hstack,
     independence,
+    inverse_adjoint,
+    inverse_entry,
     inverse_gauss_jordan,
     invert_row_op,
     leaders,
@@ -771,6 +775,11 @@ _REDUCTIONS = {
     ),
     "reduce": (lambda: reduce(_A), 1),
     "det_with_effects": (lambda: det_with_effects(_A), 1),
+    # the adjoint route: one reduction per row of cofactors, 3 rows in _A
+    "cofactor_matrix": (lambda: cofactor_matrix(_A), 3),
+    "inverse_entry": (lambda: inverse_entry(_A, 0, 2), 1),
+    "cramer_solve": (lambda: cramer_solve(_A, [3, 5, 5]), 3),
+    "inverse_adjoint": (lambda: inverse_adjoint(_A), 4),
 }
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import qlinalg.elimination
 from qlinalg import (
     DegreeTooHigh,
     DependentPoints,
@@ -176,6 +177,15 @@ def test_kernel_and_range_of_projection_like_map():
     rng_space = t.range()
     assert rng_space.basis == ((-5, 0, -1, 0), (0, 2, 0, 0))
     assert ker.dimension + rng_space.dimension == t.domain_dim
+
+
+def test_kernel_builds_only_the_null_space(monkeypatch):
+    def row_space(self, k):
+        raise AssertionError("kernel read a row of the sweep")
+
+    monkeypatch.setattr(qlinalg.elimination._FractionFree, "swept_row", row_space)
+    t = from_forms(("-5x1", "2x2+x3", "-x1", "0"))
+    assert t.kernel().basis == ((0, Q(-1, 2), 1),)
 
 
 def test_kernel_vectors_actually_die():
