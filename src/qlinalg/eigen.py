@@ -3,13 +3,15 @@
 The characteristic polynomial det(A - x I) is computed exactly by Berkowitz's
 division-free algorithm, and its rational roots are isolated by a Sturm
 sequence (:func:`qlinalg.poly.rational_roots`); both take time polynomial in
-n and in the entry bit size.  Both compute on Python ints: Berkowitz on d A,
-d the common denominator of A, and the root search on the polynomial's
-primitive integer coefficients; each coefficient and root becomes a
-``Fraction`` once, at the end.  Irrational or complex eigenvalues cannot be
-represented here; in that case the honest answer is a :class:`NotSplit`
-verdict carrying whatever rational roots were found and the unfactored
-remainder.
+n and in the entry bit size.  Each public call clears A once, to its integer
+image B = d A with d the lcm of A's denominators, and everything in the call
+reads B: Berkowitz runs on B and hands the root search the polynomial's
+primitive integer coefficients, and the eigenspace of p/q is the null space
+of the integer rows q B - p d I.  Each coefficient, root and basis entry
+becomes a ``Fraction`` once, at the end.  Irrational or complex eigenvalues
+cannot be represented here; in that case the honest answer is a
+:class:`NotSplit` verdict carrying whatever rational roots were found and the
+unfactored remainder.
 
 Eigenvalues are always reported in decreasing order, and the diagonal factor
 of a diagonalization lists them that way.
@@ -23,28 +25,37 @@ from typing import Union
 
 from .elimination import _FractionFree, inverse_gauss_jordan
 from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
-from .matrix import Matrix
-from .poly import Polynomial, rational_roots
-from .scalars import Q, _cleared, as_scalar
+from .matrix import Matrix, _integer_image
+from .poly import Polynomial, _primitive, _rational_roots
+from .scalars import Q, as_scalar
 from .spaces import Subspace, _null_space
 
 
-def char_poly(a: Matrix) -> Polynomial:
-    """det(A - x I), ascending coefficients; leading coefficient (-1)^n.
-
-    Berkowitz's division-free algorithm, O(n^4) ring operations, run on the
-    integer matrix B = d A, d the lcm of A's denominators.  Write each leading
-    principal submatrix as B_k = [[M, C], [R, b_kk]].  The descending
-    coefficients of det(x I - B_k) are the lower-triangular Toeplitz matrix
-    with first column [1, -b_kk, -R C, -R M C, ..., -R M^(k-1) C] times those
-    of det(x I - M).  Since det(x I - A) = d^-n det(d x I - B), its
-    coefficient of x^i is that of det(x I - B) over d^(n-i).
-    """
+def _square_image(a: Matrix) -> tuple[list[list[int]], int]:
+    """The integer image of A (see ``matrix._integer_image``), A square."""
     if not a.is_square:
         raise NotSquare("characteristic polynomials need a square matrix")
-    n = a.rows
-    flat, d = _cleared([x for row in a.entries for x in row])
-    g = [flat[i * n:(i + 1) * n] for i in range(n)]
+    return _integer_image(a)
+
+
+def char_poly(a: Matrix) -> Polynomial:
+    """det(A - x I), ascending coefficients; leading coefficient (-1)^n."""
+    return _char_poly(*_square_image(a))[0]
+
+
+def _char_poly(g: list[list[int]], d: int) -> tuple[Polynomial, tuple[int, ...]]:
+    """det(A - x I) for A = B / d, B the integer rows ``g``, and its primitive
+    integer coefficients (ascending, sign kept).
+
+    Berkowitz's division-free algorithm, O(n^4) ring operations, run on B.
+    Write each leading principal submatrix as B_k = [[M, C], [R, b_kk]].  The
+    descending coefficients of det(x I - B_k) are the lower-triangular
+    Toeplitz matrix with first column [1, -b_kk, -R C, -R M C, ...,
+    -R M^(k-1) C] times those of det(x I - M).  Since det(x I - A) =
+    d^-n det(d x I - B), its coefficient of x^i is that of det(x I - B) over
+    d^(n-i); times d^n, it is that coefficient times d^i.
+    """
+    n = len(g)
     coeffs = [1]
     for k in range(n):
         m = [g[i][:k] for i in range(k)]
@@ -59,9 +70,8 @@ def char_poly(a: Matrix) -> Polynomial:
             for i in range(k + 2)
         ]
     sign = -1 if n % 2 else 1
-    return Polynomial(
-        [Fraction(sign * c, d ** i) for i, c in enumerate(coeffs)][::-1]
-    )
+    poly = Polynomial([Fraction(sign * c, d**i) for i, c in enumerate(coeffs)][::-1])
+    return poly, _primitive([sign * c * d**i for i, c in enumerate(reversed(coeffs))])
 
 
 class Split(_Record):
@@ -100,11 +110,12 @@ EigenvalueVerdict = Union[Split, NotSplit]
 
 def eigenvalues(a: Matrix) -> EigenvalueVerdict:
     """Rational roots of the characteristic polynomial, with multiplicity."""
-    return _roots_verdict(char_poly(a))
+    return _roots_verdict(*_char_poly(*_square_image(a)))
 
 
-def _roots_verdict(p: Polynomial) -> EigenvalueVerdict:
-    roots, residual = rational_roots(p)
+def _roots_verdict(p: Polynomial, ints: tuple[int, ...]) -> EigenvalueVerdict:
+    """The verdict on ``p``, given with its primitive integer coefficients."""
+    roots, residual = _rational_roots(ints, p.coefficients[-1])
     ordered = tuple(sorted(roots, key=lambda rm: rm[0], reverse=True))
     if residual.degree <= 0:
         return Split(roots=ordered)
@@ -115,12 +126,18 @@ def eigenspace(a: Matrix, lam) -> Subspace:
     """Null space of A - lam I (zero-dimensional when lam is no eigenvalue)."""
     if not a.is_square:
         raise NotSquare("eigenspaces need a square matrix")
-    lam = as_scalar(lam)
-    shifted = Matrix(
-        [[x - lam if i == j else x for j, x in enumerate(row)]
-         for i, row in enumerate(a.entries)]
-    )
-    return _null_space(_FractionFree(shifted))
+    return _eigenspace(*_integer_image(a), as_scalar(lam))
+
+
+def _eigenspace(b: list[list[int]], d: int, lam: Fraction) -> Subspace:
+    """The null space of A - lam I for A = B / d, B the integer rows ``b``,
+    read off the integer rows q B - p d I (lam = p/q): that is q d (A - lam I),
+    with the same null space."""
+    p, q = lam.numerator, lam.denominator
+    rows = [[q * x for x in row] for row in b]
+    for i, row in enumerate(rows):
+        row[i] -= p * d
+    return _null_space(_FractionFree(rows))
 
 
 def deficient_eigenvalue(profile) -> Fraction | None:
@@ -170,24 +187,25 @@ def diagonalize(a: Matrix) -> DiagonalizeVerdict:
     Walking eigenvalues in decreasing order, the first one whose eigenspace
     dimension misses its algebraic multiplicity decides NotDiagonalizable.
     """
-    verdict = eigenvalues(a)
+    b, d = _square_image(a)
+    verdict = _roots_verdict(*_char_poly(b, d))
     if isinstance(verdict, NotSplit):
         return verdict
     columns: list[tuple[Fraction, ...]] = []
     diag: list[Fraction] = []
     for lam, alg in verdict.roots:
-        space = eigenspace(a, lam)
+        space = _eigenspace(b, d, lam)
         if space.dimension < alg:
             return NotDiagonalizable(
                 eigenvalue=lam, algebraic=alg, geometric=space.dimension
             )
         columns.extend(space.basis)
         diag.extend([lam] * alg)
-    scale = Matrix(
-        [[diag[i] if i == j else Q(0) for j in range(len(diag))]
-         for i in range(len(diag))]
+    zero, n = Q(0), len(diag)
+    scale = Matrix._of(
+        tuple(tuple(x if i == j else zero for j in range(n)) for i, x in enumerate(diag))
     )
-    return Diagonalizable(L=Matrix.from_columns(columns), D=scale)
+    return Diagonalizable(L=Matrix._of(tuple(zip(*columns))), D=scale)
 
 
 def matrix_power(a: Matrix, k: int) -> Matrix:
@@ -231,11 +249,12 @@ class EigenSummary(_Record):
 def eigen_summary(a: Matrix) -> EigenSummary:
     """Characteristic polynomial, eigenvalues, eigenspaces, and the
     diagonalizability verdict, all at once."""
-    p = char_poly(a)
-    verdict = _roots_verdict(p)
+    b, d = _square_image(a)
+    p, ints = _char_poly(b, d)
+    verdict = _roots_verdict(p, ints)
     split = isinstance(verdict, Split)
     roots = verdict.roots if split else verdict.found
-    spaces = tuple((lam, eigenspace(a, lam)) for lam, _ in roots)
+    spaces = tuple((lam, _eigenspace(b, d, lam)) for lam, _ in roots)
     deficient = next(
         (
             (lam, alg, space.dimension)

@@ -223,32 +223,37 @@ FORMS = tuple(_FORM_STAGE)
 class _FractionFree:
     """One forward reduction on Python ints.
 
-    Each row is multiplied by the lcm of its denominators; the scales travel
-    with the rows through swaps.  Each pivot clears the rows below it by
-    ``(p*x - a*y) // prev``, dividing exactly by the previous pivot, and is
-    then left alone: ``chosen[k]`` is pivot row k with the pivot before it,
-    and ``last`` is the final pivot.  ``steps`` holds each swap and, per row
-    cleared below a pivot, the raw ``(pivot row, row, entry, row scale)``
+    Each row of a ``Matrix`` is multiplied by the lcm of its denominators;
+    rows that are already ints (a list of int lists, which the run takes
+    over) keep a scale of 1.  The scales travel with the rows through swaps.
+    Each pivot clears the rows below it by ``(p*x - a*y) // prev``, dividing
+    exactly by the previous pivot, and is then left alone: ``chosen[k]`` is
+    pivot row k with the pivot before it, and ``last`` is the final pivot.
+    ``width`` is the number of columns.  ``steps`` holds each swap and, per
+    row cleared below a pivot, the raw ``(pivot row, row, entry, row scale)``
     that :meth:`ops` reads.
     """
 
-    def __init__(self, m: Matrix):
-        self.start = m
-        grid = []
-        self.scales = scales = []
-        for row in m.entries:
-            ints, s = _cleared(row)
-            grid.append(ints)
-            scales.append(s)
+    def __init__(self, m: Matrix | list[list[int]]):
+        if isinstance(m, Matrix):
+            grid, scales = [], []
+            for row in m.entries:
+                ints, s = _cleared(row)
+                grid.append(ints)
+                scales.append(s)
+        else:
+            grid, scales = m, [1] * len(m)
+        height, self.width = len(grid), len(grid[0])
+        self.scales = scales
         self.pivots: list[tuple[int, int]] = []
         self.chosen: list[tuple[list[int], int]] = []
         self.steps: list[Swap | tuple[int, int, int, int]] = []
         self.sign = prev = 1
         r = 0
-        for c in range(m.cols):
-            if r == m.rows:
+        for c in range(self.width):
+            if r == height:
                 break
-            src = next((k for k in range(r, m.rows) if grid[k][c]), None)
+            src = next((k for k in range(r, height) if grid[k][c]), None)
             if src is None:
                 continue
             if src != r:
@@ -258,7 +263,7 @@ class _FractionFree:
                 self.steps.append(Swap(r, src))
             top = grid[r]
             p = top[c]
-            for k in range(r + 1, m.rows):
+            for k in range(r + 1, height):
                 a = grid[k][c]
                 if a:
                     grid[k] = [(p * x - a * y) // prev for x, y in zip(grid[k], top)]
@@ -318,19 +323,19 @@ class _FractionFree:
                         ops.append(AddMultiple(Fraction(-above, pivot[k]), r, k))
         return ops
 
-    def trace(self, stage: int) -> Trace:
-        """``ops(stage)`` and where they end: the pivot rows of the sweep
-        (stage 0), scaled to leading 1s (stage 1) or completely reduced
-        (stage 2), over the zero rows."""
+    def trace(self, start: Matrix, stage: int) -> Trace:
+        """``ops(stage)`` and where they carry ``start``, the matrix this run
+        reduced: the pivot rows of the sweep (stage 0), scaled to leading 1s
+        (stage 1) or completely reduced (stage 2), over the zero rows."""
         if stage == 2:
-            end = self.reduced(range(self.start.cols))
+            end = self.reduced(range(self.width))
         else:
             end = []
             for (r, c), (row, prev) in zip(self.pivots, self.chosen):
                 d = prev * self.scales[r] if stage == 0 else row[c]
                 end.append([Fraction(x, d) for x in row])
-        end += [[0] * self.start.cols] * (self.start.rows - len(end))
-        return Trace(self.start, Matrix(end), tuple(self.ops(stage)))
+        end += [[0] * self.width] * (len(self.scales) - len(end))
+        return Trace(start, Matrix(end), tuple(self.ops(stage)))
 
 
 def reduce(m: Matrix, form: str = "completely_reduced") -> tuple[Matrix, Trace]:
@@ -343,7 +348,7 @@ def reduce(m: Matrix, form: str = "completely_reduced") -> tuple[Matrix, Trace]:
     beyond their reduced counterparts here.
     """
     stage = _form_stage(form)
-    trace = _FractionFree(m).trace(stage)
+    trace = _FractionFree(m).trace(m, stage)
     return trace.end, trace
 
 
@@ -491,9 +496,10 @@ def solve_with_trace(a: Matrix, b) -> tuple[SolutionSet, Trace]:
     the impossible row shows its raw ``0 = value``; any other runs on to the
     completely reduced matrix the solution is read from.
     """
-    run = _FractionFree(_augmented(a, b))
+    aug = _augmented(a, b)
+    run = _FractionFree(aug)
     answer = _solution(run, a.cols)
-    return answer, run.trace(0 if isinstance(answer, Inconsistent) else 2)
+    return answer, run.trace(aug, 0 if isinstance(answer, Inconsistent) else 2)
 
 
 def solve(a: Matrix, b) -> SolutionSet:
@@ -510,4 +516,4 @@ def inverse_gauss_jordan(a: Matrix) -> Matrix:
     run = _FractionFree(hstack(a, Matrix.identity(n)))
     if [j for _, j in run.pivots] != list(range(n)):
         raise NotInvertible("the matrix row-reduces short of the identity")
-    return Matrix(run.reduced(range(n, 2 * n)))
+    return Matrix._of(tuple(map(tuple, run.reduced(range(n, 2 * n)))))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -51,13 +51,25 @@ class Matrix:
             raise RaggedRows("rows of unequal length")
         self._data = data
 
+    @classmethod
+    def _of(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
+        """A matrix over rows the library has just built: a nonempty tuple of
+        equal-length, nonempty tuples of ``Fraction``s, taken as they are,
+        skipping the coercion and checks a user-built one gets."""
+        m = object.__new__(cls)
+        m._data = rows
+        return m
+
     # ---- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         if n < 1:
             raise EmptyInput("identity needs n >= 1")
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        one, zero = Fraction(1), Fraction(0)
+        return cls._of(
+            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        )
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -141,24 +153,18 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other, "+")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ]
+        return Matrix._of(
+            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self._data, other._data))
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other, "-")
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ]
+        return Matrix._of(
+            tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self._data, other._data))
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self._data])
+        return Matrix._of(tuple(tuple(-a for a in r) for r in self._data))
 
     def _same_shape(self, other: "Matrix", op: str) -> None:
         if not isinstance(other, Matrix):
@@ -170,7 +176,7 @@ class Matrix:
 
     def scale(self, alpha) -> "Matrix":
         alpha = as_scalar(alpha)
-        return Matrix([[alpha * a for a in r] for r in self._data])
+        return Matrix._of(tuple(tuple(alpha * a for a in r) for r in self._data))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -191,30 +197,35 @@ class Matrix:
         # (u, s) and column j of other cleared to (v, t): one gcd per entry
         rows = [_cleared(row) for row in self._data]
         cols = [_cleared(col) for col in zip(*other._data)]
-        return Matrix(
-            [[Fraction(sum(map(mul, u, v)), s * t) for v, t in cols] for u, s in rows]
-        )
+        return Matrix._of(tuple(
+            tuple(Fraction(sum(map(mul, u, v)), s * t) for v, t in cols) for u, s in rows
+        ))
 
     def __pow__(self, k: int) -> "Matrix":
+        """A^k = B^k / d^k for the integer image B = d A: B is squared on
+        ints, left to right over the bits of k, and each entry becomes a
+        ``Fraction`` once, at the end."""
         if not self.is_square:
             raise NotSquare("powers need a square matrix")
         if k < 0:
             raise ValueError(
                 "Matrix.__pow__ takes k >= 0; for negative powers use matrix_power"
             )
-        result = Matrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return Matrix.identity(self.rows)
+        b, d = _integer_image(self)
+        power = b
+        for bit in bin(k)[3:]:
+            power = _int_product(power, power)
+            if bit == "1":
+                power = _int_product(power, b)
+        dk = d**k
+        return Matrix._of(tuple(tuple(Fraction(x, dk) for x in row) for row in power))
 
     # ---- reshaping ---------------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.cols)])
+        return Matrix._of(tuple(zip(*self._data)))
 
     def trace(self) -> Fraction:
         if not self.is_square:
@@ -224,7 +235,7 @@ class Matrix:
     def take_columns(self, start: int, stop: int) -> "Matrix":
         if not (0 <= start < stop <= self.cols):
             raise IndexOutOfRange(f"column slice {start}:{stop} outside 0..{self.cols}")
-        return Matrix([r[start:stop] for r in self._data])
+        return Matrix._of(tuple(r[start:stop] for r in self._data))
 
     def drop(self, row: int | None = None, col: int | None = None) -> "Matrix":
         """The matrix with one row and/or one column removed."""
@@ -232,12 +243,14 @@ class Matrix:
             self._check_row(row)
         if col is not None:
             self._check_col(col)
-        rows = [
-            [a for j, a in enumerate(r) if j != col]
+        rows = tuple(
+            tuple(a for j, a in enumerate(r) if j != col)
             for i, r in enumerate(self._data)
             if i != row
-        ]
-        return Matrix(rows)
+        )
+        if not rows or not rows[0]:
+            raise EmptyInput("a matrix needs at least one row and one column")
+        return Matrix._of(rows)
 
     def __repr__(self):
         return f"Matrix({[[str(x) for x in r] for r in self._data]})"
@@ -252,7 +265,20 @@ def hstack(left: Matrix, right: Matrix) -> Matrix:
         raise DimensionMismatch(
             f"cannot place {left.rows}-row and {right.rows}-row matrices side by side"
         )
-    return Matrix([ra + rb for ra, rb in zip(left.entries, right.entries)])
+    return Matrix._of(tuple(ra + rb for ra, rb in zip(left.entries, right.entries)))
+
+
+def _integer_image(m: Matrix) -> tuple[list[list[int]], int]:
+    """The rows of B = d M as ints, and d, the lcm of M's denominators."""
+    flat, d = _cleared([x for row in m.entries for x in row])
+    w = m.cols
+    return [flat[i:i + w] for i in range(0, len(flat), w)], d
+
+
+def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two matrices held as rows of ints."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, u, v)) for v in cols] for u in a]
 
 
 def as_vector(v) -> tuple[Fraction, ...]:

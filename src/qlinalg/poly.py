@@ -313,8 +313,15 @@ def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Pol
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
+    return _rational_roots(p.primitive_integer_coefficients(), p.coefficients[-1])
+
+
+def _rational_roots(
+    q: tuple[int, ...], lead: Fraction
+) -> tuple[tuple[tuple[Fraction, int], ...], Polynomial]:
+    """:func:`rational_roots` of the polynomial with primitive integer
+    coefficients ``q`` and leading coefficient ``lead``."""
     roots: list[tuple[Fraction, int]] = []
-    q = p.primitive_integer_coefficients()
 
     mult = 0
     while len(q) > 1 and q[0] == 0:
@@ -333,6 +340,5 @@ def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Pol
             roots.append((root, mult))
 
     # q is p over its rational roots, up to a constant: rescale it to lead(p)
-    lead = p.coefficients[-1]
     residual = [Fraction(c * lead.numerator, q[-1] * lead.denominator) for c in q]
     return tuple(roots), Polynomial(residual)

@@ -380,10 +380,10 @@ class Fundamentals(_Record):
 
 
 def _null_space(run: _FractionFree) -> Subspace:
-    """The null space of ``run.start``: one generator per free column (set it
-    to 1, the other free columns to 0, and read each leading variable off the
-    completely reduced matrix, on the free columns only)."""
-    cols = run.start.cols
+    """The null space of the matrix ``run`` reduced: one generator per free
+    column (set it to 1, the other free columns to 0, and read each leading
+    variable off the completely reduced matrix, on the free columns only)."""
+    cols = run.width
     lead_cols = [c for _, c in run.pivots]
     free = [j for j in range(cols) if j not in lead_cols]
     rows = run.reduced(free)

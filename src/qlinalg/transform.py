@@ -25,7 +25,7 @@ from .errors import (
 from .matrix import Matrix, as_vector
 from .poly import Polynomial
 from .scalars import Q, format_scalar
-from .spaces import Subspace, _null_space, _read_forms, fundamental_subspaces
+from .spaces import Subspace, _null_space, _read_forms
 
 
 class NotLinear(_Record):
@@ -80,8 +80,10 @@ class LinearMap(_Record):
         return _null_space(_FractionFree(self.matrix))
 
     def range(self) -> Subspace:
-        """All values actually taken (the matrix's column space)."""
-        return fundamental_subspaces(self.matrix).column
+        """All values actually taken (the matrix's column space): its own
+        columns at the pivots of one reduction."""
+        m = self.matrix
+        return Subspace._trusted(m.rows, tuple(m.col(j) for _, j in _FractionFree(m).pivots))
 
 
 def from_matrix(m: Matrix) -> LinearMap:

@@ -3,10 +3,12 @@
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import qlinalg.eigen
+import qlinalg.matrix
 from qlinalg import (
     Diagonalizable,
     Matrix,
@@ -336,12 +338,14 @@ def test_summary_of_the_fixture():
 
 def test_summary_computes_the_characteristic_polynomial_once(monkeypatch):
     calls = []
+    berkowitz = qlinalg.eigen._char_poly
 
-    def counted(a):
-        calls.append(a)
-        return char_poly(a)
+    def counted(b, d):
+        calls.append((b, d))
+        return berkowitz(b, d)
 
-    monkeypatch.setattr(qlinalg.eigen, "char_poly", counted)
+    # the Berkowitz run behind char_poly, on the summary's one integer image
+    monkeypatch.setattr(qlinalg.eigen, "_char_poly", counted)
     assert eigen_summary(A_TRI).char == Polynomial([-2, 1, 2, -1])
     assert len(calls) == 1
 
@@ -363,6 +367,98 @@ def test_summary_of_unsplit_matrix():
     assert s.roots == ()
     assert s.diagonalizable is None
     assert s.deficient is None
+
+
+# ---- the integer routes against the oracles ------------------------------------------
+
+_DENOMINATORS = (1, 2, 3, 5, 7)
+
+
+def _oracle_grid(rng, n, kind):
+    """An n x n grid of the named kind with some of its eigenvalues.  "int" and
+    "pq" are P T P^-1 for T upper triangular with a repeated diagonal entry,
+    P unimodular (so the entries stay integers) or p/q; "singular" is a p/q
+    grid whose last row is a multiple of its first (zero when n = 1)."""
+    if kind == "singular":
+        grid = oracles.rand_grid(rng, n, n, denominators=_DENOMINATORS)
+        c = oracles.rand_fraction(rng)
+        grid[-1] = [c * x for x in grid[0]] if n > 1 else [Q(0)]
+        return grid, (Q(0),)
+    dens = (1,) if kind == "int" else _DENOMINATORS
+    spectrum = [oracles.rand_fraction(rng, -3, 3, dens) for _ in range(n)]
+    spectrum[n // 2] = spectrum[0]
+    t = [
+        [spectrum[i] if i == j else oracles.rand_fraction(rng, -2, 2, dens) * (j > i)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    if kind == "int":
+        lower = [[Q(rng.randint(-2, 2)) if j < i else Q(int(i == j)) for j in range(n)]
+                 for i in range(n)]
+        upper = [list(col) for col in zip(*lower)]
+        p = oracles.naive_matmul(lower, upper)  # det 1: an integer inverse
+    else:
+        p = oracles.rand_invertible_grid(rng, n, denominators=_DENOMINATORS)
+    grid = oracles.naive_matmul(oracles.naive_matmul(p, t), oracles.inverse_by_elimination(p))
+    return grid, tuple(spectrum)
+
+
+@pytest.mark.parametrize("kind", ("int", "pq", "singular"))
+def test_power_matches_repeated_multiplication_for_every_k(kind):
+    rng = random.Random(f"power/{kind}")
+    for n in range(1, 7):
+        grid, _ = _oracle_grid(rng, n, kind)
+        a = Matrix(grid)
+        inverse = oracles.inverse_by_elimination(grid)
+        assert kind != "singular" or inverse is None
+        # qlinalg power bounds entries of B^k = (d A)^k by (n max|num| d)^k
+        d = lcm(*(x.denominator for row in grid for x in row))
+        bound = n * max(abs(x.numerator) for row in grid for x in row) * d
+        for k in range(-3, 8):
+            if k < 0 and inverse is None:
+                with pytest.raises(NegativePowerOfSingular):
+                    matrix_power(a, k)
+                continue
+            expected = oracles.naive_power(grid if k >= 0 else inverse, abs(k))
+            assert matrix_power(a, k).entries == tuple(map(tuple, expected)), (n, k)
+            if k >= 0:
+                assert all(abs(x * d**k) <= bound**k for row in expected for x in row)
+
+
+@pytest.mark.parametrize("kind", ("int", "pq", "singular"))
+def test_eigenspace_matches_the_oracle_null_basis(kind):
+    rng = random.Random(f"eigenspace/{kind}")
+    dimensions = set()
+    for n in range(1, 7):
+        grid, spectrum = _oracle_grid(rng, n, kind)
+        a = Matrix(grid)
+        for lam in sorted(set(spectrum) | {Q(0), Q(1), Q(-1), Q(1, 2), Q(-7, 3)}):
+            shifted = [[x - lam * (i == j) for j, x in enumerate(r)] for i, r in enumerate(grid)]
+            space = eigenspace(a, lam)
+            assert space.ambient == n
+            assert space.basis == oracles.null_basis(shifted), (n, lam)
+            dimensions.add(space.dimension)
+    assert 0 in dimensions and max(dimensions) > 0  # non-eigenvalues and eigenvalues
+
+
+def test_eigen_calls_coerce_no_entry_the_library_built(monkeypatch):
+    rng = random.Random(15003)
+    p = Matrix(oracles.rand_invertible_grid(rng, 6, denominators=_DENOMINATORS))
+    values = (Q(3), Q(-1, 2), Q(-1, 2), Q(2, 3), Q(0), Q(3))
+    a = p @ Matrix([[values[i] * (i == j) for j in range(6)] for i in range(6)])
+    a = a @ inverse_gauss_jordan(p)
+    assert any(x.denominator > 1 for row in a.entries for x in row)
+    coerced = []
+    checked = qlinalg.matrix.as_scalar
+    monkeypatch.setattr(
+        qlinalg.matrix, "as_scalar", lambda x: coerced.append(x) or checked(x)
+    )
+    assert eigen_summary(a).diagonalizable is True
+    assert isinstance(diagonalize(a), Diagonalizable)
+    matrix_power(a, 5)
+    # singular (0 is an eigenvalue), so shift it for the inverse route
+    matrix_power(a + Matrix.identity(6), -2)
+    assert coerced == []
 
 
 # ---- random diagonalizable constructions -------------------------------------------

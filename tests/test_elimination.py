@@ -202,13 +202,19 @@ def test_replay_builds_one_matrix(monkeypatch):
     _, trace = reduce(m)
     assert len(trace) > 3
     built = []
-    start = Matrix.__init__
+    start, trusted = Matrix.__init__, Matrix._of.__func__
 
     def counted(self, rows):
         built.append(rows)
         start(self, rows)
 
+    def counted_trusted(cls, rows):
+        built.append(rows)
+        return trusted(cls, rows)
+
+    # both constructors count: the user-facing one and the library's own
     monkeypatch.setattr(Matrix, "__init__", counted)
+    monkeypatch.setattr(Matrix, "_of", classmethod(counted_trusted))
     assert trace.replay() == trace.end
     assert len(built) == 1
     factor = left_factor(trace)

@@ -31,6 +31,14 @@ def test_public_names_are_pinned():
     assert names == sorted(public + module_attributes)
 
 
+def test_no_private_name_is_pinned_as_public():
+    # Matrix._of, the library's own constructor, skips the checks a user's
+    # matrix gets, so it must never become a public name
+    public = (GOLDEN / "public_names.txt").read_text().split()
+    assert [name for name in public if name.startswith("_")] == []
+    assert "_of" not in public
+
+
 def test_importing_the_cli_loads_no_introspection_modules():
     # dataclasses pulls in inspect, which pulls in ast, dis and tokenize: import
     # time every one-shot run would pay for nothing an answer uses.  -S keeps
@@ -144,8 +152,8 @@ _INT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm"
 # Classes and functions that compute on cleared-denominator ints.
 _INTEGER_KERNELS = {
     "_FractionFree",  # elimination.py
-    "__matmul__",  # matrix.py
-    "char_poly",  # eigen.py
+    "__matmul__", "__pow__", "_integer_image", "_int_product",  # matrix.py
+    "char_poly", "_char_poly", "_eigenspace",  # eigen.py
     "_cleared",  # scalars.py
     "_primitive", "_pseudo_rem", "_exact_div", "_sturm_chain", "_sign_at",
     "_distinct_rational_roots",  # poly.py

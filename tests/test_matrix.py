@@ -72,6 +72,24 @@ def test_plain_parse_rejects_bar():
 # ---- constructors and access -------------------------------------------------
 
 
+def test_a_user_built_matrix_still_checks_every_entry():
+    assert Matrix([["1/2", 3]]).entries == ((Q(1, 2), Q(3)),)
+    with pytest.raises(TypeError):
+        Matrix([[1, 0.5]])
+    with pytest.raises(TypeError):
+        Matrix([[1, True]])
+    with pytest.raises(RaggedRows):
+        Matrix([[1, 2], [3]])
+    for empty in ([], [[]]):
+        with pytest.raises(EmptyInput):
+            Matrix(empty)
+    # the library-built results of a user's matrix keep the same guarantees
+    with pytest.raises(EmptyInput):
+        Matrix([[1, 2]]).drop(row=0)
+    with pytest.raises(EmptyInput):
+        Matrix([[1], [2]]).drop(col=0)
+
+
 def test_identity_and_zero():
     assert Matrix.identity(3) == Matrix.parse("1 0 0; 0 1 0; 0 0 1")
     assert Matrix.zero(2, 3) == Matrix.parse("0 0 0; 0 0 0")

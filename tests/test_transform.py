@@ -188,6 +188,16 @@ def test_kernel_builds_only_the_null_space(monkeypatch):
     assert t.kernel().basis == ((0, Q(-1, 2), 1),)
 
 
+def test_range_builds_only_the_column_space(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("range read the reduced matrix or a row of the sweep")
+
+    monkeypatch.setattr(qlinalg.elimination._FractionFree, "reduced", refuse)
+    monkeypatch.setattr(qlinalg.elimination._FractionFree, "swept_row", refuse)
+    t = from_forms(("-5x1", "2x2+x3", "-x1", "0"))
+    assert t.range().basis == ((-5, 0, -1, 0), (0, 2, 0, 0))
+
+
 def test_kernel_vectors_actually_die():
     t = from_forms(("-5x1", "2x2+x3", "-x1", "0"))
     for v in t.kernel().basis:
