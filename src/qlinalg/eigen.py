@@ -1,15 +1,15 @@
 """Eigenvalues, eigenspaces, and diagonalization — all over the rationals.
 
 The characteristic polynomial det(A - x I) is computed exactly by Berkowitz's
-division-free algorithm, and its rational roots are isolated by a Sturm
-sequence (:func:`qlinalg.poly.rational_roots`); both take time polynomial in
-n and in the entry bit size.  Each public call clears A once, to its integer
-image B = d A with d the lcm of A's denominators, and everything in the call
-reads B: Berkowitz runs on B and hands the root search the polynomial's
-primitive integer coefficients, and the eigenspace of p/q is the null space
-of the integer rows q B - p d I.  Each coefficient, root and basis entry
-becomes a ``Fraction`` once, at the end.  Irrational or complex eigenvalues
-cannot be represented here; in that case the honest answer is a
+division-free algorithm, and its rational roots are lifted p-adically from
+its roots modulo one small prime (:func:`qlinalg.poly.rational_roots`); both
+take time polynomial in n and in the entry bit size.  Each public call clears
+A once, to its integer image B = d A with d the lcm of A's denominators, and
+everything in the call reads B: Berkowitz runs on B and hands the root search
+the polynomial's primitive integer coefficients, and the eigenspace of p/q is
+the null space of the integer rows q B - p d I.  Each coefficient, root and
+basis entry becomes a ``Fraction`` once, at the end.  Irrational or complex
+eigenvalues cannot be represented here; in that case the honest answer is a
 :class:`NotSplit` verdict carrying whatever rational roots were found and the
 unfactored remainder.
 

@@ -262,14 +262,15 @@ class _FractionFree:
                 self.sign = -self.sign
                 self.steps.append(Swap(r, src))
             top = grid[r]
-            p = top[c]
+            p, zeros, tail = top[c], [0] * (c + 1), top[c + 1:]
             for k in range(r + 1, height):
-                a = grid[k][c]
-                if a:
-                    grid[k] = [(p * x - a * y) // prev for x, y in zip(grid[k], top)]
+                # columns <= c of the rows below come out exact zeros
+                row = grid[k]
+                if a := row[c]:
+                    grid[k] = zeros + [(p * x - a * y) // prev for x, y in zip(row[c + 1:], tail)]
                     self.steps.append((r, k, a, scales[k]))
                 else:
-                    grid[k] = [p * x // prev for x in grid[k]]
+                    grid[k] = zeros + [p * x // prev for x in row[c + 1:]]
             self.pivots.append((r, c))
             self.chosen.append((top, prev))
             prev = p

@@ -5,16 +5,17 @@ stripped, so ``Polynomial([-2, 1, 2, -1])`` is ``-2 + x + 2x^2 - x^3`` and the
 zero polynomial has an empty coefficient tuple.
 
 :func:`rational_roots` works on the primitive integer coefficients from
-start to end: the gcd with the derivative and the Sturm sequence come from
-integer pseudo-remainders, and each root y/L is divided out exactly as the
-integer factor L x - y.  The residual is rescaled to the input's leading
-coefficient once, at the end.
+start to end: the gcd with the derivative comes from integer
+pseudo-remainders, each root of the squarefree part is lifted p-adically
+from a root modulo one small prime, and each root y/L is divided out exactly
+as the integer factor L x - y.  The residual is rescaled to the input's
+leading coefficient once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .scalars import _cleared, as_scalar, format_scalar
 
@@ -206,14 +207,7 @@ def _primitive(cs) -> tuple[int, ...]:
 
 
 def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive form of |lead(b)|^(deg a - deg b + 1) * (a mod b).
-
-    b is first given a positive leading coefficient (a mod -b is a mod b),
-    so the result is a positive multiple of the remainder over the
-    rationals: its signs, which Sturm's theorem reads, are unchanged.
-    """
-    if b[-1] < 0:
-        b = tuple(-y for y in b)
+    """Primitive form of lead(b)^(deg a - deg b + 1) * (a mod b)."""
     rem = list(a)
     for top in range(len(a) - 1, len(b) - 2, -1):
         f, shift = rem[top], top - len(b) + 1
@@ -234,13 +228,13 @@ def _exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(quot)
 
 
-def _sturm_chain(s: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """s, s' and the negated pseudo-remainders after them, each primitive,
-    down to the last nonzero one: a multiple of gcd(s, s')."""
-    chain = [s, _primitive([k * c for k, c in enumerate(s)][1:])]
-    while len(chain[-1]) > 1 and (rem := _pseudo_rem(chain[-2], chain[-1])):
-        chain.append(tuple(-c for c in rem))
-    return chain
+def _derivative_gcd(q: tuple[int, ...]) -> tuple[int, ...]:
+    """A primitive multiple of gcd(q, q'): the last nonzero term of the
+    primitive pseudo-remainder sequence that starts q, q'."""
+    a, b = q, _primitive([k * c for k, c in enumerate(q)][1:])
+    while len(b) > 1 and (rem := _pseudo_rem(a, b)):
+        a, b = b, rem
+    return b
 
 
 def _sign_at(cs: tuple[int, ...], num: int, den: int) -> int:
@@ -255,61 +249,75 @@ def _sign_at(cs: tuple[int, ...], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _value_mod(cs, x: int, m: int) -> int:
+    """The integer polynomial ``cs`` (ascending) at x, modulo m."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _simple_roots_mod_prime(s: tuple[int, ...], ds: list[int], lead: int):
+    """The first prime p not dividing ``lead`` at which every root of ``s``
+    mod p is simple (``ds`` = s' is nonzero there), and those roots.
+
+    A prime is rejected only if it divides lead * disc(s), which is nonzero
+    for squarefree s, so at most log2|lead * disc(s)| + 1 primes are tried.
+    """
+    p = 1
+    while True:
+        p += 1
+        if not lead % p or any(not p % k for k in range(2, isqrt(p) + 1)):
+            continue
+        sp = [c % p for c in s]
+        roots = [r for r in range(p) if not _value_mod(sp, r, p)]
+        if all(_value_mod(ds, r, p) for r in roots):
+            return p, roots
+
+
 def _distinct_rational_roots(s: tuple[int, ...]) -> list[Fraction]:
-    """Every rational root of the squarefree primitive integer polynomial ``s``.
+    """Every rational root of the squarefree primitive integer polynomial
+    ``s``, in decreasing order, by p-adic lifting (Loos 1983).
 
     A rational root is y/L with y an integer and L = |leading coefficient|,
-    and |y| <= L + max|s_i| (Cauchy).  Roots are isolated on that grid by a
-    Sturm sequence, probed only at half-integer y, which no rational root
-    occupies; an interval holding a single grid point is tested directly,
-    since it may still hold two close irrational roots.
+    and |y| <= B = L + max|s_i| (Cauchy).  It reduces to a root of s mod p
+    for a prime p not dividing L, and when every such root is simple, each
+    lifts uniquely by Newton's step r <- r - s(r)/s'(r), which doubles the
+    p-adic precision: O(log b) steps take the modulus m past 2B, for B of b
+    bits.  Then y is the symmetric residue of L r mod m, and the exact Horner
+    test keeps it only if y/L is a root, so a root mod p with no rational
+    root above it gives nothing.
     """
     lead = abs(s[-1])
-    chain = _sturm_chain(s)
-
-    def changes(e: int) -> int:
-        # sign changes of the Sturm sequence at x = (e + 1/2) / L
-        signs = [v for v in (_sign_at(cs, 2 * e + 1, 2 * lead) for cs in chain) if v]
-        return sum(x != y for x, y in zip(signs, signs[1:]))
-
-    bound = lead + max(abs(c) for c in s)
+    bound = 2 * (lead + max(abs(c) for c in s))
+    ds = [k * c for k, c in enumerate(s)][1:]
+    p, roots = _simple_roots_mod_prime(s, ds, lead)
     found = []
-    pending = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
-    while pending:
-        lo, hi, v_lo, v_hi = pending.pop()
-        count = v_lo - v_hi
-        if count == 0:
-            continue
-        if count == 1:
-            # one root left: bisect on the sign of s alone
-            s_lo = _sign_at(s, 2 * lo + 1, 2 * lead)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _sign_at(s, 2 * mid + 1, 2 * lead) == s_lo:
-                    lo = mid
-                else:
-                    hi = mid
-        if hi - lo == 1:
-            if _sign_at(s, hi, lead) == 0:
-                found.append(Fraction(hi, lead))
-            continue
-        mid = (lo + hi) // 2
-        v_mid = changes(mid)
-        pending.append((lo, mid, v_lo, v_mid))
-        pending.append((mid, hi, v_mid, v_hi))
-    return found
+    for r in roots:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _value_mod(s, r, m) * pow(_value_mod(ds, r, m), -1, m)) % m
+        y = lead * r % m
+        if 2 * y > m:
+            y -= m
+        if _sign_at(s, y, lead) == 0:
+            found.append(y)
+    return [Fraction(y, lead) for y in sorted(found, reverse=True)]
 
 
 def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Polynomial]:
     """All rational roots of ``p`` with multiplicity, plus the unfactored rest.
 
     Returns ``(roots, residual)`` where ``roots`` is a tuple of
-    ``(root, multiplicity)`` pairs in no specified order (``eigenvalues``
-    sorts them decreasing) and ``residual`` is what is left after dividing
-    every rational root out.  ``residual`` has degree 0 exactly when ``p``
-    splits over the rationals.  The roots are those of the squarefree part
-    p / gcd(p, p'), isolated by a Sturm sequence in time polynomial in the
-    degree and the coefficient bit size.
+    ``(root, multiplicity)`` pairs, zero first when it is a root and then
+    the rest in decreasing order, and ``residual`` is what is left after
+    dividing every rational root out.  ``residual`` has degree 0 exactly when
+    ``p`` splits over the rationals.  The roots are those of the squarefree
+    part s = p / gcd(p, p'), found modulo the first prime p at which they are
+    all simple (at most log2|lead(s) disc(s)| + 1 primes are tried) and
+    lifted by Newton steps that double the p-adic precision, O(log b) steps
+    for b-bit coefficients: time polynomial in the degree and the bit size.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
@@ -331,7 +339,7 @@ def _rational_roots(
         roots.append((Fraction(0), mult))
 
     if len(q) > 1:
-        for root in _distinct_rational_roots(_exact_div(q, _sturm_chain(q)[-1])):
+        for root in _distinct_rational_roots(_exact_div(q, _derivative_gcd(q))):
             factor = (-root.numerator, root.denominator)
             mult = 0
             while len(q) > 1 and _sign_at(q, root.numerator, root.denominator) == 0:

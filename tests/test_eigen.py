@@ -137,6 +137,19 @@ def test_unsplit_eight_by_eight_answers_quickly():
     assert verdict.residual == char_poly(m)
 
 
+def test_thirty_two_by_thirty_two_of_fractions_answers_quickly():
+    rng = random.Random(3214)
+    m = Matrix([[Q(rng.randint(-9, 9), rng.randint(1, 11)) for _ in range(32)] for _ in range(32)])
+    started = time.perf_counter()
+    summary = eigen_summary(m)
+    # bisecting a Sturm sequence over the Cauchy bound of its ~500-bit
+    # coefficients took about 2.7 s; lifting roots mod one prime, about 0.2 s
+    assert time.perf_counter() - started < 1.5
+    p = char_poly(m)
+    assert summary.char == p
+    assert summary.roots == rational_roots(p)[0]
+
+
 def test_rotation_matrix_does_not_split():
     verdict = eigenvalues(ROTATION)
     assert isinstance(verdict, NotSplit)

@@ -83,3 +83,57 @@ def test_rational_roots_finds_every_constructed_root():
         assert dict(roots) == expected
         assert len(roots) == len(expected)
         assert residual == rest
+
+
+def _sympy_rational_roots(p):
+    """{root: multiplicity} of the linear factors sympy finds over Q."""
+    coefficients = [sympy.Rational(c.numerator, c.denominator) for c in p.coefficients]
+    poly = sympy.Poly(coefficients[::-1], sympy.Symbol("x"), domain="QQ")
+    roots = {}
+    for factor, mult in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            b, a = factor.all_coeffs()
+            root = -a / b
+            roots[Q(int(root.p), int(root.q))] = mult
+    return roots
+
+
+def _long_root(rng):
+    bits = rng.randint(60, 200)
+    return Q(rng.randint(-(2 ** bits), 2 ** bits), rng.randint(1, 2 ** rng.randint(1, bits)))
+
+
+def test_rational_roots_match_sympy_on_long_coefficients():
+    rng = random.Random(16003)
+    for _ in range(40):
+        p = Polynomial([Q(rng.randint(1, 2 ** 40) * rng.choice((1, -1)), rng.randint(1, 99))])
+        while p.degree < 7 and rng.random() < 0.8:
+            p = p * Polynomial([-_long_root(rng), 1]) ** rng.randint(1, 2)
+        if rng.random() < 0.6:
+            p = p * Polynomial([rng.randint(-(2 ** 80), 2 ** 80) for _ in range(3)])
+        if p.degree < 1:
+            p = p * Polynomial([-_long_root(rng), 1])
+        roots, residual = rational_roots(p)
+        assert dict(roots) == _sympy_rational_roots(p)
+        assert residual.degree == p.degree - sum(m for _, m in roots)
+
+
+def test_char_poly_roots_match_sympy_on_sixteen_by_sixteen():
+    # [[B, C], [0, T]]: a 10x10 block B of p/q entries, usually without a
+    # rational eigenvalue, above an upper triangular T whose diagonal repeats
+    rng = random.Random(16004)
+    for _ in range(4):
+        diagonal = [Q(rng.randint(-9, 9), rng.choice(DENOMINATORS)) for _ in range(4)]
+        diagonal += diagonal[:2]
+        grid = [
+            [
+                Q(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+                if i < 10 or j > i else diagonal[i - 10] if j == i else Q(0)
+                for j in range(16)
+            ]
+            for i in range(16)
+        ]
+        p = char_poly(Matrix(grid))
+        roots, _ = rational_roots(p)
+        assert dict(roots) == _sympy_rational_roots(p)
+        assert all(dict(roots)[x] >= diagonal.count(x) for x in diagonal)

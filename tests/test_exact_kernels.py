@@ -140,14 +140,56 @@ def _check_factorization(lead, roots, irreducible=()):
         (Q(-2, 5), {Q(2): 1, Q(-2): 2}, (_close_pair(4, 1),)),
         (Q(3), {Q(1): 2, Q(-1): 1}, (_close_pair(1, 3), _close_pair(1, 5))),
         (Q(-1), {Q(3): 1, Q(0): 2}, (_close_pair(9, 7),)),
-        # the Sturm chain of -(x + 1)(x^3 - x^2 + x - 2) goes from degree 3
-        # to -3x - 8; scaling the next pseudo-remainder by (-3)^3, not 3^3,
-        # would flip its sign and lose the root -1
+        # -(x + 1)(x^3 - x^2 + x - 2) leads with -1, and its pseudo-remainder
+        # chain with its derivative runs through 3x + 8 to a constant: the
+        # squarefree part must keep the root -1
         (Q(-1), {Q(0): 1, Q(-1): 1}, (Polynomial([-2, 1, -1, 1]),)),
     ],
 )
 def test_rational_roots_factor_exactly(lead, roots, irreducible):
     _check_factorization(lead, roots, irreducible)
+
+
+# 29# = 2 * 3 * 5 * ... * 29 divides the primitive leading coefficient, so the
+# root search can use no prime below 31: a root y/29# has no image modulo them
+PRIMORIAL_29 = 6469693230
+
+
+@pytest.mark.parametrize(
+    "lead, roots, irreducible",
+    [
+        # every prime below 25 sees two of -12..12 collide: a double root mod p
+        (Q(1), {Q(k): 1 for k in range(-12, 13)}, ()),
+        (Q(-3), {Q(k, 2): 1 for k in range(-12, 13, 3)}, (Polynomial([-2, 0, 1]),)),
+        (Q(1), {Q(1, PRIMORIAL_29): 1, Q(-7, PRIMORIAL_29): 2, Q(3): 1}, ()),
+        (Q(5), {Q(-11, PRIMORIAL_29): 1}, (Polynomial([1, 0, PRIMORIAL_29]),)),
+        # 10^80- and 10^60-sized roots beside an irreducible quadratic
+        (
+            Q(7),
+            {Q(10 ** 80 + 3): 1, Q(-(10 ** 60) + 1, 9): 2, Q(10 ** 80, 10 ** 60 + 1): 1},
+            (Polynomial([3, 1, 4]),),
+        ),
+        (Q(-1), {Q(-(10 ** 80) - 1): 1}, (_close_pair(2, 61),)),
+    ],
+)
+def test_rational_roots_factor_adversarial_inputs_exactly(lead, roots, irreducible):
+    _check_factorization(lead, roots, irreducible)
+
+
+def test_rational_roots_come_back_zero_first_then_decreasing():
+    rng = random.Random(1409)
+    for _ in range(100):
+        roots = {Q(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 40)): rng.randint(1, 2)
+                 for _ in range(rng.randint(1, 7))}
+        roots[Q(0)] = rng.randint(1, 3)
+        p = Polynomial([rng.choice((-1, 1)) * rng.randint(1, 9)])
+        for r, m in roots.items():
+            p = p * Polynomial([-r, 1]) ** m
+        found, _ = rational_roots(p)
+        assert found[0] == (Q(0), roots[Q(0)])
+        rest = [r for r, _ in found[1:]]
+        assert rest == sorted(rest, reverse=True) and len(set(rest)) == len(rest)
+        assert dict(found) == roots
 
 
 def test_rational_roots_factor_exactly_on_random_constructions():
