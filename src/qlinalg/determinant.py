@@ -2,11 +2,12 @@
 
 Two independent routes to the same number:
 
-* :func:`det_with_effects` -- forward elimination, tracking how each row
-  operation scales the determinant (scaling by alpha multiplies it by alpha, a
-  swap flips its sign, adding a multiple of one row to another changes
-  nothing); :func:`det` gives the same number from the same pivots without
-  the trace, by fraction-free elimination on integers;
+* :func:`det` / :func:`det_with_effects` -- both read the same run's minor:
+  one fraction-free elimination on integers, its last pivot signed by its
+  swaps over its row scales.  The traced route also logs how each row
+  operation scales the determinant (scaling by alpha multiplies it by alpha,
+  a swap flips its sign, adding a multiple of one row to another changes
+  nothing);
 * :func:`det_cofactor` / :func:`cofactor_expand` -- recursive signed-minor
   expansion along a chosen row or column.
 
@@ -22,7 +23,7 @@ from math import prod
 from operator import mul
 from typing import Iterable
 
-from .elimination import RowOp, Scale, Swap, Trace, _FractionFree, reduce
+from .elimination import RowOp, Scale, Swap, Trace, _FractionFree
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -68,22 +69,16 @@ def det_with_effects(a: Matrix) -> tuple[Fraction, DetEffectLog, Trace]:
     """Determinant via elimination, plus the effect log and the trace behind it."""
     if not a.is_square:
         raise NotSquare("determinants need a square matrix")
-    tri, trace = reduce(a, "semi_reduced")
-    log = DetEffectLog.from_ops(trace.ops())
-    diag = prod((tri[i, i] for i in range(a.rows)), start=Fraction(1))
-    return diag / log.factor, log, trace
+    run = _FractionFree(a)
+    trace = run.trace(a, 0)
+    return run.minor(), DetEffectLog.from_ops(trace), trace
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant by row reduction (the fast route): the last pivot of the
-    fraction-free sweep, signed by its swaps, over the product of its row
-    scales."""
+    """Determinant by row reduction (the fast route): one run's minor, untraced."""
     if not a.is_square:
         raise NotSquare("determinants need a square matrix")
-    run = _FractionFree(a)
-    if len(run.pivots) < a.rows:
-        return Fraction(0)
-    return Fraction(run.sign * run.last, prod(run.scales))
+    return _FractionFree(a).minor()
 
 
 def _cofactor_det(grid: tuple[tuple[Fraction, ...], ...]) -> Fraction:
@@ -170,18 +165,18 @@ def inverse_2x2(a: Matrix) -> Matrix:
 def _cofactor_row(a: Matrix, i: int) -> tuple[Fraction, ...]:
     """Row i of the cofactor matrix from one reduction of B, A without row i.
     Expanding det(A) along row i with another row of A in its place gives 0,
-    so the row is a null vector of B: zero when rank B < n - 1, else C_if
-    times the null vector with 1 at B's one free column f, where C_if =
-    (-1)^(i+f) det(B without column f) is the run's signed last pivot / scales."""
+    so the row is a null vector of B: zero when rank B < n - 1 (the run's
+    minor is 0), else C_if times the null vector with 1 at B's one free
+    column f, where C_if = (-1)^(i+f) det(B without column f), the signed minor."""
     n = a.rows
     if n == 1:
         return (Fraction(1),)  # the cofactor of the empty minor
     run = _FractionFree(a.drop(row=i))
-    if len(run.pivots) < n - 1:
+    if not (minor := run.minor()):
         return (Fraction(0),) * n
-    f = n * (n - 1) // 2 - sum(c for _, c in run.pivots)  # the column with no pivot
-    minor = Fraction((-1) ** (i + f) * run.sign * run.last, prod(run.scales))
-    return tuple(minor * x for x in _null_space(run).basis[0])
+    (f,) = run.free
+    c = -minor if (i + f) % 2 else minor
+    return tuple(c * x for x in _null_space(run).basis[0])
 
 
 def cramer_solve(c: Matrix, b) -> tuple[Fraction, ...]:

@@ -31,6 +31,7 @@ the ``Fraction`` operations the paper's elimination performs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import mul
 from typing import Union
 
@@ -146,7 +147,7 @@ def _replay(m: Matrix, ops) -> Matrix:
             if r >= m.rows:
                 raise IndexOutOfRange(f"row {r} outside a {m.rows}-row matrix")
         _apply_in_place(grid, op)
-    return Matrix(grid)
+    return Matrix._of(tuple(map(tuple, grid)))
 
 
 def apply_row_op(m: Matrix, op: RowOp) -> Matrix:
@@ -232,6 +233,11 @@ class _FractionFree:
     ``width`` is the number of columns.  ``steps`` holds each swap and, per
     row cleared below a pivot, the raw ``(pivot row, row, entry, row scale)``
     that :meth:`ops` reads.
+
+    What callers read: ``pivots[k]`` is the column of row k's pivot, ``free``
+    the columns with no pivot (both ascending, together every column once),
+    and :meth:`minor` the determinant of the rows on the pivot columns.  The
+    record fields ``sign``, ``last``, ``scales`` and ``chosen`` stay here.
     """
 
     def __init__(self, m: Matrix | list[list[int]]):
@@ -245,16 +251,18 @@ class _FractionFree:
             grid, scales = m, [1] * len(m)
         height, self.width = len(grid), len(grid[0])
         self.scales = scales
-        self.pivots: list[tuple[int, int]] = []
+        self.pivots, self.free = [], []
         self.chosen: list[tuple[list[int], int]] = []
         self.steps: list[Swap | tuple[int, int, int, int]] = []
         self.sign = prev = 1
         r = 0
         for c in range(self.width):
             if r == height:
+                self.free += range(c, self.width)
                 break
             src = next((k for k in range(r, height) if grid[k][c]), None)
             if src is None:
+                self.free.append(c)
                 continue
             if src != r:
                 grid[r], grid[src] = grid[src], grid[r]
@@ -271,11 +279,18 @@ class _FractionFree:
                     self.steps.append((r, k, a, scales[k]))
                 else:
                     grid[k] = zeros + [p * x // prev for x in row[c + 1:]]
-            self.pivots.append((r, c))
+            self.pivots.append(c)
             self.chosen.append((top, prev))
             prev = p
             r += 1
         self.last = prev
+
+    def minor(self) -> Fraction:
+        """Determinant of the rows on the pivot columns, 0 below full row rank:
+        the last pivot, signed by the swaps, over the product of the row scales."""
+        if len(self.pivots) < len(self.scales):
+            return Fraction(0, 1)
+        return Fraction(self.sign * self.last, prod(self.scales))
 
     def swept_row(self, k: int) -> tuple[Fraction, ...]:
         """Row k of the ``Fraction`` downward sweep (the semi-reduced matrix)."""
@@ -290,7 +305,7 @@ class _FractionFree:
         ``last*R_k = (last*U_k - sum(U_k[c_i] * last*R_i for i > k)) // U_k[c_k]``.
         ``last*R`` is integral (Bareiss), so every division is exact."""
         last, later, columns = self.last, [], [[] for _ in cols]
-        for (_, c), (row, _) in zip(reversed(self.pivots), reversed(self.chosen)):
+        for c, (row, _) in zip(reversed(self.pivots), reversed(self.chosen)):
             coeffs, p = [row[ci] for ci in later], row[c]
             for j, done in zip(cols, columns):  # done: last*R_i[j], last pivot first
                 done.append((last * row[j] - sum(map(mul, coeffs, done))) // p)
@@ -304,7 +319,7 @@ class _FractionFree:
         (later pivot rows are zero there), so every multiplier is a ratio of
         recorded ints."""
         chosen, scales = self.chosen, self.scales
-        pivot = [row[c] for (_, c), (row, _) in zip(self.pivots, chosen)]
+        pivot = [row[c] for c, (row, _) in zip(self.pivots, chosen)]
         ops: list[RowOp] = []
         for step in self.steps:
             if isinstance(step, Swap):
@@ -317,7 +332,7 @@ class _FractionFree:
                 if pivot[r] != prev * scales[r]:
                     ops.append(Scale(Fraction(prev * scales[r], pivot[r]), r))
         if stage >= 2:
-            for r, c in reversed(self.pivots):
+            for r, c in reversed(list(enumerate(self.pivots))):
                 for k in range(r - 1, -1, -1):
                     above = chosen[k][0][c]
                     if above:
@@ -332,11 +347,11 @@ class _FractionFree:
             end = self.reduced(range(self.width))
         else:
             end = []
-            for (r, c), (row, prev) in zip(self.pivots, self.chosen):
-                d = prev * self.scales[r] if stage == 0 else row[c]
+            for c, (row, prev), s in zip(self.pivots, self.chosen, self.scales):
+                d = prev * s if stage == 0 else row[c]
                 end.append([Fraction(x, d) for x in row])
-        end += [[0] * self.width] * (len(self.scales) - len(end))
-        return Trace(start, Matrix(end), tuple(self.ops(stage)))
+        end += [[Fraction(0, 1)] * self.width] * (len(self.scales) - len(end))
+        return Trace(start, Matrix._of(tuple(map(tuple, end))), tuple(self.ops(stage)))
 
 
 def reduce(m: Matrix, form: str = "completely_reduced") -> tuple[Matrix, Trace]:
@@ -476,18 +491,16 @@ def _solution(run: _FractionFree, n: int) -> SolutionSet:
     ``n`` unknowns: a pivot in the constants column is the impossible row,
     reported as its semi-reduced ``0 = value``; else back-substitution reads
     only the constants column and the free columns."""
-    pivots = run.pivots
-    for i, j in pivots:
-        if j == n:
-            return Inconsistent(row=i, value=run.swept_row(i)[j])
-    lead_cols = [j for _, j in pivots]
-    free = tuple(j for j in range(n) if j not in lead_cols)
+    if n in run.pivots:  # the last pivot, in the constants column
+        i = len(run.pivots) - 1
+        return Inconsistent(row=i, value=run.swept_row(i)[n])
+    free = tuple(run.free[:-1])  # the constants column n is free and last
     rows = run.reduced((n, *free))
     constants = tuple(row[0] for row in rows)
     if not free:
         return Unique(constants)
     coefficients = tuple(tuple(-x for x in row[1:]) for row in rows)
-    return Infinite(tuple(lead_cols), free, constants, coefficients)
+    return Infinite(tuple(run.pivots), free, constants, coefficients)
 
 
 def solve_with_trace(a: Matrix, b) -> tuple[SolutionSet, Trace]:
@@ -515,6 +528,6 @@ def inverse_gauss_jordan(a: Matrix) -> Matrix:
         raise NotSquare(f"{a.rows}x{a.cols} matrix has no inverse")
     n = a.rows
     run = _FractionFree(hstack(a, Matrix.identity(n)))
-    if [j for _, j in run.pivots] != list(range(n)):
+    if run.pivots != list(range(n)):
         raise NotInvertible("the matrix row-reduces short of the identity")
     return Matrix._of(tuple(map(tuple, run.reduced(range(n, 2 * n)))))

@@ -195,7 +195,7 @@ def extend_to_basis(vectors, n: int | None = None) -> Subspace:
         raise DimensionMismatch(f"vectors live in Q^{ambient}, not Q^{n}")
     units = tuple(tuple(Q(int(i == j)) for j in range(ambient)) for i in range(ambient))
     columns = vecs + units
-    kept = [j for _, j in _FractionFree(Matrix.from_columns(columns)).pivots]
+    kept = _FractionFree(Matrix.from_columns(columns)).pivots
     if kept[: len(vecs)] != list(range(len(vecs))):
         raise InputDependent("can only extend an independent set")
     return Subspace._trusted(ambient, tuple(columns[j] for j in kept))
@@ -384,14 +384,12 @@ def _null_space(run: _FractionFree) -> Subspace:
     column (set it to 1, the other free columns to 0, and read each leading
     variable off the completely reduced matrix, on the free columns only)."""
     cols = run.width
-    lead_cols = [c for _, c in run.pivots]
-    free = [j for j in range(cols) if j not in lead_cols]
-    rows = run.reduced(free)
+    rows = run.reduced(run.free)
     basis = []
-    for s, f in enumerate(free):
+    for s, f in enumerate(run.free):
         v = [Q(0)] * cols
         v[f] = Q(1)
-        for c, row in zip(lead_cols, rows):
+        for c, row in zip(run.pivots, rows):
             v[c] = -row[s]
         basis.append(tuple(v))
     return Subspace._trusted(cols, tuple(basis))
@@ -410,7 +408,7 @@ def fundamental_subspaces(a: Matrix) -> Fundamentals:
     return Fundamentals(
         null=_null_space(run),
         row=Subspace._trusted(a.cols, tuple(run.swept_row(k) for k in range(rank))),
-        column=Subspace._trusted(a.rows, tuple(a.col(j) for _, j in run.pivots)),
+        column=Subspace._trusted(a.rows, tuple(map(a.col, run.pivots))),
         rank=rank,
         nullity=a.cols - rank,
     )

@@ -83,7 +83,7 @@ class LinearMap(_Record):
         """All values actually taken (the matrix's column space): its own
         columns at the pivots of one reduction."""
         m = self.matrix
-        return Subspace._trusted(m.rows, tuple(m.col(j) for _, j in _FractionFree(m).pivots))
+        return Subspace._trusted(m.rows, tuple(map(m.col, _FractionFree(m).pivots)))
 
 
 def from_matrix(m: Matrix) -> LinearMap:
@@ -127,6 +127,8 @@ def from_basis_images(pairs) -> LinearMap:
         imgs.append(as_vector(y))
     if not pts:
         raise EmptyInput("no point-image pairs given")
+    if not all(pts):
+        raise EmptyInput("a domain point needs at least one coordinate")
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise MixedDimensions("domain points of different lengths")

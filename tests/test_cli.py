@@ -221,6 +221,13 @@ def test_dependent_map_points_exit_one(capsys):
     assert "error:" in err
 
 
+def test_empty_map_point_exits_two(capsys):
+    for pairs in (" -> 1 2", " -> "):
+        code, _, err = run(capsys, "transform", pairs)
+        assert code == 2, pairs
+        assert "error:" in err
+
+
 def test_missing_bar_is_a_usage_error(capsys):
     code, _, err = run(capsys, "solve", "1 1 1; 1 1 2")
     assert code == 2

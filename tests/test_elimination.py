@@ -26,6 +26,7 @@ from qlinalg import (
     cofactor_matrix,
     cramer_solve,
     det,
+    det_cofactor,
     det_with_effects,
     eigenspace,
     elementary_matrix,
@@ -675,6 +676,27 @@ def test_reader_gives_the_completely_reduced_pivot_rows(kind):
         assert run.reduced(cols) == [[row[j] for j in cols] for row in expected]
         # The reader's floor divisions are exact because last * R is integral.
         assert all((run.last * x).denominator == 1 for row in full for x in row)
+
+
+@pytest.mark.parametrize("kind", _KINDS + ("wide_full_rank",))
+def test_run_records_its_pivot_columns_free_columns_and_pivot_minor(kind):
+    rng = random.Random(f"engine/{kind}")
+    for _ in range(40):
+        if kind == "wide_full_rank":  # the rows run out before the columns
+            rows, cols = sorted(rng.sample(range(1, 7), 2))
+            grid = _rank_grid(rng, rows, cols, rows)
+        else:
+            rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+            grid = _shaped_grid(rng, rows, cols, kind)
+        run = qlinalg.elimination._FractionFree(Matrix(grid))
+        assert run.pivots == sorted(run.pivots) and run.free == sorted(run.free)
+        assert sorted(run.pivots + run.free) == list(range(cols))
+        assert run.pivots == [j for _, j in oracles.eliminate(grid, 0)[2]]
+        expected = Q(0)
+        if len(run.pivots) == rows:
+            expected = det_cofactor(Matrix([[row[j] for j in run.pivots] for row in grid]))
+        minor = run.minor()
+        assert isinstance(minor, Fraction) and minor == expected
 
 
 def test_reader_asks_only_for_the_columns_it_is_given(monkeypatch):

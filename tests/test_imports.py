@@ -144,6 +144,44 @@ def test_the_check_sees_a_dead_private_name():
     assert _dead_privates(sources) == ["a.py: _UNUSED", "a.py: _walk"]
 
 
+# The record fields of an elimination run; callers read pivots, free and minor().
+_RUN_RECORD = {"sign", "last", "scales", "chosen"}
+
+
+def _run_record_uses(source: str) -> list[str]:
+    """Every read or write of a run's record fields, in source order."""
+    found = sorted(
+        (node.lineno, node.col_offset, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in _RUN_RECORD
+    )
+    return [f".{attr} (line {line})" for line, _, attr in found]
+
+
+def test_only_the_engine_touches_a_runs_record():
+    uses = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "elimination.py"
+        and (found := _run_record_uses(path.read_text(encoding="utf-8")))
+    }
+    assert uses == {}
+
+
+def test_the_check_sees_a_run_record_use():
+    source = (
+        "run = _FractionFree(a)\n"
+        "d = Fraction(run.sign * run.last, prod(run.scales))\n"
+        "row, prev = run.chosen[0]\n"
+        "run.sign = 1\n"
+        "x = run.minor(), run.free, run.pivots, sign, last\n"
+    )
+    assert _run_record_uses(source) == [
+        ".sign (line 2)", ".last (line 2)", ".scales (line 2)", ".chosen (line 3)",
+        ".sign (line 4)",
+    ]
+
+
 # math functions whose value is an int for int arguments; every other math name
 # (sqrt, log, pi, fsum, ...) gives a float.
 _INT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm", "prod", "trunc"}

@@ -166,6 +166,17 @@ def test_from_basis_images_input_validation():
         from_basis_images([((1, 0), (1,)), ((0, 1), (2, 3))])
 
 
+def test_an_empty_domain_point_is_empty_input():
+    # with no coordinates there is no Q^n for the point to span, and one
+    # point is not "one too many" for a basis of nothing
+    with pytest.raises(EmptyInput):
+        from_basis_images([((), (1, 2))])
+    with pytest.raises(EmptyInput):
+        from_basis_images([((), ())])
+    with pytest.raises(EmptyInput):
+        from_basis_images([((1,), (1,)), ((), (2,))])
+
+
 # ---- kernel and range ------------------------------------------------------------
 
 
