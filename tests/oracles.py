@@ -33,6 +33,40 @@ def leibniz_det(rows) -> Fraction:
     return total
 
 
+def render_sum(constant, terms) -> str:
+    """``c0 + c1 name1 - ...`` text: zero coefficients dropped, a coefficient
+    of magnitude 1 left out, a non-integer one parenthesised, and the constant
+    shown when it is nonzero or stands alone."""
+    signed = []  # (negative?, text) per shown piece
+    if constant != 0 or not terms:
+        signed.append((constant < 0, f"{abs(constant)}"))
+    for name, c in terms:
+        if c == 0:
+            continue
+        size = abs(c)
+        if size == 1:
+            text = name
+        elif size.denominator == 1:
+            text = f"{size.numerator}{name}"
+        else:
+            text = f"({size.numerator}/{size.denominator}){name}"
+        signed.append((c < 0, text))
+    if not signed:
+        return "0"
+    (negative, text), rest = signed[0], signed[1:]
+    return ("-" if negative else "") + text + "".join(
+        (" - " if neg else " + ") + t for neg, t in rest
+    )
+
+
+def render_polynomial(coefficients, var) -> str:
+    """Ascending text of the polynomial with these coefficients in ``var``."""
+    if not coefficients:
+        return "0"
+    monomials = [(var if k == 1 else f"{var}^{k}", c) for k, c in enumerate(coefficients)]
+    return render_sum(coefficients[0], monomials[1:])
+
+
 def naive_matmul(a, b):
     """Plain triple-loop product on nested sequences."""
     rows, inner, cols = len(a), len(b), len(b[0])

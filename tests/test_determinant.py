@@ -8,6 +8,7 @@ from qlinalg import (
     AddMultiple,
     DetEffectLog,
     DimensionMismatch,
+    IndexOutOfRange,
     Matrix,
     NotInvertible,
     NotSquare,
@@ -87,13 +88,43 @@ def test_cofactor_expansion_along_a_row():
 
 
 def test_every_expansion_line_agrees():
+    # each term, not only the total: term k of a line is the signed entry
+    # times the Leibniz determinant of its minor (that of the empty minor is 1)
     rng = random.Random(9001)
-    for _ in range(25):
-        a = Matrix(oracles.rand_grid(rng, 4, 4))
-        want = oracles.leibniz_det(a.entries)
-        for k in range(4):
-            assert cofactor_expand(a, row=k).value == want
-            assert cofactor_expand(a, col=k).value == want
+    for n in range(1, 6):
+        for denominators in ((1,), (1, 1, 2, 3, 5)):
+            for _ in range(6):
+                grid = oracles.rand_grid(rng, n, n, denominators=denominators)
+                a = Matrix(grid)
+                want = oracles.leibniz_det(grid)
+                for k in range(n):
+                    for exp in (cofactor_expand(a, row=k), cofactor_expand(a, col=k)):
+                        assert exp.value == want
+                        assert len(exp.terms) == n
+                        for m, term in enumerate(exp.terms):
+                            i, j = (k, m) if exp.row is not None else (m, k)
+                            minor = [
+                                [x for c, x in enumerate(r) if c != j]
+                                for r_i, r in enumerate(grid)
+                                if r_i != i
+                            ]
+                            sign = -1 if (i + j) % 2 else 1
+                            assert term == sign * grid[i][j] * oracles.leibniz_det(minor)
+
+
+def test_cofactor_expand_of_a_1x1_is_its_entry():
+    for text in ("7", "-2/3", "0"):
+        a = Matrix.parse(text)
+        for exp in (cofactor_expand(a, row=0), cofactor_expand(a, col=0)):
+            assert exp.terms == (a[0, 0],)
+            assert exp.value == a[0, 0]
+
+
+def test_cofactor_expand_rejects_a_line_outside_the_matrix():
+    a = Matrix.parse("1 2; 3 4")
+    for kw in ({"row": 2}, {"col": 2}, {"row": -1}, {"col": -1}):
+        with pytest.raises(IndexOutOfRange):
+            cofactor_expand(a, **kw)
 
 
 def test_cofactor_expand_validates_arguments():
@@ -135,6 +166,11 @@ def test_det_with_effects_explains_itself():
     # the triangular end of the trace has det == factor * det(a)
     tri = trace.end
     assert tri[0, 0] * tri[1, 1] == log.factor * value
+
+
+def test_det_with_effects_rejects_rectangles():
+    with pytest.raises(NotSquare):
+        det_with_effects(Matrix.parse("1 2 3; 4 5 6"))
 
 
 def test_det_agreement_property():
@@ -321,6 +357,11 @@ def test_inverse_entry_exercise():
     assert det(a) == -1144
     assert inverse_entry(a, 1, 3) == Q(-7, 286)
     assert inverse_gauss_jordan(a)[1, 3] == Q(-7, 286)
+
+
+def test_inverse_entry_rejects_rectangles():
+    with pytest.raises(NotSquare):
+        inverse_entry(Matrix.parse("1 2 3; 4 5 6"), 0, 0)
 
 
 def test_inverse_entry_singular():

@@ -268,6 +268,21 @@ def test_satisfies_form_examples():
     assert satisfies_form(staggered, "reduced_echelon")
 
 
+def test_satisfies_form_names_each_failed_condition():
+    # an entry below a leader
+    assert not satisfies_form(Matrix.parse("1 2; 3 4"), "semi_reduced")
+    # a leader other than 1
+    assert satisfies_form(Matrix.parse("2 0; 0 1"), "semi_reduced")
+    assert not satisfies_form(Matrix.parse("2 0; 0 1"), "reduced")
+    # an entry above a leader
+    assert satisfies_form(Matrix.parse("1 2; 0 1"), "reduced")
+    assert not satisfies_form(Matrix.parse("1 2; 0 1"), "completely_reduced")
+    # a zero row above a nonzero one
+    assert satisfies_form(Matrix.parse("0 0; 1 0"), "completely_reduced")
+    assert not satisfies_form(Matrix.parse("0 0; 1 0"), "echelon")
+    assert not satisfies_form(Matrix.parse("0 0; 1 0"), "reduced_echelon")
+
+
 def test_swap_turns_reduced_into_echelon():
     result, trace = reduce(UNSTAGGERED, "echelon")
     assert trace.ops() == (Swap(0, 1),)
