@@ -8,12 +8,14 @@ Two independent routes to the same number:
   operation scales the determinant (scaling by alpha multiplies it by alpha,
   a swap flips its sign, adding a multiple of one row to another changes
   nothing);
-* :func:`det_cofactor` / :func:`cofactor_expand` -- recursive signed-minor
-  expansion along a chosen row or column.
+* :func:`det_cofactor` / :func:`cofactor_expand` -- one recursive signed-minor
+  expansion: the terms along row 0, along a chosen row, or along a chosen
+  column as the same row of the transpose.
 
 On top of these: the 2x2 shortcut inverse, and the cofactor matrix, one
 reduction per row, with the adjoint, the adjoint-route inverse, single
-inverse entries and Cramer's rule read off its rows.
+inverse entries and Cramer's rule read off its rows.  Each of the last three
+expands det(A) along a line of those cofactors instead of reducing A again.
 """
 
 from __future__ import annotations
@@ -81,26 +83,25 @@ def det(a: Matrix) -> Fraction:
     return _FractionFree(a).minor()
 
 
-def _cofactor_det(grid: tuple[tuple[Fraction, ...], ...]) -> Fraction:
+def _expansion(grid, i: int) -> list[Fraction]:
+    """The signed terms (-1)^(i+j) a_ij det(minor_ij) along row i of a square
+    grid, 0 for a zero entry, each minor expanded along its first row (n! work).
+    A 1x1's one term is its entry: the empty minor's determinant is 1."""
     if len(grid) == 1:
-        return grid[0][0]
-    total = Fraction(0)
-    top = grid[0]
-    rest = grid[1:]
-    sign = Fraction(1)
-    for j, a in enumerate(top):
-        if a != 0:
-            minor = tuple(r[:j] + r[j + 1:] for r in rest)
-            total += sign * a * _cofactor_det(minor)
-        sign = -sign
-    return total
+        return [grid[0][0]]
+    rest = grid[:i] + grid[i + 1:]
+    return [
+        (-a if (i + j) % 2 else a) * sum(_expansion([r[:j] + r[j + 1:] for r in rest], 0))
+        if a else Fraction(0)
+        for j, a in enumerate(grid[i])
+    ]
 
 
 def det_cofactor(a: Matrix) -> Fraction:
     """Determinant by full recursive cofactor expansion (n! work)."""
     if not a.is_square:
         raise NotSquare("determinants need a square matrix")
-    return _cofactor_det(a.entries)
+    return sum(_expansion(a.entries, 0), Fraction(0))
 
 
 class Expansion(_Record):
@@ -116,7 +117,8 @@ def cofactor_expand(a: Matrix, row: int | None = None, col: int | None = None) -
     """Expand along one row or one column (exactly one must be given).
 
     Term k is the signed product entry * cofactor at position k of the chosen
-    line; minors are themselves computed by cofactor expansion.
+    line; minors are themselves computed by cofactor expansion.  Column j of A
+    is row j of its transpose, whose minors are A's transposed: same determinants.
     """
     if not a.is_square:
         raise NotSquare("cofactor expansion needs a square matrix")
@@ -126,25 +128,9 @@ def cofactor_expand(a: Matrix, row: int | None = None, col: int | None = None) -
     line = row if row is not None else col
     if not 0 <= line < n:
         raise IndexOutOfRange(f"line {line} outside 0..{n - 1}")
-    terms = []
-    for k in range(n):
-        i, j = (row, k) if row is not None else (k, col)
-        entry = a[i, j]
-        if n == 1:
-            terms.append(entry)
-            continue
-        if entry == 0:
-            terms.append(Fraction(0))
-            continue
-        minor = a.drop(row=i, col=j)
-        sign = Fraction(-1) if (i + j) % 2 else Fraction(1)
-        terms.append(sign * entry * _cofactor_det(minor.entries))
-    return Expansion(
-        terms=tuple(terms),
-        value=sum(terms, Fraction(0)),
-        row=row,
-        col=col,
-    )
+    grid = a.entries if row is not None else tuple(zip(*a.entries))
+    terms = tuple(_expansion(grid, line))
+    return Expansion(terms=terms, value=sum(terms, Fraction(0)), row=row, col=col)
 
 
 def inverse_2x2(a: Matrix) -> Matrix:
@@ -154,12 +140,7 @@ def inverse_2x2(a: Matrix) -> Matrix:
     d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if d == 0:
         raise NotInvertible("determinant is zero")
-    return Matrix(
-        [
-            [a[1, 1] / d, -a[0, 1] / d],
-            [-a[1, 0] / d, a[0, 0] / d],
-        ]
-    )
+    return Matrix._of(((a[1, 1] / d, -a[0, 1] / d), (-a[1, 0] / d, a[0, 0] / d)))
 
 
 def _cofactor_row(a: Matrix, i: int) -> tuple[Fraction, ...]:
@@ -200,7 +181,7 @@ def cofactor_matrix(a: Matrix) -> Matrix:
         raise NotSquare("cofactor matrix needs a square matrix")
     if a.rows < 2:
         raise WrongSize("cofactor matrix needs n >= 2")
-    return Matrix([_cofactor_row(a, i) for i in range(a.rows)])
+    return Matrix._of(tuple(_cofactor_row(a, i) for i in range(a.rows)))
 
 
 def adjoint(a: Matrix) -> Matrix:
@@ -209,11 +190,17 @@ def adjoint(a: Matrix) -> Matrix:
 
 
 def inverse_adjoint(a: Matrix) -> Matrix:
-    """Inverse as adjoint over determinant."""
-    d = det(a)
+    """Inverse as adjoint over determinant: n reductions, one per cofactor row,
+    with det(A) expanded along row 0 of them as sum_j a_0j C_0j."""
+    if not a.is_square:
+        raise NotSquare("determinants need a square matrix")
+    cof = [_cofactor_row(a, i) for i in range(a.rows)]
+    d = sum(map(mul, a.row(0), cof[0]))
     if d == 0:
         raise NotInvertible("determinant is zero")
-    return (Fraction(1) / d) * adjoint(a)
+    if a.rows < 2:
+        raise WrongSize("cofactor matrix needs n >= 2")
+    return (Fraction(1) / d) * Matrix._of(tuple(zip(*cof)))
 
 
 def inverse_entry(a: Matrix, i: int, k: int) -> Fraction:

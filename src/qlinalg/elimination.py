@@ -483,7 +483,7 @@ def _augmented(a: Matrix, b) -> Matrix:
     bvec = as_vector(b)
     if len(bvec) != a.rows:
         raise DimensionMismatch(f"{a.rows} equations, {len(bvec)} constants")
-    return hstack(a, Matrix.column_vector(bvec))
+    return hstack(a, Matrix._of(tuple((x,) for x in bvec)))
 
 
 def _solution(run: _FractionFree, n: int) -> SolutionSet:

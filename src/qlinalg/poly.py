@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .scalars import _cleared, as_scalar, format_scalar
+from .scalars import _cleared, _render_sum, as_scalar, format_scalar
 
 
 class Polynomial:
@@ -160,30 +160,13 @@ class Polynomial:
         return _primitive(_cleared(self._coeffs)[0])
 
     def render(self, var: str = "x") -> str:
-        """Ascending human form: ``-2 + x + 2x^2 - x^3``."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            mag = _term(abs(c), k, var)
-            if not parts:
-                parts.append(mag if c > 0 else f"-{mag}")
-            else:
-                parts.append(f"+ {mag}" if c > 0 else f"- {mag}")
-        return " ".join(parts)
-
-
-def _term(mag: Fraction, k: int, var: str) -> str:
-    if k == 0:
-        return format_scalar(mag)
-    power = var if k == 1 else f"{var}^{k}"
-    if mag == 1:
-        return power
-    if mag.denominator == 1:
-        return f"{mag}{power}"
-    return f"({mag}){power}"
+        """Ascending human form: ``-2 + x + 2x^2 - x^3``, the notation of
+        :func:`scalars._render_sum` with the monomials ``var^k`` as names."""
+        c = self._coeffs
+        return _render_sum(
+            c[0] if c else Fraction(0),
+            [(var if k == 1 else f"{var}^{k}", x) for k, x in enumerate(c[1:], 1)],
+        )
 
 
 def _as_poly(obj) -> Polynomial:

@@ -46,6 +46,26 @@ def format_scalar(q: Fraction) -> str:
     return str(q)
 
 
+def _render_sum(constant: Fraction, terms) -> str:
+    """``constant + c1 name1 - ...`` for ``terms`` of ``(name, c)`` pairs: zero
+    coefficients dropped, a coefficient of magnitude 1 left out, a non-integer
+    one in parentheses; the constant shown when nonzero or alone; else ``0``."""
+    parts = []
+    if constant != 0 or not terms:
+        parts.append(format_scalar(constant))
+    for name, c in terms:
+        if c == 0:
+            continue
+        lead = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        coef = "" if mag == 1 else (
+            format_scalar(mag) if mag.denominator == 1 else f"({format_scalar(mag)})"
+        )
+        piece = f"{coef}{name}"
+        parts.append(f"{lead} {piece}" if parts else f"{lead}{piece}")
+    return " ".join(parts) if parts else "0"
+
+
 def as_scalar(value) -> Fraction:
     """Coerce an int, Fraction, or scalar string; refuse floats loudly."""
     if isinstance(value, Fraction):

@@ -36,7 +36,7 @@ from .errors import (
     _Record,
 )
 from .matrix import Matrix, as_vector
-from .scalars import Q, as_scalar, format_scalar, parse_scalar
+from .scalars import Q, _render_sum, as_scalar, format_scalar, parse_scalar
 
 Vector = tuple[Fraction, ...]
 
@@ -211,7 +211,8 @@ _NONLINEAR = re.compile(rf"\^|\*\*|{_NAME}\s*\*\s*{_NAME}")
 
 
 class LinearForm(_Record):
-    """constant + sum of coefficient * parameter, exactly."""
+    """constant + sum of coefficient * parameter, exactly; printed in the
+    notation of :func:`scalars._render_sum`, as polynomials are."""
 
     constant: Fraction
     terms: tuple[tuple[str, Fraction], ...]
@@ -236,20 +237,7 @@ class LinearForm(_Record):
         )
 
     def __str__(self):
-        parts = []
-        if self.constant != 0 or not self.terms:
-            parts.append(format_scalar(self.constant))
-        for name, c in self.terms:
-            if c == 0:
-                continue
-            lead = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            coef = "" if mag == 1 else (
-                format_scalar(mag) if mag.denominator == 1 else f"({format_scalar(mag)})"
-            )
-            piece = f"{coef}{name}"
-            parts.append(f"{lead} {piece}".strip() if parts else f"{lead}{piece}")
-        return " ".join(parts) if parts else "0"
+        return _render_sum(self.constant, self.terms)
 
 
 def parse_linear_form(text: str) -> LinearForm:

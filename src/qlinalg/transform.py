@@ -129,6 +129,8 @@ def from_basis_images(pairs) -> LinearMap:
         raise EmptyInput("no point-image pairs given")
     if not all(pts):
         raise EmptyInput("a domain point needs at least one coordinate")
+    if not all(imgs):
+        raise EmptyInput("an image needs at least one coordinate")
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise MixedDimensions("domain points of different lengths")

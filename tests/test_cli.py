@@ -228,6 +228,13 @@ def test_empty_map_point_exits_two(capsys):
         assert "error:" in err
 
 
+def test_empty_map_image_exits_two(capsys):
+    for pairs in ("1 -> ", "1 -> ; 2 -> 1"):
+        code, _, err = run(capsys, "transform", pairs)
+        assert code == 2, pairs
+        assert err == "error: an image needs at least one coordinate\n", pairs
+
+
 def test_missing_bar_is_a_usage_error(capsys):
     code, _, err = run(capsys, "solve", "1 1 1; 1 1 2")
     assert code == 2

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qlinalg.matrix
 from qlinalg import (
     AddMultiple,
     DetEffectLog,
@@ -24,12 +25,14 @@ from qlinalg import (
     det,
     det_cofactor,
     det_with_effects,
+    hstack,
     inverse_2x2,
     inverse_adjoint,
     inverse_entry,
     inverse_gauss_jordan,
     row_op_det_effect,
     solve,
+    split_augmented,
 )
 
 import oracles
@@ -61,6 +64,8 @@ def test_det_rejects_rectangles():
         det(Matrix.parse("1 2 3; 4 5 6"))
     with pytest.raises(NotSquare):
         det_cofactor(Matrix.parse("1 2 3; 4 5 6"))
+    with pytest.raises(NotSquare):
+        det_with_effects(Matrix.parse("1 2 3; 4 5 6"))
 
 
 def test_singular_det_is_zero():
@@ -112,21 +117,6 @@ def test_every_expansion_line_agrees():
                             assert term == sign * grid[i][j] * oracles.leibniz_det(minor)
 
 
-def test_cofactor_expand_of_a_1x1_is_its_entry():
-    for text in ("7", "-2/3", "0"):
-        a = Matrix.parse(text)
-        for exp in (cofactor_expand(a, row=0), cofactor_expand(a, col=0)):
-            assert exp.terms == (a[0, 0],)
-            assert exp.value == a[0, 0]
-
-
-def test_cofactor_expand_rejects_a_line_outside_the_matrix():
-    a = Matrix.parse("1 2; 3 4")
-    for kw in ({"row": 2}, {"col": 2}, {"row": -1}, {"col": -1}):
-        with pytest.raises(IndexOutOfRange):
-            cofactor_expand(a, **kw)
-
-
 def test_cofactor_expand_validates_arguments():
     a = Matrix.identity(3)
     with pytest.raises(ValueError):
@@ -135,6 +125,9 @@ def test_cofactor_expand_validates_arguments():
         cofactor_expand(a, row=0, col=0)
     with pytest.raises(NotSquare):
         cofactor_expand(Matrix.parse("1 2 3; 4 5 6"), row=0)
+    for kw in ({"row": 3}, {"col": 3}, {"row": -1}, {"col": -1}):
+        with pytest.raises(IndexOutOfRange):
+            cofactor_expand(a, **kw)
 
 
 # ---- row-operation effects on determinants ------------------------------------
@@ -166,11 +159,6 @@ def test_det_with_effects_explains_itself():
     # the triangular end of the trace has det == factor * det(a)
     tri = trace.end
     assert tri[0, 0] * tri[1, 1] == log.factor * value
-
-
-def test_det_with_effects_rejects_rectangles():
-    with pytest.raises(NotSquare):
-        det_with_effects(Matrix.parse("1 2 3; 4 5 6"))
 
 
 def test_det_agreement_property():
@@ -265,6 +253,8 @@ def test_adjoint_guards():
         adjoint(Matrix.parse("5"))
     with pytest.raises(NotInvertible):
         inverse_adjoint(Matrix.parse("2 3; 4 6"))
+    with pytest.raises(NotSquare):
+        inverse_adjoint(Matrix.parse("1 2 3; 4 5 6"))
 
 
 def test_adjoint_identity_holds_even_when_singular():
@@ -392,3 +382,23 @@ def test_inverse_routes_agree_property():
         eliminated = solve(a, rhs)
         assert isinstance(eliminated, Unique)
         assert cramer_solve(a, rhs) == eliminated.values
+
+
+def test_cofactor_calls_coerce_no_entry_the_library_built(monkeypatch):
+    rng = random.Random(16003)
+    a = inverse_gauss_jordan(Matrix(oracles.rand_invertible_grid(rng, 4)))
+    assert any(x.denominator > 1 for row in a.entries for x in row)
+    two = inverse_gauss_jordan(Matrix.parse("2 1/3; -1 4"))
+    coefficients, constants = split_augmented(
+        hstack(a, Matrix(oracles.rand_grid(rng, 4, 1))), 4
+    )
+    coerced = []
+    checked = qlinalg.matrix.as_scalar
+    monkeypatch.setattr(
+        qlinalg.matrix, "as_scalar", lambda x: coerced.append(x) or checked(x)
+    )
+    cofactor_matrix(a)
+    adjoint(a)
+    inverse_2x2(two)
+    assert isinstance(solve(coefficients, constants), Unique)
+    assert coerced == []

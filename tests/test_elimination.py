@@ -266,18 +266,13 @@ def test_satisfies_form_examples():
     assert not satisfies_form(UNSTAGGERED_FULL, "reduced_echelon")
     staggered = apply_row_op(UNSTAGGERED_FULL, Swap(0, 1))
     assert satisfies_form(staggered, "reduced_echelon")
-
-
-def test_satisfies_form_names_each_failed_condition():
-    # an entry below a leader
+    # each condition failing alone: an entry below a leader, a leader other
+    # than 1, an entry above a leader, a zero row above a nonzero one
     assert not satisfies_form(Matrix.parse("1 2; 3 4"), "semi_reduced")
-    # a leader other than 1
     assert satisfies_form(Matrix.parse("2 0; 0 1"), "semi_reduced")
     assert not satisfies_form(Matrix.parse("2 0; 0 1"), "reduced")
-    # an entry above a leader
     assert satisfies_form(Matrix.parse("1 2; 0 1"), "reduced")
     assert not satisfies_form(Matrix.parse("1 2; 0 1"), "completely_reduced")
-    # a zero row above a nonzero one
     assert satisfies_form(Matrix.parse("0 0; 1 0"), "completely_reduced")
     assert not satisfies_form(Matrix.parse("0 0; 1 0"), "echelon")
     assert not satisfies_form(Matrix.parse("0 0; 1 0"), "reduced_echelon")
@@ -822,7 +817,8 @@ _REDUCTIONS = {
     "cofactor_matrix": (lambda: cofactor_matrix(_A), 3),
     "inverse_entry": (lambda: inverse_entry(_A, 0, 2), 1),
     "cramer_solve": (lambda: cramer_solve(_A, [3, 5, 5]), 3),
-    "inverse_adjoint": (lambda: inverse_adjoint(_A), 4),
+    # det(A) read off the first cofactor row, not reduced again
+    "inverse_adjoint": (lambda: inverse_adjoint(_A), 3),
 }
 
 

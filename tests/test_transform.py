@@ -177,6 +177,17 @@ def test_an_empty_domain_point_is_empty_input():
         from_basis_images([((1,), (1,)), ((), (2,))])
 
 
+def test_an_empty_image_is_empty_input():
+    # no image coordinates: the map has no codomain Q^m to land in
+    for pairs in (
+        [((1,), ())],
+        [((1,), ()), ((2,), (1,))],
+        [((1, 0), (3,)), ((0, 1), ())],
+    ):
+        with pytest.raises(EmptyInput, match="an image needs at least one coordinate"):
+            from_basis_images(pairs)
+
+
 # ---- kernel and range ------------------------------------------------------------
 
 
