@@ -26,7 +26,7 @@ from .errors import (
     NotSquare,
     RaggedRows,
 )
-from .scalars import _cleared, as_scalar, format_scalar
+from .scalars import _cleared, as_scalar, format_scalar, parse_scalar
 
 
 class Matrix:
@@ -319,21 +319,20 @@ def parse_matrix_text(text: str) -> tuple[Matrix, int | None]:
     grid: list[list[str]] = []
     boundaries: set[int | None] = set()
     for raw in raw_rows:
-        if raw.count("|") > 1:
+        sides = [side.split() for side in raw.split("|")]
+        if len(sides) > 2:
             raise RaggedRows(f"more than one '|' in row {raw!r}")
-        if "|" in raw:
-            left, right = raw.split("|")
-            lhs, rhs = left.split(), right.split()
-            if not lhs or not rhs:
-                raise RaggedRows(f"'|' with an empty side in row {raw!r}")
-            boundaries.add(len(lhs))
-            grid.append(lhs + rhs)
-        else:
-            boundaries.add(None)
-            grid.append(raw.split())
+        if not all(sides):
+            raise RaggedRows(f"'|' with an empty side in row {raw!r}")
+        boundaries.add(len(sides[0]) if len(sides) == 2 else None)
+        grid.append([tok for side in sides for tok in side])
     if len(boundaries) > 1:
         raise RaggedRows("the '|' must sit in the same place in every row")
-    return Matrix(grid), boundaries.pop()
+    # every token is read before any width is compared, as Matrix(grid) does
+    rows = tuple(tuple(map(parse_scalar, r)) for r in grid)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise RaggedRows("rows of unequal length")
+    return Matrix._of(rows), boundaries.pop()
 
 
 def split_augmented(m: Matrix, boundary: int) -> tuple[Matrix, Matrix]:

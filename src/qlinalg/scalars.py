@@ -15,13 +15,18 @@ from .errors import MalformedScalar, ZeroDenominator
 
 Q = Fraction
 
-_INT = re.compile(r"[+-]?\d+\Z")
-_RATIO = re.compile(r"([+-]?\d+)/(\d+)\Z")
-_DECIMAL = re.compile(r"[+-]?\d+\.\d+\Z")
+_SCALAR = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\Z")
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Read an integer, a ``p/q`` fraction, or a terminating decimal.
+    r"""Read an integer, a ``p/q`` fraction, or a terminating decimal.
+
+    After surrounding whitespace is stripped, the text must be, in full,
+    ``([+-]?)(\d+)(?:/(\d+)|\.(\d+))?``: an optional sign, digits (any
+    Unicode decimal digits), then optionally ``/`` and an unsigned
+    denominator or ``.`` and fraction digits.  So ``1_000``, ``1e3``, ``1.``,
+    ``.5`` and ``3/-4`` raise :class:`MalformedScalar`, and a zero
+    denominator raises :class:`ZeroDenominator`.
 
     >>> parse_scalar("17/7")
     Fraction(17, 7)
@@ -30,15 +35,18 @@ def parse_scalar(text: str) -> Fraction:
     >>> parse_scalar("6")
     Fraction(6, 1)
     """
-    s = text.strip()
-    if _INT.match(s) or _DECIMAL.match(s):
-        return Fraction(s)
-    m = _RATIO.match(s)
-    if m:
-        if int(m.group(2)) == 0:
-            raise ZeroDenominator(f"zero denominator in {text!r}")
-        return Fraction(s)
-    raise MalformedScalar(f"not an exact scalar: {text!r}")
+    m = _SCALAR.match(text.strip())
+    if m is None:
+        raise MalformedScalar(f"not an exact scalar: {text!r}")
+    sign, whole, den, frac = m.groups()
+    if den is None and frac is None:
+        return Fraction(int(sign + whole))  # one int, so no gcd
+    if frac is not None:
+        n = int(whole) * 10 ** len(frac) + int(frac)
+        return Fraction(-n if sign == "-" else n, 10 ** len(frac))
+    if not (q := int(den)):
+        raise ZeroDenominator(f"zero denominator in {text!r}")
+    return Fraction(int(sign + whole), q)
 
 
 def format_scalar(q: Fraction) -> str:
@@ -86,8 +94,8 @@ def as_scalar(value) -> Fraction:
 def _cleared(values) -> tuple[list[int], int]:
     """Integers ``ints`` and the lcm ``s`` of the denominators of the
     sequence ``values``, with ``values[i] == ints[i] / s``."""
-    dens = [x.denominator for x in values]
-    s = lcm(*dens)
+    pairs = [x.as_integer_ratio() for x in values]
+    s = lcm(*[d for _, d in pairs])
     if s == 1:
-        return [x.numerator for x in values], 1
-    return [x.numerator * (s // d) for x, d in zip(values, dens)], s
+        return [n for n, _ in pairs], 1
+    return [n * (s // d) for n, d in pairs], s

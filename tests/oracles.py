@@ -5,6 +5,7 @@ tuples of Fractions — no imports from the package under test — so that
 agreement between these oracles and the library is meaningful.
 """
 
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -65,6 +66,34 @@ def render_polynomial(coefficients, var) -> str:
         return "0"
     monomials = [(var if k == 1 else f"{var}^{k}", c) for k, c in enumerate(coefficients)]
     return render_sum(coefficients[0], monomials[1:])
+
+
+class MalformedScalar(ValueError):
+    """Stands in for the library's error of the same name."""
+
+
+class ZeroDenominator(ValueError):
+    """Stands in for the library's error of the same name."""
+
+
+_INT = re.compile(r"[+-]?\d+\Z")
+_RATIO = re.compile(r"([+-]?\d+)/(\d+)\Z")
+_DECIMAL = re.compile(r"[+-]?\d+\.\d+\Z")
+
+
+def parse_scalar_reference(text):
+    """The scalar reader as it stood before the single-grammar one: three
+    regexes pick the token's shape and ``Fraction(str)`` reads its value.
+    Raises exceptions of the library's class names with its messages."""
+    s = text.strip()
+    if _INT.match(s) or _DECIMAL.match(s):
+        return Fraction(s)
+    m = _RATIO.match(s)
+    if m:
+        if int(m.group(2)) == 0:
+            raise ZeroDenominator(f"zero denominator in {text!r}")
+        return Fraction(s)
+    raise MalformedScalar(f"not an exact scalar: {text!r}")
 
 
 def naive_matmul(a, b):

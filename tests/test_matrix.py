@@ -8,6 +8,7 @@ from qlinalg import (
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
+    MalformedScalar,
     Matrix,
     RaggedRows,
     SymmetryClass,
@@ -60,13 +61,76 @@ def test_parse_matrix_text_augmented():
 
 
 def test_parse_matrix_text_misplaced_bar():
-    with pytest.raises(RaggedRows):
+    with pytest.raises(RaggedRows) as err:
         parse_matrix_text("1 | 2 3; 4 5 | 6")
+    assert str(err.value) == "the '|' must sit in the same place in every row"
 
 
 def test_plain_parse_rejects_bar():
-    with pytest.raises(RaggedRows):
+    with pytest.raises(RaggedRows) as err:
         Matrix.parse("1 | 2")
+    assert str(err.value) == "unexpected '|' in a plain (non-augmented) matrix"
+
+
+def test_parse_reads_every_entry_before_it_compares_row_widths():
+    with pytest.raises(MalformedScalar) as bad:
+        parse_matrix_text("1 x; 3")
+    assert str(bad.value) == "not an exact scalar: 'x'"
+    with pytest.raises(RaggedRows) as ragged:
+        parse_matrix_text("1 2; 3")
+    assert str(ragged.value) == "rows of unequal length"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 | 2 | 3", "more than one '|' in row '1 | 2 | 3'"),
+        ("1 2 |", "'|' with an empty side in row '1 2 |'"),
+        ("| 1; 2 | 3", "'|' with an empty side in row '| 1'"),
+        ("1 | 2; 3 4", "the '|' must sit in the same place in every row"),
+        # a row's bar is checked before any entry is read, in row order
+        ("x 1; 1 | 2 | 3", "more than one '|' in row '1 | 2 | 3'"),
+        ("1 | x; 2 3 | 4", "the '|' must sit in the same place in every row"),
+        ("1 | 2; 3 || 4", "more than one '|' in row '3 || 4'"),
+        ("1 |; 1 | 2 | 3", "'|' with an empty side in row '1 |'"),
+    ],
+)
+def test_every_bar_error_keeps_its_message(text, message):
+    with pytest.raises(RaggedRows) as err:
+        parse_matrix_text(text)
+    assert str(err.value) == message
+
+
+def _token(rng, q):
+    """A spelling of ``q`` the reader accepts: an integer, signed or not, a
+    two-place decimal, or an unreduced p/q."""
+    form = rng.randrange(3)
+    if form == 0 and q.denominator == 1:
+        return rng.choice(["", "+"] if q >= 0 else [""]) + str(q.numerator)
+    if form == 1 and 100 % q.denominator == 0:
+        n = q.numerator * (100 // q.denominator)
+        return f"{'-' if n < 0 else rng.choice(['', '+'])}{abs(n) // 100}.{abs(n) % 100:02d}"
+    k = rng.randint(1, 3)
+    return f"{q.numerator * k}/{q.denominator * k}"
+
+
+def test_parsed_entries_are_fractions_and_match_a_checked_matrix():
+    rng = random.Random(17)
+    for trial in range(120):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        values = oracles.rand_grid(rng, rows, cols)
+        grid = [[_token(rng, q) for q in row] for row in values]
+        bar = rng.randint(1, cols - 1) if cols > 1 and trial % 2 else None
+        lines = [
+            " ".join(r) if bar is None else f"{' '.join(r[:bar])} | {' '.join(r[bar:])}"
+            for r in grid
+        ]
+        text = rng.choice(["; ", "\n", " ;\n  "]).join(lines)
+        m, boundary = parse_matrix_text(text)
+        assert boundary == bar
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+        assert m == Matrix(grid)
+        assert m.entries == tuple(map(tuple, values))
 
 
 # ---- constructors and access -------------------------------------------------

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,98 @@ def test_parse_scalar_rejects_junk(bad):
 def test_zero_denominator_is_its_own_error():
     with pytest.raises(ZeroDenominator):
         parse_scalar("3/0")
+
+
+# ---- the reader against its earlier three-regex form -----------------------------
+
+
+def _outcome(read, text):
+    """What ``read(text)`` does: its value's type and parts, or its error's
+    class name and message."""
+    try:
+        x = read(text)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+    return type(x), x.numerator, x.denominator
+
+
+_DIGITS = st.text(st.sampled_from("0123456789٣３"), max_size=6)
+_TOKENS = st.one_of(
+    st.text(st.sampled_from("0123456789٣３+-/._e Ex\t\u3000"), max_size=10),
+    st.tuples(
+        st.sampled_from(["", "+", "-", "--", " ", "+-"]),
+        _DIGITS,
+        st.sampled_from(["", "/", ".", "/-", "/+", "e", "_", "//", ". "]),
+        _DIGITS,
+        st.sampled_from(["", " ", "x", "/", ".5", "/3", "_0"]),
+    ).map("".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_TOKENS)
+def test_parse_scalar_matches_the_earlier_reader(text):
+    assert _outcome(parse_scalar, text) == _outcome(oracles.parse_scalar_reference, text)
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("-0", Fraction(0)),
+        ("+0/5", Fraction(0)),
+        ("-0.50", Fraction(-1, 2)),
+        ("0003/0004", Fraction(3, 4)),
+        ("٣/３", Fraction(1)),
+        ("1_000", MalformedScalar),
+        ("1e3", MalformedScalar),
+        ("1.", MalformedScalar),
+        (".5", MalformedScalar),
+        ("3/+4", MalformedScalar),
+        ("1/-2", MalformedScalar),
+        ("--1", MalformedScalar),
+        ("1/2/3", MalformedScalar),
+        ("", MalformedScalar),
+        ("1/0", ZeroDenominator),
+        ("0/0", ZeroDenominator),
+        ("5/000", ZeroDenominator),
+    ],
+)
+def test_pinned_tokens_read_as_before(text, expected):
+    got = _outcome(parse_scalar, text)
+    assert got == _outcome(oracles.parse_scalar_reference, text)
+    if isinstance(expected, Fraction):
+        assert got == (Fraction, expected.numerator, expected.denominator)
+    else:
+        assert got[0] == expected.__name__
+
+
+_LONG = [
+    "1" * 4300,
+    "-" + "9" * 4301,
+    "+" + "2" * 5000 + "/7",
+    "7/" + "3" * 4301,
+    "4" * 4301 + "/" + "3" * 4302,
+    "-" + "8" * 3000 + "." + "5" * 3000,
+    "0." + "5" * 4301,
+    "1/" + "0" * 4301,
+]
+
+
+def test_long_tokens_read_as_before():
+    limit = sys.get_int_max_str_digits()
+    try:
+        # Python's own limit on int(str); here both readers meet it on the
+        # same digit runs, so even the messages agree
+        sys.set_int_max_str_digits(4300)
+        for text in _LONG:
+            assert _outcome(parse_scalar, text) == _outcome(oracles.parse_scalar_reference, text)
+        sys.set_int_max_str_digits(0)
+        for text in _LONG:
+            got = _outcome(parse_scalar, text)
+            assert got == _outcome(oracles.parse_scalar_reference, text)
+            assert got[0] in (Fraction, "ZeroDenominator")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_format_scalar():
