@@ -36,7 +36,6 @@ from .errors import (
     _Record,
 )
 from .matrix import Matrix, as_vector
-from .spaces import _null_space
 
 
 def row_op_det_effect(op: RowOp) -> Fraction:
@@ -157,7 +156,7 @@ def _cofactor_row(a: Matrix, i: int) -> tuple[Fraction, ...]:
         return (Fraction(0),) * n
     (f,) = run.free
     c = -minor if (i + f) % 2 else minor
-    return tuple(c * x for x in _null_space(run).basis[0])
+    return tuple(c * x for x in run.null_basis()[0])
 
 
 def cramer_solve(c: Matrix, b) -> tuple[Fraction, ...]:

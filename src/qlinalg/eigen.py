@@ -65,10 +65,8 @@ def _char_poly(g: list[list[int]], d: int) -> tuple[Polynomial, tuple[int, ...]]
         for _ in range(k):
             col.append(-sum(map(mul, r, v)))
             v = [sum(map(mul, mi, v)) for mi in m]
-        coeffs = [
-            sum(col[i - j] * coeffs[j] for j in range(min(i, k) + 1))
-            for i in range(k + 2)
-        ]
+        col.reverse()
+        coeffs = [sum(map(mul, coeffs, col[k + 1 - i:])) for i in range(k + 2)]
     sign = -1 if n % 2 else 1
     poly = Polynomial([Fraction(sign * c, d**i) for i, c in enumerate(coeffs)][::-1])
     return poly, _primitive([sign * c * d**i for i, c in enumerate(reversed(coeffs))])

@@ -225,18 +225,25 @@ class _FractionFree:
     """One forward reduction on Python ints.
 
     Each row of a ``Matrix`` is multiplied by the lcm of its denominators;
-    rows that are already ints (a list of int lists, which the run takes
-    over) keep a scale of 1.  The scales travel with the rows through swaps.
-    Each pivot clears the rows below it by ``(p*x - a*y) // prev``, dividing
-    exactly by the previous pivot, and is then left alone: ``chosen[k]`` is
-    pivot row k with the pivot before it, and ``last`` is the final pivot.
-    ``width`` is the number of columns.  ``steps`` holds each swap and, per
-    row cleared below a pivot, the raw ``(pivot row, row, entry, row scale)``
-    that :meth:`ops` reads.
+    rows that are already ints (a list of int lists) keep a scale of 1, and
+    the run consumes them: it edits those lists in place.  The scales travel
+    with the rows through swaps.  Each pivot clears the rows below it by
+    ``(p*x - a*y) // prev``, dividing exactly by the previous pivot, and is
+    then left alone: ``chosen[k]`` is pivot row k with the pivot before it,
+    and ``last`` is the final pivot.  ``width`` is the number of columns.
+    ``steps`` holds each swap and, per row cleared below a pivot, the raw
+    ``(pivot row, row, entry, row scale)`` that :meth:`ops` reads.
+
+    While column c is worked on, every row from the working row down holds
+    only its columns from c on: the columns before c are known zeros.  Each
+    row drops its leading entry once it is read (as the pivot, as a
+    multiplier, or as a zero in a free column), and a pivot row gets its
+    zero prefix back once, when it goes into ``chosen``.
 
     What callers read: ``pivots[k]`` is the column of row k's pivot, ``free``
     the columns with no pivot (both ascending, together every column once),
-    and :meth:`minor` the determinant of the rows on the pivot columns.  The
+    :meth:`minor` the determinant of the rows on the pivot columns, and the
+    readers :meth:`reduced`, :meth:`null_basis` and :meth:`swept_row`.  The
     record fields ``sign``, ``last``, ``scales`` and ``chosen`` stay here.
     """
 
@@ -249,41 +256,48 @@ class _FractionFree:
                 scales.append(s)
         else:
             grid, scales = m, [1] * len(m)
-        height, self.width = len(grid), len(grid[0])
-        self.scales = scales
-        self.pivots, self.free = [], []
+        height, width = len(grid), len(grid[0])
+        self.width, self.scales = width, scales
+        self.pivots, self.free = pivots, free = [], []
         self.chosen: list[tuple[list[int], int]] = []
         self.steps: list[Swap | tuple[int, int, int, int]] = []
-        self.sign = prev = 1
+        chosen, steps = self.chosen, self.steps
+        sign = prev = 1
         r = 0
-        for c in range(self.width):
+        for c in range(width):
             if r == height:
-                self.free += range(c, self.width)
+                free += range(c, width)
                 break
-            src = next((k for k in range(r, height) if grid[k][c]), None)
-            if src is None:
-                self.free.append(c)
+            for src in range(r, height):
+                if grid[src][0]:
+                    break
+            else:
+                free.append(c)
+                for k in range(r, height):
+                    del grid[k][0]
                 continue
             if src != r:
                 grid[r], grid[src] = grid[src], grid[r]
                 scales[r], scales[src] = scales[src], scales[r]
-                self.sign = -self.sign
-                self.steps.append(Swap(r, src))
+                sign = -sign
+                steps.append(Swap(r, src))
             top = grid[r]
-            p, zeros, tail = top[c], [0] * (c + 1), top[c + 1:]
+            p = top[0]
+            chosen.append(([0] * c + top, prev))
+            del top[0]
             for k in range(r + 1, height):
-                # columns <= c of the rows below come out exact zeros
                 row = grid[k]
-                if a := row[c]:
-                    grid[k] = zeros + [(p * x - a * y) // prev for x, y in zip(row[c + 1:], tail)]
-                    self.steps.append((r, k, a, scales[k]))
+                a = row[0]
+                del row[0]
+                if a:
+                    grid[k] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+                    steps.append((r, k, a, scales[k]))
                 else:
-                    grid[k] = zeros + [p * x // prev for x in row[c + 1:]]
-            self.pivots.append(c)
-            self.chosen.append((top, prev))
+                    grid[k] = [p * x // prev for x in row]
+            pivots.append(c)
             prev = p
             r += 1
-        self.last = prev
+        self.sign, self.last = sign, prev
 
     def minor(self) -> Fraction:
         """Determinant of the rows on the pivot columns, 0 below full row rank:
@@ -298,10 +312,10 @@ class _FractionFree:
         d = prev * self.scales[k]
         return tuple(Fraction(x, d) for x in row)
 
-    def reduced(self, cols) -> list[list[Fraction]]:
-        """The pivot rows of the completely reduced matrix R, restricted to
-        ``cols``, by back-substitution on the pivot rows U_k = ``chosen[k]``
-        from the last pivot up: with c_i the pivot column of row i,
+    def _reduced_ints(self, cols) -> list[tuple[int, ...]]:
+        """``last`` times the pivot rows of the completely reduced matrix R,
+        restricted to ``cols``, by back-substitution on the pivot rows U_k =
+        ``chosen[k]`` from the last pivot up: with c_i the pivot column of row i,
         ``last*R_k = (last*U_k - sum(U_k[c_i] * last*R_i for i > k)) // U_k[c_k]``.
         ``last*R`` is integral (Bareiss), so every division is exact."""
         last, later, columns = self.last, [], [[] for _ in cols]
@@ -310,7 +324,26 @@ class _FractionFree:
             for j, done in zip(cols, columns):  # done: last*R_i[j], last pivot first
                 done.append((last * row[j] - sum(map(mul, coeffs, done))) // p)
             later.append(c)
-        return [[Fraction(done[i], last) for done in columns] for i in reversed(range(len(later)))]
+        return [tuple(done[i] for done in columns) for i in reversed(range(len(later)))]
+
+    def reduced(self, cols) -> list[list[Fraction]]:
+        """The pivot rows of the completely reduced matrix, on ``cols``."""
+        last = self.last
+        return [[Fraction(x, last) for x in row] for row in self._reduced_ints(cols)]
+
+    def null_basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """One null vector per free column (1 there, 0 at the other free
+        columns, and each leading variable read off the completely reduced
+        matrix, on the free columns only), its signs taken on the ints."""
+        last, zero, one = self.last, Fraction(0, 1), Fraction(1, 1)
+        rows, basis = self._reduced_ints(self.free), []
+        for s, f in enumerate(self.free):
+            v = [zero] * self.width
+            v[f] = one
+            for c, row in zip(self.pivots, rows):
+                v[c] = Fraction(-row[s], last)
+            basis.append(tuple(v))
+        return tuple(basis)
 
     def ops(self, stage: int) -> list[RowOp]:
         """The ``Fraction`` operations carrying the start to ``stage`` (see
@@ -495,11 +528,11 @@ def _solution(run: _FractionFree, n: int) -> SolutionSet:
         i = len(run.pivots) - 1
         return Inconsistent(row=i, value=run.swept_row(i)[n])
     free = tuple(run.free[:-1])  # the constants column n is free and last
-    rows = run.reduced((n, *free))
-    constants = tuple(row[0] for row in rows)
+    last, rows = run.last, run._reduced_ints((n, *free))
+    constants = tuple(Fraction(row[0], last) for row in rows)
     if not free:
         return Unique(constants)
-    coefficients = tuple(tuple(-x for x in row[1:]) for row in rows)
+    coefficients = tuple(tuple(Fraction(-x, last) for x in row[1:]) for row in rows)
     return Infinite(tuple(run.pivots), free, constants, coefficients)
 
 
@@ -523,11 +556,17 @@ def solve(a: Matrix, b) -> SolutionSet:
 
 
 def inverse_gauss_jordan(a: Matrix) -> Matrix:
-    """Invert by reducing ``[A | I]``; raises NotInvertible when rank falls short."""
+    """Invert by reducing ``[A | I]``; raises NotInvertible when rank falls short.
+
+    The sweep runs on the integer rows ``[S A | S]``, S the diagonal of the
+    rows' clearing scales, whose reduced right half is A^-1 all the same."""
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols} matrix has no inverse")
     n = a.rows
-    run = _FractionFree(hstack(a, Matrix.identity(n)))
+    run = _FractionFree([
+        ints + [0] * i + [s] + [0] * (n - 1 - i)
+        for i, (ints, s) in enumerate(map(_cleared, a.entries))
+    ])
     if run.pivots != list(range(n)):
         raise NotInvertible("the matrix row-reduces short of the identity")
     return Matrix._of(tuple(map(tuple, run.reduced(range(n, 2 * n)))))

@@ -211,6 +211,28 @@ def _exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(quot)
 
 
+def _divide_root(q: tuple[int, ...], y: int, den: int) -> tuple[int, ...]:
+    """q / (den x - y) when y/den is a root of the integer polynomial ``q``
+    (ascending), den > 0 and gcd(y, den) = 1; else the empty tuple.
+
+    Synthetic division from the top: with s the quotient,
+    ``s[i-1] = (q[i] + y s[i]) / den``, and the remainder ``q[0] + y s[0]``
+    must vanish.  By Gauss's lemma the primitive factor den x - y divides q
+    over Q only if the quotient is integral, so the first step that does not
+    divide exactly proves y/den is no root, and the division stops there.
+    """
+    quot, carry = [], 0
+    for c in reversed(q[1:]):
+        s, rem = divmod(c + carry, den)
+        if rem:
+            return ()
+        quot.append(s)
+        carry = y * s
+    if q[0] + carry:
+        return ()
+    return tuple(reversed(quot))
+
+
 def _derivative_gcd(q: tuple[int, ...]) -> tuple[int, ...]:
     """A primitive multiple of gcd(q, q'): the last nonzero term of the
     primitive pseudo-remainder sequence that starts q, q'."""
@@ -323,10 +345,9 @@ def _rational_roots(
 
     if len(q) > 1:
         for root in _distinct_rational_roots(_exact_div(q, _derivative_gcd(q))):
-            factor = (-root.numerator, root.denominator)
             mult = 0
-            while len(q) > 1 and _sign_at(q, root.numerator, root.denominator) == 0:
-                q = _exact_div(q, factor)
+            while quot := _divide_root(q, root.numerator, root.denominator):
+                q = quot
                 mult += 1
             roots.append((root, mult))
 

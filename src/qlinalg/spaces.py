@@ -369,18 +369,8 @@ class Fundamentals(_Record):
 
 def _null_space(run: _FractionFree) -> Subspace:
     """The null space of the matrix ``run`` reduced: one generator per free
-    column (set it to 1, the other free columns to 0, and read each leading
-    variable off the completely reduced matrix, on the free columns only)."""
-    cols = run.width
-    rows = run.reduced(run.free)
-    basis = []
-    for s, f in enumerate(run.free):
-        v = [Q(0)] * cols
-        v[f] = Q(1)
-        for c, row in zip(run.pivots, rows):
-            v[c] = -row[s]
-        basis.append(tuple(v))
-    return Subspace._trusted(cols, tuple(basis))
+    column (see ``_FractionFree.null_basis``)."""
+    return Subspace._trusted(run.width, run.null_basis())
 
 
 def fundamental_subspaces(a: Matrix) -> Fundamentals:

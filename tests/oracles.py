@@ -8,6 +8,7 @@ agreement between these oracles and the library is meaningful.
 import re
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 
 def perm_parity(perm) -> int:
@@ -200,6 +201,62 @@ def eliminate(rows, stage):
                 if grid[k][c] != 0:
                     do(("add", -grid[k][c], r, k))
     return ops, tuple(tuple(row) for row in grid), pivots
+
+
+def fraction_free_reference(rows):
+    """The fraction-free sweep as the library ran it before its rows shrank,
+    on full-width rows: the record of one downward Bareiss run.
+
+    Each row is cleared by the lcm of its entries' denominators (an int row
+    keeps scale 1); the topmost nonzero row at or below the working row is
+    swapped up, and every row below the pivot becomes ``(p*x - a*y) // prev``
+    with its columns up to the pivot's set to 0.  Returns a dict of
+    ``pivots``, ``free``, ``chosen`` (pivot row, previous pivot), ``steps``
+    (``("swap", r, src)`` or ``(pivot row, row, entry, row scale)``),
+    ``sign``, ``last`` and ``scales``.
+    """
+    grid, scales = [], []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        s = 1
+        for x in row:
+            s = s * x.denominator // gcd(s, x.denominator)
+        grid.append([int(x * s) for x in row])
+        scales.append(s)
+    height, width = len(grid), len(grid[0])
+    pivots, free, chosen, steps = [], [], [], []
+    sign = prev = 1
+    r = 0
+    for c in range(width):
+        if r == height:
+            free += range(c, width)
+            break
+        src = next((k for k in range(r, height) if grid[k][c]), None)
+        if src is None:
+            free.append(c)
+            continue
+        if src != r:
+            grid[r], grid[src] = grid[src], grid[r]
+            scales[r], scales[src] = scales[src], scales[r]
+            sign = -sign
+            steps.append(("swap", r, src))
+        top = grid[r]
+        p, zeros, tail = top[c], [0] * (c + 1), top[c + 1:]
+        for k in range(r + 1, height):
+            row = grid[k]
+            if a := row[c]:
+                grid[k] = zeros + [(p * x - a * y) // prev for x, y in zip(row[c + 1:], tail)]
+                steps.append((r, k, a, scales[k]))
+            else:
+                grid[k] = zeros + [p * x // prev for x in row[c + 1:]]
+        pivots.append(c)
+        chosen.append((top, prev))
+        prev = p
+        r += 1
+    return dict(
+        pivots=pivots, free=free, chosen=chosen, steps=steps,
+        sign=sign, last=prev, scales=scales,
+    )
 
 
 def det_by_elimination(rows) -> Fraction:

@@ -1,12 +1,17 @@
-"""The integer kernels behind ``@``, ``char_poly`` and ``rational_roots``.
+"""The integer kernels behind ``@``, ``char_poly``, ``rational_roots`` and
+the fraction-free sweep.
 
 ``@`` and ``char_poly`` must equal first-principles oracles (a naive
 ``Fraction`` product; determinants by elimination at n+1 points, then
 Lagrange interpolation) repr for repr.  ``rational_roots`` must factor its
 input exactly: residual * prod((x - r)^m) == p, with every constructed
-rational root found and nothing else.
+rational root found and nothing else; its checked division by L x - y must
+agree with a sign test followed by an exact division.  The sweep must keep
+the record of the full-width reference sweep (``oracles``), and no eigen call
+or sweep may change the rows it was handed to read.
 """
 
+import copy
 import random
 from fractions import Fraction
 
@@ -14,7 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlinalg import Matrix, Polynomial, char_poly, rational_roots
+from qlinalg import Matrix, Polynomial, char_poly, diagonalize, eigen_summary, rational_roots
+from qlinalg.eigen import _eigenspace
+from qlinalg.elimination import FORMS, Swap, _FractionFree, reduce
+from qlinalg.matrix import _integer_image
+from qlinalg.poly import _divide_root, _exact_div, _sign_at
 
 import oracles
 
@@ -203,3 +212,212 @@ def test_rational_roots_factor_exactly_on_random_constructions():
         pairs = [_close_pair(rng.choice((1, 4, 9, 16)), rng.choice((1, 3, 5)))
                  for _ in range(rng.randint(0, 2))]
         _check_factorization(lead, roots, pairs)
+
+
+# ---- the checked division by L x - y --------------------------------------------
+
+
+def _divide_by_sign_and_exact_div(q, y, den):
+    """q / (den x - y) by the earlier route: a sign test at y/den, then an
+    exact division; the empty tuple when y/den is no root."""
+    if len(q) > 1 and _sign_at(q, y, den) == 0:
+        return _exact_div(q, (-y, den))
+    return ()
+
+
+def _poly_product(a, b):
+    """The product of two ascending integer coefficient tuples."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            out[i + j] += x * z
+    return tuple(out)
+
+
+@st.composite
+def _root_divisions(draw):
+    """(q, y, den): q = (den x - y)^m * cofactor with den > 1 most of the
+    time, then perhaps one coefficient moved, so that the top steps divide
+    and a later step or the final remainder does not."""
+    root = Q(draw(st.integers(-30, 30)), draw(st.integers(2, 12) | st.just(1)))
+    y, den = root.numerator, root.denominator
+    q = tuple(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)))
+    if not any(q):
+        q = (1,)
+    for _ in range(draw(st.integers(0, 3))):
+        q = _poly_product(q, (-y, den))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(q) - 1))
+        moved = list(q)
+        moved[k] += draw(st.sampled_from((1, -1, den, -den, den * den)))
+        q = tuple(moved)
+    while len(q) > 1 and not q[-1]:
+        q = q[:-1]
+    if not any(q):
+        q = (den,)
+    return q, y, den
+
+
+@settings(max_examples=400, deadline=None)
+@given(_root_divisions())
+def test_checked_division_agrees_with_sign_test_and_exact_division(case):
+    q, y, den = case
+    assert _divide_root(q, y, den) == _divide_by_sign_and_exact_div(q, y, den)
+
+
+@pytest.mark.parametrize(
+    "q, y, den, want",
+    [
+        ((-6, 4), 3, 2, (2,)),  # 4x - 6 = 2 (2x - 3)
+        ((-5, 4), 3, 2, ()),  # degree 1, the top step divides, the remainder does not
+        ((-6, 3), 3, 2, ()),  # degree 1, the top step does not divide
+        ((7,), 3, 2, ()),  # a constant
+        ((-1,), 0, 1, ()),  # a constant, the root 0
+        ((0, 0, 9), 0, 1, (0, 9)),  # 9x^2 at 0
+        # (2x - 3)^2 (x + 1) = 4x^3 - 8x^2 - 3x + 9, with 9 moved to 10: every
+        # step divides exactly and only the final remainder is nonzero
+        ((10, -3, -8, 4), 3, 2, ()),
+        ((9, -3, -8, 4), 3, 2, (-3, -1, 2)),
+        # the same with -3 moved to -4: the x step does not divide by 2
+        ((9, -4, -8, 4), 3, 2, ()),
+    ],
+)
+def test_checked_division_examples(q, y, den, want):
+    assert _divide_root(q, y, den) == want
+    assert _divide_by_sign_and_exact_div(q, y, den) == want
+
+
+def test_checked_division_sees_near_misses_at_every_step():
+    rng = random.Random(1801)
+    finals = steps = 0
+    for _ in range(300):
+        root = Q(rng.choice((1, -1)) * rng.randint(1, 40), rng.randint(2, 15))  # not 0
+        y, den = root.numerator, root.denominator
+        q = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4))) + (rng.randint(1, 9),)
+        for _ in range(rng.randint(1, 3)):
+            q = _poly_product(q, (-y, den))
+        assert _divide_root(q, y, den) == _exact_div(q, (-y, den))
+        k = rng.randrange(len(q))
+        moved = list(q)
+        moved[k] += den if k == 0 else rng.choice((1, den))
+        moved = tuple(moved)
+        assert _divide_root(moved, y, den) == () == _divide_by_sign_and_exact_div(moved, y, den)
+        # moving q[0], or any coefficient by a multiple of den, lets every
+        # division step through: only the final remainder can refuse it
+        finals += k == 0 or (moved[k] - q[k]) % den == 0
+        steps += k > 0 and (moved[k] - q[k]) % den != 0
+    assert finals > 50 and steps > 50
+
+
+# ---- the fraction-free sweep against its full-width reference ---------------------
+
+
+@st.composite
+def _sweep_grids(draw):
+    """1x1 up to 7x9 grids, integer or p/q: some columns or rows zeroed, the
+    last row a combination of the first two, the top row's leading entries
+    zeroed so the first pivots need a swap."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    dens = draw(st.sampled_from([(1,), (1, 2, 3, 5)]))
+    entry = st.one_of(st.just(0), st.integers(-5, 5)).map(Q) | st.builds(
+        Q, st.integers(-5, 5), st.sampled_from(dens)
+    )
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in grid:
+            row[j] = Q(0)
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        grid[i] = [Q(0)] * cols
+    if rows > 2 and draw(st.booleans()):
+        grid[-1] = [x - 2 * z for x, z in zip(grid[0], grid[1])]
+    if draw(st.booleans()):
+        k = draw(st.integers(1, cols))
+        grid[0][:k] = [Q(0)] * k
+    return grid
+
+
+def _record(run):
+    """A run's record in the reference's terms, each swap as ("swap", r, src)."""
+    steps = [("swap", s.first, s.second) if isinstance(s, Swap) else s for s in run.steps]
+    return dict(
+        pivots=run.pivots, free=run.free, chosen=run.chosen, steps=steps,
+        sign=run.sign, last=run.last, scales=run.scales,
+    )
+
+
+def _sweep_matches(grid):
+    want = repr(oracles.fraction_free_reference(grid))
+    assert repr(_record(_FractionFree(Matrix(grid)))) == want
+    if all(x.denominator == 1 for row in grid for x in row):
+        assert repr(_record(_FractionFree([[int(x) for x in row] for row in grid]))) == want
+
+
+@settings(max_examples=250, deadline=None)
+@given(_sweep_grids())
+def test_the_sweep_keeps_the_reference_record(grid):
+    _sweep_matches(grid)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [[0]],
+        [[5]],
+        [[0, 0, 0]],
+        [[0], [0], [3]],  # a swap from the bottom
+        [[0, 2, 1], [0, 4, 2], [0, 0, 7]],  # a zero first column, then a free one
+        [[1, 2, 3, 4, 5, 6, 7, 8, 9]],
+        [[1], [2], [3], [4], [5], [6], [7]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # two swaps
+        [[2, 4, 1], [1, 2, 5], [3, 6, 0], [1, 2, 3]],  # rank 2 over 4 rows
+    ],
+)
+def test_the_sweep_keeps_the_reference_record_on_edge_shapes(grid):
+    _sweep_matches([[Q(x) for x in row] for row in grid])
+
+
+# ---- what a call reads, it leaves as it found it -------------------------------------
+
+
+def _eigen_inputs():
+    rng = random.Random(1802)
+    yield Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 3]])  # a Jordan block: not diagonalizable
+    yield Matrix([[0, -1], [1, 0]])  # no rational eigenvalue
+    yield Matrix([[Q(1, 2), 0, 0], [0, Q(1, 2), 0], [0, 0, Q(-2, 3)]])  # lam * I blocks
+    yield Matrix([[0] * 4 for _ in range(4)])
+    for n in range(1, 7):
+        yield Matrix(_grid(rng, n, n, DENOMINATORS["small"]))
+
+
+@pytest.mark.parametrize("a", list(_eigen_inputs()))
+def test_eigen_calls_leave_the_integer_image_alone(a, monkeypatch):
+    images = []
+
+    def watched(m):
+        b, d = _integer_image(m)
+        images.append((b, copy.deepcopy(b)))
+        return b, d
+
+    monkeypatch.setattr("qlinalg.eigen._integer_image", watched)
+    summary = eigen_summary(a)
+    diagonalize(a)
+    assert len(images) == 2
+    for b, before in images:
+        assert b == before
+    b, d = _integer_image(a)
+    before = copy.deepcopy(b)
+    for lam, _ in summary.roots:
+        _eigenspace(b, d, lam)
+    assert b == before
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sweep_grids())
+def test_a_run_on_a_matrix_leaves_its_entries_alone(grid):
+    m = Matrix(grid)
+    before = copy.deepcopy(m.entries)
+    _FractionFree(m).null_basis()
+    for form in FORMS:
+        reduce(m, form)
+    assert m.entries == before and repr(m.entries) == repr(before)

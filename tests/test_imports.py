@@ -193,7 +193,7 @@ _INTEGER_KERNELS = {
     "__matmul__", "__pow__", "_integer_image", "_int_product",  # matrix.py
     "char_poly", "_char_poly", "_eigenspace",  # eigen.py
     "_cleared",  # scalars.py
-    "_primitive", "_pseudo_rem", "_exact_div", "_derivative_gcd", "_sign_at",
+    "_primitive", "_pseudo_rem", "_exact_div", "_divide_root", "_derivative_gcd", "_sign_at",
     "_value_mod", "_simple_roots_mod_prime", "_distinct_rational_roots",  # poly.py
 }
 
