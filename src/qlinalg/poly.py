@@ -6,10 +6,10 @@ zero polynomial has an empty coefficient tuple.
 
 :func:`rational_roots` works on the primitive integer coefficients from
 start to end: the gcd with the derivative comes from integer
-pseudo-remainders, each root of the squarefree part is lifted p-adically
-from a root modulo one small prime, and each root y/L is divided out exactly
-as the integer factor L x - y.  The residual is rescaled to the input's
-leading coefficient once, at the end.
+pseudo-remainders, each root of the squarefree part modulo one small prime
+is lifted p-adically to a candidate y/L, and a candidate is a root exactly
+when the integer factor L x - y divides out.  The residual is rescaled to
+the input's leading coefficient once, at the end.
 """
 
 from __future__ import annotations
@@ -242,18 +242,6 @@ def _derivative_gcd(q: tuple[int, ...]) -> tuple[int, ...]:
     return b
 
 
-def _sign_at(cs: tuple[int, ...], num: int, den: int) -> int:
-    """Sign of the integer polynomial ``cs`` (ascending) at num/den, den > 0.
-
-    Homogeneous Horner: den^d * p(num/den) in integers only.
-    """
-    acc, scale = 0, 1
-    for c in reversed(cs):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
-
-
 def _value_mod(cs, x: int, m: int) -> int:
     """The integer polynomial ``cs`` (ascending) at x, modulo m."""
     acc = 0
@@ -281,17 +269,18 @@ def _simple_roots_mod_prime(s: tuple[int, ...], ds: list[int], lead: int):
 
 
 def _distinct_rational_roots(s: tuple[int, ...]) -> list[Fraction]:
-    """Every rational root of the squarefree primitive integer polynomial
-    ``s``, in decreasing order, by p-adic lifting (Loos 1983).
+    """A candidate y/L for each root of the squarefree primitive integer
+    polynomial ``s`` modulo one prime, in decreasing order, by p-adic
+    lifting (Loos 1983): every rational root of s is among them.
 
     A rational root is y/L with y an integer and L = |leading coefficient|,
     and |y| <= B = L + max|s_i| (Cauchy).  It reduces to a root of s mod p
     for a prime p not dividing L, and when every such root is simple, each
     lifts uniquely by Newton's step r <- r - s(r)/s'(r), which doubles the
     p-adic precision: O(log b) steps take the modulus m past 2B, for B of b
-    bits.  Then y is the symmetric residue of L r mod m, and the exact Horner
-    test keeps it only if y/L is a root, so a root mod p with no rational
-    root above it gives nothing.
+    bits.  Then y is the symmetric residue of L r mod m.  A root mod p with
+    no rational root above it still gives a candidate, which is no root:
+    the caller's checked division (:func:`_divide_root`) refuses it.
     """
     lead = abs(s[-1])
     bound = 2 * (lead + max(abs(c) for c in s))
@@ -306,8 +295,7 @@ def _distinct_rational_roots(s: tuple[int, ...]) -> list[Fraction]:
         y = lead * r % m
         if 2 * y > m:
             y -= m
-        if _sign_at(s, y, lead) == 0:
-            found.append(y)
+        found.append(y)
     return [Fraction(y, lead) for y in sorted(found, reverse=True)]
 
 
@@ -349,7 +337,8 @@ def _rational_roots(
             while quot := _divide_root(q, root.numerator, root.denominator):
                 q = quot
                 mult += 1
-            roots.append((root, mult))
+            if mult:
+                roots.append((root, mult))
 
     # q is p over its rational roots, up to a constant: rescale it to lead(p)
     residual = [Fraction(c * lead.numerator, q[-1] * lead.denominator) for c in q]

@@ -15,7 +15,9 @@ from .errors import MalformedScalar, ZeroDenominator
 
 Q = Fraction
 
-_SCALAR = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\Z")
+# an unsigned scalar; coordinate formulas read their coefficients with it too
+_NUMBER = r"(\d+)(?:/(\d+)|\.(\d+))?"
+_SCALAR = re.compile(rf"([+-]?){_NUMBER}\Z")
 
 
 def parse_scalar(text: str) -> Fraction:

@@ -33,10 +33,11 @@ from .errors import (
     MalformedForm,
     MixedDimensions,
     NonLinearCoordinate,
+    ZeroDenominator,
     _Record,
 )
 from .matrix import Matrix, as_vector
-from .scalars import Q, _render_sum, as_scalar, format_scalar, parse_scalar
+from .scalars import _NUMBER, Q, _render_sum, as_scalar, format_scalar, parse_scalar
 
 Vector = tuple[Fraction, ...]
 
@@ -203,11 +204,10 @@ def extend_to_basis(vectors, n: int | None = None) -> Subspace:
 
 # ---- coordinate formulas ---------------------------------------------------------
 
-_COEF = r"\d+(?:\.\d+)?(?:/\d+)?"
 _NAME = r"[A-Za-z_]\w*"
-_TERM = re.compile(rf"(?:(?P<coef>{_COEF})\*?)?(?P<name>{_NAME})?\Z")
-_TOKEN = re.compile(r"[+-]?[^+-]+")
-_NONLINEAR = re.compile(rf"\^|\*\*|{_NAME}\s*\*\s*{_NAME}")
+_TERM = re.compile(rf"(?:(?P<coef>{_NUMBER})\s*(?:\*\s*)?)?(?P<name>{_NAME})?\Z")
+_TOKEN = re.compile(r"\s*[+-]?\s*[^+\-\s][^+-]*")
+_NONLINEAR = re.compile(rf"\^|\*\s*\*|{_NAME}\s*\*\s*{_NAME}")
 
 
 class LinearForm(_Record):
@@ -243,24 +243,25 @@ class LinearForm(_Record):
 def parse_linear_form(text: str) -> LinearForm:
     """Read one coordinate formula like ``-2a + b`` or ``1/2x1 - x3 + 4``.
 
-    Raises NonLinearCoordinate on powers or parameter products, MalformedForm
-    on anything else unreadable.
+    Whitespace may separate a term's sign, coefficient, ``*`` and name, but
+    not split a number or a name: ``1 2a`` and ``x 1`` are refused.  Raises
+    NonLinearCoordinate on powers or parameter products, MalformedForm on
+    anything else unreadable.
     """
-    compact = re.sub(r"\s+", "", text)
-    if not compact:
+    if not text.strip():
         raise MalformedForm("empty coordinate formula")
-    tokens = _TOKEN.findall(compact)
-    if "".join(tokens) != compact:
+    tokens = _TOKEN.findall(text)
+    if "".join(tokens) != text:
         raise MalformedForm(f"cannot read {text!r}")
     constant = Q(0)
     order: list[str] = []
     coeffs: dict[str, Fraction] = {}
-    for token in tokens:
+    for token in map(str.strip, tokens):
         sign = Q(1)
         body = token
         if body[0] in "+-":
             sign = Q(-1) if body[0] == "-" else Q(1)
-            body = body[1:]
+            body = body[1:].lstrip()
         m = _TERM.match(body)
         if not m or (m.group("coef") is None and m.group("name") is None):
             if _NONLINEAR.search(body):
@@ -303,10 +304,8 @@ def _read_forms(forms, names, noun: str) -> tuple[list[LinearForm], tuple[str, .
     for idx, f in enumerate(forms):
         try:
             parsed.append(parse_linear_form(f) if isinstance(f, str) else f)
-        except NonLinearCoordinate as e:
-            raise NonLinearCoordinate(f"coordinate {idx + 1}: {e}") from None
-        except MalformedForm as e:
-            raise MalformedForm(f"coordinate {idx + 1}: {e}") from None
+        except (NonLinearCoordinate, MalformedForm, ZeroDenominator) as e:
+            raise type(e)(f"coordinate {idx + 1}: {e}") from None
     if not parsed:
         raise EmptyInput("no coordinate formulas given")
     if names is None:

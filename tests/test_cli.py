@@ -376,6 +376,16 @@ def test_range_of_coordinate_formulas(capsys):
     assert "(0, 2, 0, 0)" in out
 
 
+def test_formula_errors_name_their_coordinate(capsys):
+    code, out, err = run(capsys, "subspace", "a; 3/0b")
+    assert (code, out) == (2, "")
+    assert err == "error: coordinate 2: zero denominator in '3/0'\n"
+    # "1 2a" once read as 12a
+    code, out, err = run(capsys, "transform", "1 2a; b")
+    assert (code, out) == (2, "")
+    assert err == "error: coordinate 1: cannot read term '1 2a' in '1 2a'\n"
+
+
 def test_subspace_verdict_no(capsys):
     code, out, _ = run(capsys, "subspace", "x; 1")
     assert code == 0

@@ -1,6 +1,7 @@
 """Differential checks of the fraction-free sweep's readers against sympy,
 where installed: eigenspaces, the fundamental subspaces, ``solve``, the
-Gauss-Jordan inverse and the completely reduced form.
+Gauss-Jordan inverse, the completely reduced form, ``det`` and Gram-Schmidt;
+``det``, ``solve`` and the inverse on 64- to 200-bit numerators as well.
 
 sympy is not a dependency of the package; without it this module is skipped.
 """
@@ -11,13 +12,16 @@ from fractions import Fraction
 import pytest
 
 from qlinalg import (
+    AllZeroInput,
     Inconsistent,
     Infinite,
     Matrix,
     NotInvertible,
     Unique,
+    det,
     eigen_summary,
     fundamental_subspaces,
+    gram_schmidt,
     inverse_gauss_jordan,
     leaders,
     reduce,
@@ -71,7 +75,26 @@ def _grids():
             yield _grid(rng, rows, cols, INTEGER if (rows + cols) % 2 else RATIONAL)
 
 
+def _long_grids():
+    """1x1 to 7x7 grids of 64- to 200-bit numerators over either kind of
+    denominator, each with its wide and tall slices; past two rows, the 64-
+    and 200-bit ones have a dependent last row."""
+    rng = random.Random(19101)
+    for n in range(1, 8):
+        for bits in (64, 128, 200):
+            dens = INTEGER if (n + bits) % 2 else RATIONAL
+            grid = [[Q(rng.getrandbits(bits) * rng.choice((1, -1)), rng.choice(dens))
+                     for _ in range(n)] for _ in range(n)]
+            if n > 2 and bits != 128:
+                grid[-1] = [x - 3 * y for x, y in zip(grid[0], grid[1])]
+            yield grid
+            if n > 1:
+                yield grid[1:]  # wide
+                yield [row[1:] for row in grid]  # tall
+
+
 GRIDS = list(_grids())
+LONG = list(_long_grids())
 _FULL = random.Random(18103)
 # the squares of GRIDS, each once more with its last row the sum of the
 # others, and dense squares of both entry kinds
@@ -81,6 +104,7 @@ SQUARES += [g[:-1] + [[sum(col[:-1], Q(0)) for col in zip(*g)]] for g in SQUARES
      for _ in range(n)]
     for n in range(1, 8) for dens in (INTEGER, RATIONAL)
 ]
+LONG_SQUARES = [g for g in LONG if len(g) == len(g[0])]
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -96,7 +120,7 @@ def test_fundamental_subspaces_and_rref_match_sympy(grid):
     assert tuple(j for _, j in leaders(end)) == pivots
 
 
-@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("grid", GRIDS + LONG)
 def test_solve_matches_gauss_jordan_solve(grid):
     rng = random.Random(repr(grid))
     b = [Q(rng.randint(-5, 5), rng.choice(RATIONAL)) for _ in grid]
@@ -123,7 +147,7 @@ def test_solve_matches_gauss_jordan_solve(grid):
         assert answer.at(unit) == _vector(point)
 
 
-@pytest.mark.parametrize("grid", SQUARES)
+@pytest.mark.parametrize("grid", SQUARES + LONG_SQUARES)
 def test_inverse_gauss_jordan_matches_inv(grid):
     s = _to_sympy(grid)
     if s.det() == 0:
@@ -133,6 +157,27 @@ def test_inverse_gauss_jordan_matches_inv(grid):
     inverse = s.inv()
     assert inverse_gauss_jordan(Matrix(grid)) == Matrix(
         [list(_vector(inverse.row(i))) for i in range(inverse.rows)]
+    )
+
+
+@pytest.mark.parametrize("grid", SQUARES + LONG_SQUARES)
+def test_det_matches_bareiss(grid):
+    assert det(Matrix(grid)) == _fraction(_to_sympy(grid).det(method="bareiss"))
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_gram_schmidt_matches_sympy_on_its_source(grid):
+    if not any(any(row) for row in grid):
+        with pytest.raises(AllZeroInput):
+            gram_schmidt(grid)
+        return
+    answer = gram_schmidt(grid)
+    vs = [_to_sympy([v]) for v in answer.source]
+    ws = sympy.GramSchmidt(vs, orthonormal=False)
+    assert answer.vectors == tuple(_vector(w) for w in ws)
+    assert answer.squared_norms == tuple(_fraction(w.dot(w)) for w in ws)
+    assert answer.projections == tuple(
+        tuple(_fraction(v.dot(w) / w.dot(w)) for w in ws[:i]) for i, v in enumerate(vs)
     )
 
 

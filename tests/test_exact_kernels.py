@@ -6,9 +6,10 @@ the fraction-free sweep.
 Lagrange interpolation) repr for repr.  ``rational_roots`` must factor its
 input exactly: residual * prod((x - r)^m) == p, with every constructed
 rational root found and nothing else; its checked division by L x - y must
-agree with a sign test followed by an exact division.  The sweep must keep
-the record of the full-width reference sweep (``oracles``), and no eigen call
-or sweep may change the rows it was handed to read.
+agree with an exact evaluation followed by an exact division, and must refuse
+each lifted candidate that is no root.  The sweep must keep the record of the
+full-width reference sweep (``oracles``), and no eigen call or sweep may
+change the rows it was handed to read.
 """
 
 import copy
@@ -23,7 +24,7 @@ from qlinalg import Matrix, Polynomial, char_poly, diagonalize, eigen_summary, r
 from qlinalg.eigen import _eigenspace
 from qlinalg.elimination import FORMS, Swap, _FractionFree, reduce
 from qlinalg.matrix import _integer_image
-from qlinalg.poly import _divide_root, _exact_div, _sign_at
+from qlinalg.poly import _derivative_gcd, _distinct_rational_roots, _divide_root, _exact_div
 
 import oracles
 
@@ -217,10 +218,10 @@ def test_rational_roots_factor_exactly_on_random_constructions():
 # ---- the checked division by L x - y --------------------------------------------
 
 
-def _divide_by_sign_and_exact_div(q, y, den):
-    """q / (den x - y) by the earlier route: a sign test at y/den, then an
-    exact division; the empty tuple when y/den is no root."""
-    if len(q) > 1 and _sign_at(q, y, den) == 0:
+def _divide_by_evaluation_and_exact_div(q, y, den):
+    """q / (den x - y) by an independent route: ``Polynomial`` evaluation at
+    y/den, then an exact division; the empty tuple when y/den is no root."""
+    if len(q) > 1 and Polynomial(q)(Q(y, den)) == 0:
         return _exact_div(q, (-y, den))
     return ()
 
@@ -262,7 +263,7 @@ def _root_divisions(draw):
 @given(_root_divisions())
 def test_checked_division_agrees_with_sign_test_and_exact_division(case):
     q, y, den = case
-    assert _divide_root(q, y, den) == _divide_by_sign_and_exact_div(q, y, den)
+    assert _divide_root(q, y, den) == _divide_by_evaluation_and_exact_div(q, y, den)
 
 
 @pytest.mark.parametrize(
@@ -284,7 +285,7 @@ def test_checked_division_agrees_with_sign_test_and_exact_division(case):
 )
 def test_checked_division_examples(q, y, den, want):
     assert _divide_root(q, y, den) == want
-    assert _divide_by_sign_and_exact_div(q, y, den) == want
+    assert _divide_by_evaluation_and_exact_div(q, y, den) == want
 
 
 def test_checked_division_sees_near_misses_at_every_step():
@@ -301,12 +302,49 @@ def test_checked_division_sees_near_misses_at_every_step():
         moved = list(q)
         moved[k] += den if k == 0 else rng.choice((1, den))
         moved = tuple(moved)
-        assert _divide_root(moved, y, den) == () == _divide_by_sign_and_exact_div(moved, y, den)
+        assert _divide_root(moved, y, den) == ()
+        assert _divide_by_evaluation_and_exact_div(moved, y, den) == ()
         # moving q[0], or any coefficient by a multiple of den, lets every
         # division step through: only the final remainder can refuse it
         finals += k == 0 or (moved[k] - q[k]) % den == 0
         steps += k > 0 and (moved[k] - q[k]) % den != 0
     assert finals > 50 and steps > 50
+
+
+@pytest.mark.parametrize(
+    "rest, roots",
+    [
+        # x^2 - 7 has the roots 1 and 2 modulo 3, the prime the search takes,
+        # and they lift to the candidates 13 and -13 beside the root -3
+        (Polynomial([-7, 0, 1]), {Q(-3): 2}),
+        (Polynomial([-7, 0, 1]) * Polynomial([-2, 0, 1]), {}),
+    ],
+)
+def test_a_candidate_with_no_rational_root_above_it_is_refused_and_dropped(
+    rest, roots, monkeypatch
+):
+    p = rest
+    for r, m in roots.items():
+        p = p * Polynomial([-r, 1]) ** m
+    q = p.primitive_integer_coefficients()
+    candidates = _distinct_rational_roots(_exact_div(q, _derivative_gcd(q)))
+    false = [c for c in candidates if c not in roots]
+    assert len(false) == 2 and all(p(c) != 0 for c in false)
+    attempts = []
+
+    def counted(q, y, den):
+        attempts.append((Q(y, den), quot := _divide_root(q, y, den)))
+        return quot
+
+    monkeypatch.setattr("qlinalg.poly._divide_root", counted)
+    found, residual = rational_roots(p)
+    assert found == tuple(roots.items())
+    assert residual == rest
+    # each candidate ends on one refusal; a false one is refused at once
+    assert [c for c, quot in attempts if not quot] == candidates
+    assert [c for c, _ in attempts] == [
+        c for c in candidates for _ in range(roots.get(c, 0) + 1)
+    ]
 
 
 # ---- the fraction-free sweep against its full-width reference ---------------------

@@ -193,9 +193,20 @@ _INTEGER_KERNELS = {
     "__matmul__", "__pow__", "_integer_image", "_int_product",  # matrix.py
     "char_poly", "_char_poly", "_eigenspace",  # eigen.py
     "_cleared",  # scalars.py
-    "_primitive", "_pseudo_rem", "_exact_div", "_divide_root", "_derivative_gcd", "_sign_at",
+    "_primitive", "_pseudo_rem", "_exact_div", "_divide_root", "_derivative_gcd",
     "_value_mod", "_simple_roots_mod_prime", "_distinct_rational_roots",  # poly.py
 }
+
+
+def test_every_integer_kernel_is_defined():
+    """A kernel name that the package no longer defines would guard nothing."""
+    defined = {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    assert _INTEGER_KERNELS - defined == set()
 
 
 def _float_uses(source: str) -> list[str]:
@@ -258,7 +269,7 @@ def test_the_check_sees_a_float():
         "        return Fraction(sum(self) / other)\n"
         "def char_poly(a):\n    return [Fraction(c, d) for c, d in a], Fraction(a[0])\n"
         "def _pseudo_rem(a, b):\n    return a[-1] / b[-1]\n"
-        "def _sign_at(cs, num, den):\n    return cs[0] // den\n"
+        "def _exact_div(a, b):\n    return a[-1] // b[-1]\n"
     )
     assert _float_uses(source) == [
         "math.sqrt (line 2)",

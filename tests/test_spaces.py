@@ -323,10 +323,32 @@ def test_parse_linear_form_rejects_nonlinear():
         parse_linear_form("a^2")
     with pytest.raises(NonLinearCoordinate):
         parse_linear_form("a*b")
+    with pytest.raises(NonLinearCoordinate):
+        parse_linear_form("a * * b")
     with pytest.raises(MalformedForm):
         parse_linear_form("2 +")
     with pytest.raises(MalformedForm):
         parse_linear_form("")
+
+
+@pytest.mark.parametrize("text", ["1 2a", "x 1", "a b", "1/ 2a", "1.5/2a"])
+def test_parse_linear_form_never_glues_numbers_or_names(text):
+    with pytest.raises(MalformedForm, match=r"cannot read term"):
+        parse_linear_form(text)
+
+
+@pytest.mark.parametrize(
+    "text, constant, terms",
+    [
+        ("- 2a", 0, (("a", -2),)),
+        ("2 * a", 0, (("a", 2),)),
+        ("1/2 x1 + 3", 3, (("x1", Q(1, 2)),)),
+        ("a  +  b", 0, (("a", 1), ("b", 1))),
+        ("3 - 1/2x + 2/3y", 3, (("x", Q(-1, 2)), ("y", Q(2, 3)))),
+    ],
+)
+def test_parse_linear_form_lets_whitespace_separate_a_term(text, constant, terms):
+    assert parse_linear_form(text) == LinearForm(constant=Q(constant), terms=terms)
 
 
 def test_linear_form_rendering():
