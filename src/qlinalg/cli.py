@@ -13,18 +13,21 @@ the command line (and in output) are 1-based.
 Exit status: 0 for any computed answer (including answer-like negatives such
 as "not invertible"), 1 when the values make the request impossible
 (singular Cramer coefficient, negative power of a singular matrix, dependent
-points, ...), 2 for unusable input or bad usage.
+points, ...), 2 for unusable input or bad usage.  A reader that closes stdout
+before the answer is printed in full stops the output, not the answer: the
+status stays 0 and nothing is printed to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 
 from .determinant import (
     adjoint,
@@ -125,9 +128,9 @@ def _read_text(arg: str) -> str:
     if arg == "-":
         return sys.stdin.read()
     try:
-        p = Path(arg)
-        if p.is_file():
-            return p.read_text(encoding="utf-8")
+        if os.path.isfile(arg):
+            with open(arg, encoding="utf-8") as f:
+                return f.read()
     except UnicodeDecodeError:
         raise UsageError(f"file {arg!r} is not UTF-8 text") from None
     except OSError:
@@ -690,3 +693,25 @@ def main(argv=None) -> int:
         for line in lines:
             print(line)
     return 0
+
+
+def run() -> int:
+    """The process entry of ``python -m qlinalg`` and the ``qlinalg`` script;
+    in-process callers use ``main``, which never freezes.
+
+    A reader that closes stdout early stops the output, not the answer:
+    stdout then points at the null device, so the flush at shutdown cannot
+    raise again, and the status is 0.  ``gc.freeze()`` comes last, also when
+    argparse raises SystemExit.  It spares the full collections of interpreter
+    shutdown, about a tenth of a one-shot run, over objects that the exiting
+    process frees anyway.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    finally:
+        gc.freeze()
+    return code

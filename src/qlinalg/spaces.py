@@ -205,7 +205,9 @@ def extend_to_basis(vectors, n: int | None = None) -> Subspace:
 # ---- coordinate formulas ---------------------------------------------------------
 
 _NAME = r"[A-Za-z_]\w*"
-_TERM = re.compile(rf"(?:(?P<coef>{_NUMBER})\s*(?:\*\s*)?)?(?P<name>{_NAME})?\Z")
+_TERM = re.compile(
+    rf"(?:(?P<coef>{_NUMBER})\s*(?:\*\s*(?={_NAME}))?)?(?P<name>{_NAME})?\Z"
+)
 _TOKEN = re.compile(r"\s*[+-]?\s*[^+\-\s][^+-]*")
 _NONLINEAR = re.compile(rf"\^|\*\s*\*|{_NAME}\s*\*\s*{_NAME}")
 
@@ -244,7 +246,8 @@ def parse_linear_form(text: str) -> LinearForm:
     """Read one coordinate formula like ``-2a + b`` or ``1/2x1 - x3 + 4``.
 
     Whitespace may separate a term's sign, coefficient, ``*`` and name, but
-    not split a number or a name: ``1 2a`` and ``x 1`` are refused.  Raises
+    not split a number or a name: ``1 2a`` and ``x 1`` are refused, and so
+    is a ``*`` with no name after it (``2*``).  Raises
     NonLinearCoordinate on powers or parameter products, MalformedForm on
     anything else unreadable.
     """

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: golden outputs, JSON fidelity, exit codes."""
 
+import gc
 import io
 import json
 import os
@@ -9,6 +10,8 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import qlinalg
 from qlinalg import (
@@ -22,6 +25,7 @@ from qlinalg import (
 from qlinalg.cli import main
 
 import oracles
+from test_cli_boundary import run as run_in_process
 
 Q = Fraction
 
@@ -384,6 +388,11 @@ def test_formula_errors_name_their_coordinate(capsys):
     code, out, err = run(capsys, "transform", "1 2a; b")
     assert (code, out) == (2, "")
     assert err == "error: coordinate 1: cannot read term '1 2a' in '1 2a'\n"
+    # "2*" and "3 *" once read as the constants 2 and 3
+    for text in ("2*", "3 *"):
+        code, out, err = run(capsys, "subspace", f"{text}; a")
+        assert (code, out) == (2, "")
+        assert err == f"error: coordinate 1: cannot read term {text!r} in {text!r}\n"
 
 
 def test_subspace_verdict_no(capsys):
@@ -419,6 +428,13 @@ def test_non_utf8_file_is_a_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: file {str(path)!r} is not UTF-8 text\n"
+
+
+def test_a_directory_or_missing_path_is_read_as_matrix_text(capsys, tmp_path):
+    for arg in (str(tmp_path), str(tmp_path / "missing.txt")):
+        code, out, err = run(capsys, "det", arg)
+        assert (code, out) == (2, "")
+        assert err == f"error: not an exact scalar: {arg!r}\n"
 
 
 def test_trace_builds_one_elementary_matrix_per_row_operation(capsys, monkeypatch):
@@ -498,3 +514,104 @@ def test_det_reads_a_5000_digit_entry():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == f"{entry}\n"
+
+
+# ---- the process entry ---------------------------------------------------------------
+
+
+def _record_entry(monkeypatch):
+    """Wrap ``cli.main`` and stub ``gc.freeze``, both logging to one list."""
+    import qlinalg.cli as cli
+
+    calls, real_main = [], cli.main
+
+    def logged_main():
+        try:
+            return real_main()
+        finally:
+            calls.append("main")
+
+    monkeypatch.setattr(cli, "main", logged_main)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    return cli.run, calls
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["det", "1 2; 3 4"], 0), (["cramer", "1 1 | 2; 1 1 | 3"], 1)]
+)
+def test_run_returns_the_status_of_main_then_freezes(capsys, monkeypatch, argv, code):
+    run_entry, calls = _record_entry(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["qlinalg", *argv])
+    assert run_entry() == code
+    assert calls == ["main", "freeze"]
+    assert capsys.readouterr() == run(capsys, *argv)[1:]
+
+
+@pytest.mark.parametrize("argv, code", [(["det"], 2), (["--help"], 0)])
+def test_run_freezes_when_argparse_ends_the_run(capsys, monkeypatch, argv, code):
+    run_entry, calls = _record_entry(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["qlinalg", *argv])
+    with pytest.raises(SystemExit) as exc:
+        run_entry()
+    assert exc.value.code == code
+    assert calls == ["main", "freeze"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", "1 2; 3 4"],
+        ["det", "1 2; 3 4", "--format", "json"],
+        ["solve", "3 2 | 5 ; -2 1 | -6", "--trace"],
+        ["det", "1 2; 3"],
+    ],
+)
+def test_main_in_process_never_freezes(capsys, monkeypatch, argv):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(argv))
+    main(argv)
+    assert frozen == []
+
+
+def test_the_installed_script_enters_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["scripts"] == {"qlinalg": "qlinalg.cli:run"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", "1 0 2; 3 1 -1; 1 2 4"],
+        ["solve", "1 2 1 | 3; 2 4 0 | 2", "--format", "json"],
+        ["reduce", "0 3 6; 2 4 1; 1 2 1/2", "--form", "echelon", "--trace"],
+        ["cramer", "1 1 | 2; 1 1 | 3"],
+        ["inv-entry", "1 0; 0 1", "--entry", "0,1"],
+        ["det", "1 two; 3 4"],
+    ],
+)
+def test_a_process_answers_as_main_does_in_process(argv):
+    proc = _qlinalg_subprocess(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
+
+
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        # fills stdout's buffer, so the pipe breaks inside main's printing
+        ("inverse", _dense_integer_text(40, 4040)),
+        # fits the buffer, so the pipe breaks in run's flush
+        ("det", "1 2; 3 4"),
+    ],
+)
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(verb, text):
+    env = dict(os.environ, PYTHONPATH=str(Path(qlinalg.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qlinalg", verb, text],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")

@@ -86,6 +86,7 @@ CASES: tuple[tuple[str, ...], ...] = (
     ("subspace", "x; 1"),
     ("subspace", "0; 0"),
     ("subspace", "x*y; 1"),
+    ("subspace", "2*; a"),
     ("fundamentals", "1 2 3; 2 4 6"),
     ("fundamentals", "1 0; 0 1"),
     ("fundamentals", "0 0 0"),

@@ -351,6 +351,27 @@ def test_parse_linear_form_lets_whitespace_separate_a_term(text, constant, terms
     assert parse_linear_form(text) == LinearForm(constant=Q(constant), terms=terms)
 
 
+@pytest.mark.parametrize("text", ["2*", "3 *", "1/2 * ", "a + 2*", "2*-a", "2*3"])
+def test_parse_linear_form_refuses_a_star_without_a_name(text):
+    # "2*" was once read as the constant 2
+    with pytest.raises(MalformedForm, match=r"cannot read term"):
+        parse_linear_form(text)
+
+
+@pytest.mark.parametrize(
+    "text, constant, a",
+    [("2*a", 0, 2), ("2 * a", 0, 2), ("2a", 0, 2), ("2", 2, 0), ("1 + 2 *a", 1, 2)],
+)
+def test_parse_linear_form_star_is_optional_before_a_name(text, constant, a):
+    f = parse_linear_form(text)
+    assert (f.constant, f.coefficient("a")) == (constant, a)
+
+
+def test_a_dangling_star_names_its_coordinate():
+    with pytest.raises(MalformedForm, match=r"^coordinate 2: cannot read term '3 \*'"):
+        subspace_from_forms(["a", "3 *"])
+
+
 def test_linear_form_rendering():
     assert str(parse_linear_form("-2a+b")) == "-2a + b"
     assert str(parse_linear_form("0")) == "0"
