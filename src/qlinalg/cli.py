@@ -13,9 +13,9 @@ the command line (and in output) are 1-based.
 Exit status: 0 for any computed answer (including answer-like negatives such
 as "not invertible"), 1 when the values make the request impossible
 (singular Cramer coefficient, negative power of a singular matrix, dependent
-points, ...), 2 for unusable input or bad usage.  A reader that closes stdout
-before the answer is printed in full stops the output, not the answer: the
-status stays 0 and nothing is printed to stderr.
+points, ...), 2 for unusable input or bad usage.  The status of an answer or
+an "error:" line is decided before it is printed: a reader that closes stdout
+or stderr early stops the output, not the status, and nothing else is printed.
 """
 
 from __future__ import annotations
@@ -58,18 +58,12 @@ from .elimination import (
     solve_with_trace,
 )
 from .errors import (
-    AllZeroInput,
-    DependentPoints,
     DimensionMismatch,
     IndexOutOfRange,
-    InputDependent,
     LinAlgError,
-    NegativePowerOfSingular,
     NotInvertible,
-    NotSpanning,
-    SingularCoefficient,
     UsageError,
-    ZeroVectorPresent,
+    _Impossible,
 )
 from .matrix import (
     Matrix,
@@ -94,16 +88,6 @@ from .spaces import (
     subspace_from_forms,
 )
 from .transform import NotLinear, from_basis_images, from_forms, from_matrix
-
-_ANSWER_DEPENDENT_ERRORS = (
-    SingularCoefficient,
-    NegativePowerOfSingular,
-    DependentPoints,
-    NotSpanning,
-    InputDependent,
-    ZeroVectorPresent,
-    AllZeroInput,
-)
 
 # n! products: n = 8 answers in under a second, n = 10 takes nearly a minute.
 _COFACTOR_MAX_N = 8
@@ -685,33 +669,30 @@ def main(argv=None) -> int:
     try:
         lines, payload = args.func(args)
     except LinAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, _ANSWER_DEPENDENT_ERRORS) else 2
-    if args.format == "json":
-        print(json.dumps({"verb": args.verb, **payload}, indent=2, default=_exact))
+        code = 1 if isinstance(exc, _Impossible) else 2
+        out, lines = sys.stderr, [f"error: {exc}"]
     else:
+        code, out = 0, sys.stdout
+        if args.format == "json":
+            lines = [json.dumps({"verb": args.verb, **payload}, indent=2, default=_exact)]
+    try:
         for line in lines:
-            print(line)
-    return 0
+            print(line, file=out)
+        out.flush()
+    except BrokenPipeError:  # the reader left; the flush at shutdown writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+    return code
 
 
 def run() -> int:
     """The process entry of ``python -m qlinalg`` and the ``qlinalg`` script;
     in-process callers use ``main``, which never freezes.
 
-    A reader that closes stdout early stops the output, not the answer:
-    stdout then points at the null device, so the flush at shutdown cannot
-    raise again, and the status is 0.  ``gc.freeze()`` comes last, also when
-    argparse raises SystemExit.  It spares the full collections of interpreter
-    shutdown, about a tenth of a one-shot run, over objects that the exiting
-    process frees anyway.
+    ``gc.freeze()`` comes last, also when argparse raises SystemExit.  It
+    spares the full collections of interpreter shutdown, about a tenth of a
+    one-shot run, over objects that the exiting process frees anyway.
     """
     try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 0
+        return main()
     finally:
         gc.freeze()
-    return code

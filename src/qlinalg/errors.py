@@ -2,6 +2,7 @@
 
 Everything deliberate derives from LinAlgError so callers can catch the whole
 family at once; most are also ValueErrors (IndexOutOfRange is an IndexError).
+The errors whose values make a request impossible derive from _Impossible.
 """
 
 
@@ -127,31 +128,35 @@ class NotInvertible(LinAlgError, ValueError):
     """The matrix has determinant zero."""
 
 
-class SingularCoefficient(LinAlgError, ValueError):
+class _Impossible(LinAlgError, ValueError):
+    """The values make the request impossible; the CLI exits 1, not 2."""
+
+
+class SingularCoefficient(_Impossible):
     """Cramer's rule needs an invertible coefficient matrix."""
 
 
-class NegativePowerOfSingular(LinAlgError, ValueError):
+class NegativePowerOfSingular(_Impossible):
     """A negative matrix power needs an invertible base."""
 
 
-class InputDependent(LinAlgError, ValueError):
+class InputDependent(_Impossible):
     """An independent set was required."""
 
 
-class DependentPoints(LinAlgError, ValueError):
+class DependentPoints(_Impossible):
     """Basis-image construction got dependent domain points."""
 
 
-class NotSpanning(LinAlgError, ValueError):
+class NotSpanning(_Impossible):
     """Too few domain points to determine a map on the whole space."""
 
 
-class ZeroVectorPresent(LinAlgError, ValueError):
+class ZeroVectorPresent(_Impossible):
     """Orthogonality checks exclude the zero vector."""
 
 
-class AllZeroInput(LinAlgError, ValueError):
+class AllZeroInput(_Impossible):
     """The spanned subspace is the zero space; nothing to orthogonalize."""
 
 

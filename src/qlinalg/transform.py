@@ -11,14 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .elimination import _FractionFree, inverse_gauss_jordan
+from .elimination import _FractionFree
 from .errors import (
     DegreeTooHigh,
     DependentPoints,
     DimensionMismatch,
     EmptyInput,
     MixedDimensions,
-    NotInvertible,
     NotSpanning,
     _Record,
 )
@@ -118,8 +117,9 @@ def from_basis_images(pairs) -> LinearMap:
     """The unique linear map sending each given point to its given image.
 
     Needs exactly n independent points of Q^n (a basis); their images may
-    live in any Q^m.  The standard matrix is Y P^{-1} with the points as
-    the columns of P and the images as the columns of Y.
+    live in any Q^m.  The standard matrix is T = Y P^{-1} with the points as
+    the columns of P and the images as the columns of Y, read off one
+    reduction of the rows ``[point | image]``: [P^T | Y^T] reduces to [I | T^T].
     """
     pts, imgs = [], []
     for p, y in pairs:
@@ -140,13 +140,11 @@ def from_basis_images(pairs) -> LinearMap:
         raise NotSpanning(
             f"{len(pts)} points cannot determine a map on Q^{n}"
         )
-    if len(pts) > n:  # P is not square
+    run = _FractionFree(Matrix._of(tuple(p + y for p, y in zip(pts, imgs))))
+    if len(pts) > n or run.pivots != list(range(n)):
         raise DependentPoints("the domain points must form a basis")
-    try:
-        p_inverse = inverse_gauss_jordan(Matrix.from_columns(pts))
-    except NotInvertible:
-        raise DependentPoints("the domain points must form a basis") from None
-    return LinearMap(matrix=Matrix.from_columns(imgs) @ p_inverse)
+    columns = run.reduced(range(n, n + len(imgs[0])))  # the right half, T^T
+    return LinearMap(matrix=Matrix._of(tuple(zip(*columns))))
 
 
 # ---- polynomial coordinates ---------------------------------------------------

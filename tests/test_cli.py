@@ -601,7 +601,7 @@ def test_a_process_answers_as_main_does_in_process(argv):
     [
         # fills stdout's buffer, so the pipe breaks inside main's printing
         ("inverse", _dense_integer_text(40, 4040)),
-        # fits the buffer, so the pipe breaks in run's flush
+        # fits the buffer, so the pipe breaks in main's flush
         ("det", "1 2; 3 4"),
     ],
 )
@@ -615,3 +615,58 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(verb, text):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
+
+
+# ---- the exit status follows the error's type ----------------------------------------
+
+_IMPOSSIBLE = {
+    "SingularCoefficient",
+    "NegativePowerOfSingular",
+    "DependentPoints",
+    "NotSpanning",
+    "InputDependent",
+    "ZeroVectorPresent",
+    "AllZeroInput",
+}
+
+
+def test_exactly_the_impossible_errors_exit_one(capsys, monkeypatch):
+    import qlinalg.cli as cli
+    import qlinalg.errors as errors
+
+    statuses = {}
+    for name, cls in vars(errors).items():
+        if name.startswith("_") or not isinstance(cls, type):
+            continue
+        if not issubclass(cls, errors.LinAlgError):
+            continue
+
+        def raising(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_cmd_det", raising)
+        statuses[name] = run(capsys, "det", "1")[:2]
+    assert {name for name, (code, _) in statuses.items() if code == 1} == _IMPOSSIBLE
+    assert {code for code, _ in statuses.values()} == {1, 2}
+    assert {out for _, out in statuses.values()} == {""}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv, code", [(["det", "1 2; 3"], 2), (["cramer", "1 2 | 3; 2 4 | 6"], 1)]
+)
+def test_a_closed_stderr_does_not_change_the_status(argv, code, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(Path(qlinalg.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlinalg", *argv],
+            stdout=write_end, stderr=write_end, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code

@@ -99,6 +99,7 @@ CASES: tuple[tuple[str, ...], ...] = (
     ("transform", "1 2; 0 1"),
     ("transform", "x1; 13"),
     ("transform", "1 2 -> 1; 2 4 -> 2"),
+    ("transform", "1 0 -> 1"),
     ("transform", "1 2 -> 1 -> 2"),
     ("transform", "1 2; 0 1", "--apply", "1 2 3"),
     ("kernel", "-5x1; 2x2+x3; -x1; 0"),
