@@ -675,24 +675,36 @@ def main(argv=None) -> int:
         code, out = 0, sys.stdout
         if args.format == "json":
             lines = [json.dumps({"verb": args.verb, **payload}, indent=2, default=_exact)]
+    _write(out, lines)
+    return code
+
+
+def _write(out, lines=()) -> None:
+    """Print ``lines`` to ``out`` and flush it."""
     try:
         for line in lines:
             print(line, file=out)
         out.flush()
     except BrokenPipeError:  # the reader left; the flush at shutdown writes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
-    return code
 
 
 def run() -> int:
     """The process entry of ``python -m qlinalg`` and the ``qlinalg`` script;
     in-process callers use ``main``, which never freezes.
 
-    ``gc.freeze()`` comes last, also when argparse raises SystemExit.  It
-    spares the full collections of interpreter shutdown, about a tenth of a
-    one-shot run, over objects that the exiting process frees anyway.
+    argparse's SystemExit (a usage error, ``--help``) leaves its message in
+    the stream's buffer, so both streams are flushed here, where a broken
+    pipe cannot turn the status into 120 at shutdown.  ``gc.freeze()`` comes
+    last.  It spares the full collections of interpreter shutdown, about a
+    tenth of a one-shot run, over objects that the exiting process frees
+    anyway.
     """
     try:
         return main()
+    except SystemExit:
+        _write(sys.stdout)
+        _write(sys.stderr)
+        raise
     finally:
         gc.freeze()

@@ -6,12 +6,15 @@ its roots modulo one small prime (:func:`qlinalg.poly.rational_roots`); both
 take time polynomial in n and in the entry bit size.  Each public call clears
 A once, to its integer image B = d A with d the lcm of A's denominators, and
 everything in the call reads B: Berkowitz runs on B and hands the root search
-the polynomial's primitive integer coefficients, and the eigenspace of p/q is
-the null space of the integer rows q B - p d I.  Each coefficient, root and
-basis entry becomes a ``Fraction`` once, at the end.  Irrational or complex
-eigenvalues cannot be represented here; in that case the honest answer is a
-:class:`NotSplit` verdict carrying whatever rational roots were found and the
-unfactored remainder.
+the polynomial's primitive integer coefficients.  The eigenspace of a root
+lam = p/q is null(mu I - B), mu = d lam, which holds every column of
+adj(mu I - B); when the last one, read off Berkowitz's last step, is nonzero,
+the eigenspace is the line through it.  Otherwise it is the null space of the
+integer rows q B - p d I, swept by fraction-free elimination.  Each
+coefficient, root and basis entry becomes a ``Fraction`` once, at the end.
+Irrational or complex eigenvalues cannot be represented here; in that case
+the honest answer is a :class:`NotSplit` verdict carrying whatever rational
+roots were found and the unfactored remainder.
 
 Eigenvalues are always reported in decreasing order, and the diagonal factor
 of a diagonalization lists them that way.
@@ -43,9 +46,10 @@ def char_poly(a: Matrix) -> Polynomial:
     return _char_poly(*_square_image(a))[0]
 
 
-def _char_poly(g: list[list[int]], d: int) -> tuple[Polynomial, tuple[int, ...]]:
-    """det(A - x I) for A = B / d, B the integer rows ``g``, and its primitive
-    integer coefficients (ascending, sign kept).
+def _char_poly(g: list[list[int]], d: int) -> tuple[Polynomial, tuple[int, ...], tuple]:
+    """det(A - x I) for A = B / d, B the integer rows ``g``, its primitive
+    integer coefficients (ascending, sign kept), and the last step's
+    (det(x I - M) descending, [C, M C, ..., M^(n-2) C]) for ``_adjugate_column``.
 
     Berkowitz's division-free algorithm, O(n^4) ring operations, run on B.
     Write each leading principal submatrix as B_k = [[M, C], [R, b_kk]].  The
@@ -62,14 +66,31 @@ def _char_poly(g: list[list[int]], d: int) -> tuple[Polynomial, tuple[int, ...]]
         r = g[k][:k]
         col = [1, -g[k][k]]
         v = [g[i][k] for i in range(k)]
+        chi, krylov = coeffs, []
         for _ in range(k):
             col.append(-sum(map(mul, r, v)))
+            krylov.append(v)
             v = [sum(map(mul, mi, v)) for mi in m]
         col.reverse()
         coeffs = [sum(map(mul, coeffs, col[k + 1 - i:])) for i in range(k + 2)]
     sign = -1 if n % 2 else 1
     poly = Polynomial([Fraction(sign * c, d**i) for i, c in enumerate(coeffs)][::-1])
-    return poly, _primitive([sign * c * d**i for i, c in enumerate(reversed(coeffs))])
+    ints = _primitive([sign * c * d**i for i, c in enumerate(reversed(coeffs))])
+    return poly, ints, (chi, krylov)
+
+
+def _adjugate_column(chi: list[int], krylov: list, p: int, q: int) -> list[int]:
+    """q^(n-1) times the last column of adj(mu I - B) at mu = p/q, from
+    Berkowitz's last step on B = [[M, C], [R, b]]: [sum_k h_k(mu) M^k C ;
+    chi(mu)], chi = det(x I - M) = sum a_j x^j and h_k = sum_(j>k) a_j
+    x^(j-k-1) its Horner partial sums.  With G_i = q^i times the i-th Horner
+    sum at mu, q^(n-1) h_k(mu) = q^(k+1) G_(n-2-k) and q^(n-1) chi(mu) = G_(n-1).
+    """
+    horner = [1]
+    for i, a in enumerate(chi[1:], 1):
+        horner.append(horner[-1] * p + a * q**i)
+    scale = [q ** (k + 1) * g for k, g in enumerate(reversed(horner[:-1]))]
+    return [sum(map(mul, scale, row)) for row in zip(*krylov)] + [horner[-1]]
 
 
 class Split(_Record):
@@ -108,7 +129,7 @@ EigenvalueVerdict = Union[Split, NotSplit]
 
 def eigenvalues(a: Matrix) -> EigenvalueVerdict:
     """Rational roots of the characteristic polynomial, with multiplicity."""
-    return _roots_verdict(*_char_poly(*_square_image(a)))
+    return _roots_verdict(*_char_poly(*_square_image(a))[:2])
 
 
 def _roots_verdict(p: Polynomial, ints: tuple[int, ...]) -> EigenvalueVerdict:
@@ -127,14 +148,28 @@ def eigenspace(a: Matrix, lam) -> Subspace:
     return _eigenspace(*_integer_image(a), as_scalar(lam))
 
 
-def _eigenspace(b: list[list[int]], d: int, lam: Fraction) -> Subspace:
-    """The null space of A - lam I for A = B / d, B the integer rows ``b``,
-    read off the integer rows q B - p d I (lam = p/q): that is q d (A - lam I),
-    with the same null space."""
-    p, q = lam.numerator, lam.denominator
+def _eigenspace(b: list[list[int]], d: int, lam: Fraction, last: tuple = ()) -> Subspace:
+    """The null space of A - lam I for A = B / d, B the integer rows ``b``.
+
+    Given ``last`` from ``_char_poly(b, d)`` and lam a root, w, the last
+    column of adj(mu I - B) at mu = d lam, lies in null(mu I - B), since
+    (mu I - B) adj(mu I - B) = det(mu I - B) I = 0.  If w != 0, mu I - B has
+    rank n - 1 and the null space is the line through w; the null-space
+    reader's basis vector is w / w_f, f the last index with w_f != 0 (the one
+    free column).  w = 0 when the geometric multiplicity is 2 or more or the
+    left eigenvector's last coordinate is 0; then, as for any lam without
+    ``last``, sweep the integer rows q B - p d I (lam = p/q), that is
+    q d (A - lam I), with the same null space.
+    """
+    p, q = lam.numerator * d, lam.denominator
+    if last:
+        w = _adjugate_column(*last, p, q)
+        for wf in reversed(w):
+            if wf:
+                return Subspace._trusted(len(b), (tuple(Fraction(x, wf) for x in w),))
     rows = [[q * x for x in row] for row in b]
     for i, row in enumerate(rows):
-        row[i] -= p * d
+        row[i] -= p
     return _null_space(_FractionFree(rows))
 
 
@@ -186,13 +221,14 @@ def diagonalize(a: Matrix) -> DiagonalizeVerdict:
     dimension misses its algebraic multiplicity decides NotDiagonalizable.
     """
     b, d = _square_image(a)
-    verdict = _roots_verdict(*_char_poly(b, d))
+    p, ints, last = _char_poly(b, d)
+    verdict = _roots_verdict(p, ints)
     if isinstance(verdict, NotSplit):
         return verdict
     columns: list[tuple[Fraction, ...]] = []
     diag: list[Fraction] = []
     for lam, alg in verdict.roots:
-        space = _eigenspace(b, d, lam)
+        space = _eigenspace(b, d, lam, last)
         if space.dimension < alg:
             return NotDiagonalizable(
                 eigenvalue=lam, algebraic=alg, geometric=space.dimension
@@ -248,11 +284,11 @@ def eigen_summary(a: Matrix) -> EigenSummary:
     """Characteristic polynomial, eigenvalues, eigenspaces, and the
     diagonalizability verdict, all at once."""
     b, d = _square_image(a)
-    p, ints = _char_poly(b, d)
+    p, ints, last = _char_poly(b, d)
     verdict = _roots_verdict(p, ints)
     split = isinstance(verdict, Split)
     roots = verdict.roots if split else verdict.found
-    spaces = tuple((lam, _eigenspace(b, d, lam)) for lam, _ in roots)
+    spaces = tuple((lam, _eigenspace(b, d, lam, last)) for lam, _ in roots)
     deficient = next(
         (
             (lam, alg, space.dimension)

@@ -137,9 +137,8 @@ def from_basis_images(pairs) -> LinearMap:
     if any(len(y) != len(imgs[0]) for y in imgs):
         raise MixedDimensions("images of different lengths")
     if len(pts) < n:
-        raise NotSpanning(
-            f"{len(pts)} points cannot determine a map on Q^{n}"
-        )
+        count = "1 point" if len(pts) == 1 else f"{len(pts)} points"
+        raise NotSpanning(f"{count} cannot determine a map on Q^{n}")
     run = _FractionFree(Matrix._of(tuple(p + y for p, y in zip(pts, imgs))))
     if len(pts) > n or run.pivots != list(range(n)):
         raise DependentPoints("the domain points must form a basis")

@@ -653,7 +653,14 @@ def test_exactly_the_impossible_errors_exit_one(capsys, monkeypatch):
 
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize(
-    "argv, code", [(["det", "1 2; 3"], 2), (["cramer", "1 2 | 3; 2 4 | 6"], 1)]
+    "argv, code",
+    [
+        (["det", "1 2; 3"], 2),
+        (["cramer", "1 2 | 3; 2 4 | 6"], 1),
+        # argparse's own exits: a usage error on stderr, the help on stdout
+        (["det"], 2),
+        (["--help"], 0),
+    ],
 )
 def test_a_closed_stderr_does_not_change_the_status(argv, code, unbuffered):
     env = dict(os.environ, PYTHONPATH=str(Path(qlinalg.__file__).parents[1]))

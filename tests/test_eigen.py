@@ -474,6 +474,114 @@ def test_eigen_calls_coerce_no_entry_the_library_built(monkeypatch):
     assert coerced == []
 
 
+# ---- the adjugate line against the sweep --------------------------------------------
+
+_ROUTE_FAMILIES = ("int", "pq", "long", "jordan", "repeated", "lower", "upper", "block")
+# families where some eigenvalue's last adjugate column is bound to be zero
+_SWEPT_FAMILIES = {"repeated", "lower", "block"}
+
+
+def _route_grid(rng, n, family):
+    """An n x n grid of the named family, its rational eigenvalues constructed.
+
+    "int", "pq" and "long" are simple spectra conjugated by a unimodular
+    (integer) or p/q matrix; "long" has 64-200-bit integer entries over one
+    64-bit denominator.  "jordan" joins runs of equal eigenvalues into
+    Jordan blocks (geometric multiplicity 1); "repeated" keeps them diagonal
+    (geometric multiplicity 2 or more).  "lower", "upper" and "block" stay
+    triangular or block diagonal, where most left eigenvectors end in 0."""
+    if family == "block" and n > 1:
+        k = rng.randrange(1, n)
+        top, bottom = _route_grid(rng, k, "pq"), _route_grid(rng, n - k, "int")
+        return [row + [Q(0)] * (n - k) for row in top] + [[Q(0)] * k + row for row in bottom]
+    dens = (1,) if family in ("int", "long") else _DENOMINATORS
+    spectrum = rng.sample(range(-9, 10), n)
+    if family == "long":
+        spectrum = [x << rng.randrange(64, 200) for x in spectrum]
+    den = rng.choice(dens)
+    spectrum = [Q(x, den) for x in spectrum]
+    if family in ("jordan", "repeated"):
+        spectrum = sorted(rng.choice(spectrum[:2]) for _ in range(n))
+    t = [[spectrum[i] * (i == j) for j in range(n)] for i in range(n)]
+    for i in range(1, n):
+        if family == "jordan" and spectrum[i] == spectrum[i - 1]:
+            t[i - 1][i] = Q(1)
+        for j in range(i):
+            if family in ("lower", "upper"):
+                x = oracles.rand_fraction(rng, -3, 3, dens)
+                t[i][j], t[j][i] = (x, Q(0)) if family == "lower" else (Q(0), x)
+    if family in ("lower", "upper"):
+        return t
+    if family in ("int", "long"):  # L L^T, L unit lower triangular: det 1
+        lower = [[Q(rng.randint(-2, 2)) if j < i else Q(int(i == j)) for j in range(n)]
+                 for i in range(n)]
+        p = oracles.naive_matmul(lower, [list(col) for col in zip(*lower)])
+    else:
+        p = oracles.rand_invertible_grid(rng, n, lo=-3, hi=3, denominators=dens)
+    grid = oracles.naive_matmul(oracles.naive_matmul(p, t), oracles.inverse_by_elimination(p))
+    if family == "long":
+        den = rng.getrandbits(64) | 1
+        grid = [[x / den for x in row] for row in grid]
+    return grid
+
+
+def _sweeps(monkeypatch):
+    """The list that records each fraction-free run started from now on."""
+    engine, runs = qlinalg.elimination._FractionFree, []
+
+    def counted(self, *args, _start=engine.__init__, **kwargs):
+        runs.append(args)
+        _start(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "__init__", counted)
+    return runs
+
+
+@pytest.mark.parametrize("family", _ROUTE_FAMILIES)
+def test_every_summary_eigenspace_is_the_public_sweeps(family, monkeypatch):
+    rng = random.Random(f"route/{family}")
+    runs = _sweeps(monkeypatch)
+    spaces = swept = 0
+    for case in range(18):
+        a = Matrix(_route_grid(rng, case % 6 + 1, family))
+        runs.clear()
+        summary = eigen_summary(a)
+        swept += len(runs)
+        assert summary.split is True
+        for lam, space in summary.spaces:
+            assert repr(space) == repr(eigenspace(a, lam)), (a, lam)
+            spaces += 1
+        verdict = diagonalize(a)
+        assert bool(verdict) is summary.diagonalizable
+        if verdict:
+            bases = [v for _, space in summary.spaces for v in space.basis]
+            assert verdict.L == Matrix(bases).transpose()
+    assert swept < spaces  # the line answered some eigenvalues
+    assert swept > 0 or family not in _SWEPT_FAMILIES
+
+
+# The last column of adj(mu I - A_TRI) is (mu - 1, -2 (mu - 2), (mu - 2)(mu - 1)):
+# (1, 0, 0) at 2, (0, 2, 0) at 1 and (-2, 6, 6) at -1, none zero, so no sweep.
+# For _DOUBLE, 1 I - _DOUBLE has rank 1, so its adjugate is 0 and eigenvalue 1
+# (geometric multiplicity 2) is swept; at 2 the column is (1, 1, 1): one sweep.
+_DOUBLE = Matrix([[1, 0, 1], [0, 1, 1], [0, 0, 2]])
+
+
+@pytest.mark.parametrize("call", (eigen_summary, diagonalize))
+@pytest.mark.parametrize("a, expected", ((A_TRI, 0), (_DOUBLE, 1)))
+def test_only_a_vanishing_adjugate_column_runs_a_sweep(call, a, expected, monkeypatch):
+    runs = _sweeps(monkeypatch)
+    assert call(a)
+    assert len(runs) == expected
+
+
+def test_the_public_eigenspace_always_sweeps(monkeypatch):
+    runs = _sweeps(monkeypatch)  # lam need not be a root, so no line is read
+    for lam in (2, 1, -1, 7):
+        eigenspace(A_TRI, lam)
+    assert len(runs) == 4
+
+
 # ---- random diagonalizable constructions -------------------------------------------
 
 

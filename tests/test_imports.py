@@ -191,7 +191,7 @@ _INT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm"
 _INTEGER_KERNELS = {
     "_FractionFree",  # elimination.py
     "__matmul__", "__pow__", "_integer_image", "_int_product",  # matrix.py
-    "char_poly", "_char_poly", "_eigenspace",  # eigen.py
+    "char_poly", "_char_poly", "_adjugate_column", "_eigenspace",  # eigen.py
     "_cleared",  # scalars.py
     "_primitive", "_pseudo_rem", "_exact_div", "_divide_root", "_derivative_gcd",
     "_value_mod", "_simple_roots_mod_prime", "_distinct_rational_roots",  # poly.py
