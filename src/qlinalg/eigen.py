@@ -55,23 +55,20 @@ def _char_poly(g: list[list[int]], d: int) -> tuple[Polynomial, tuple[int, ...],
     Write each leading principal submatrix as B_k = [[M, C], [R, b_kk]].  The
     descending coefficients of det(x I - B_k) are the lower-triangular
     Toeplitz matrix with first column [1, -b_kk, -R C, -R M C, ...,
-    -R M^(k-1) C] times those of det(x I - M).  Since det(x I - A) =
-    d^-n det(d x I - B), its coefficient of x^i is that of det(x I - B) over
-    d^(n-i); times d^n, it is that coefficient times d^i.
+    -R M^(k-1) C] times those of det(x I - M), so each step builds just the
+    Krylov vectors C, M C, ..., M^(k-1) C that the column reads.  Since
+    det(x I - A) = d^-n det(d x I - B), its coefficient of x^i is that of
+    det(x I - B) over d^(n-i); times d^n, it is that coefficient times d^i.
     """
     n = len(g)
     coeffs = [1]
     for k in range(n):
         m = [g[i][:k] for i in range(k)]
         r = g[k][:k]
-        col = [1, -g[k][k]]
-        v = [g[i][k] for i in range(k)]
-        chi, krylov = coeffs, []
-        for _ in range(k):
-            col.append(-sum(map(mul, r, v)))
-            krylov.append(v)
-            v = [sum(map(mul, mi, v)) for mi in m]
-        col.reverse()
+        chi, krylov = coeffs, ([[g[i][k] for i in range(k)]] if k else [])
+        for _ in range(1, k):
+            krylov.append([sum(map(mul, mi, krylov[-1])) for mi in m])
+        col = [-sum(map(mul, r, v)) for v in reversed(krylov)] + [-g[k][k], 1]
         coeffs = [sum(map(mul, coeffs, col[k + 1 - i:])) for i in range(k + 2)]
     sign = -1 if n % 2 else 1
     poly = Polynomial([Fraction(sign * c, d**i) for i, c in enumerate(coeffs)][::-1])
@@ -133,12 +130,12 @@ def eigenvalues(a: Matrix) -> EigenvalueVerdict:
 
 
 def _roots_verdict(p: Polynomial, ints: tuple[int, ...]) -> EigenvalueVerdict:
-    """The verdict on ``p``, given with its primitive integer coefficients."""
+    """The verdict on ``p``, given with its primitive integer coefficients;
+    the roots keep :func:`poly._rational_roots`' decreasing order."""
     roots, residual = _rational_roots(ints, p.coefficients[-1])
-    ordered = tuple(sorted(roots, key=lambda rm: rm[0], reverse=True))
     if residual.degree <= 0:
-        return Split(roots=ordered)
-    return NotSplit(found=ordered, residual=residual)
+        return Split(roots=roots)
+    return NotSplit(found=roots, residual=residual)
 
 
 def eigenspace(a: Matrix, lam) -> Subspace:

@@ -265,9 +265,6 @@ class _FractionFree:
         sign = prev = 1
         r = 0
         for c in range(width):
-            if r == height:
-                free += range(c, width)
-                break
             for src in range(r, height):
                 if grid[src][0]:
                     break
@@ -445,8 +442,6 @@ def satisfies_form(m: Matrix, form: str) -> bool:
         cols = [j for _, j in lead]
         if any(a >= b for a, b in zip(cols, cols[1:])):
             return False
-        if form == "reduced_echelon":
-            return satisfies_form(m, "completely_reduced")
     return True
 
 

@@ -78,8 +78,6 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial()
         out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             for j, b in enumerate(other._coeffs):
@@ -314,23 +312,18 @@ def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Pol
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
-    return _rational_roots(p.primitive_integer_coefficients(), p.coefficients[-1])
+    roots, residual = _rational_roots(p.primitive_integer_coefficients(), p.coefficients[-1])
+    return tuple(sorted(roots, key=lambda rm: rm[0] != 0)), residual
 
 
 def _rational_roots(
     q: tuple[int, ...], lead: Fraction
 ) -> tuple[tuple[tuple[Fraction, int], ...], Polynomial]:
     """:func:`rational_roots` of the polynomial with primitive integer
-    coefficients ``q`` and leading coefficient ``lead``."""
+    coefficients ``q`` and leading coefficient ``lead``, but with every root
+    in decreasing order, zero in its place: zero is lifted and divided out
+    like any other root.  The public wrapper moves zero first."""
     roots: list[tuple[Fraction, int]] = []
-
-    mult = 0
-    while len(q) > 1 and q[0] == 0:
-        q = q[1:]
-        mult += 1
-    if mult:
-        roots.append((Fraction(0), mult))
-
     if len(q) > 1:
         for root in _distinct_rational_roots(_exact_div(q, _derivative_gcd(q))):
             mult = 0

@@ -126,6 +126,36 @@ def test_eigenvalues_of_diagonal_matrix_carry_multiplicity():
     assert verdict.roots == ((5, 2), (3, 1))
 
 
+# 0 between positive and negative eigenvalues, as a simple root, beside a
+# nilpotent block, and beside a Jordan block at 1 that is the first deficiency
+_ZERO_INSIDE = (
+    ([[2, 0, 0], [0, 0, 0], [0, 0, -1]], ((2, 1), (0, 1), (-1, 1)), None),
+    ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, -1]],
+     ((1, 1), (0, 2), (-1, 1)), (0, 2, 1)),
+    ([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, -1]],
+     ((1, 2), (0, 2), (-1, 1)), (1, 2, 1)),
+)
+
+
+@pytest.mark.parametrize("rows, roots, deficient", _ZERO_INSIDE)
+def test_zero_keeps_its_decreasing_place_among_the_eigenvalues(rows, roots, deficient):
+    a = Matrix(rows)
+    found, _ = rational_roots(char_poly(a))
+    assert found[0][0] == 0 and dict(found) == dict(roots)  # the public order
+    assert eigenvalues(a).roots == roots
+    summary = eigen_summary(a)
+    assert summary.roots == roots
+    assert [lam for lam, _ in summary.spaces] == [lam for lam, _ in roots]
+    assert summary.deficient == deficient
+    verdict = diagonalize(a)
+    if deficient is None:
+        diagonal = [lam for lam, m in roots for _ in range(m)]
+        assert [verdict.D[i, i] for i in range(a.rows)] == diagonal
+        assert verdict.reconstruct() == a
+    else:
+        assert (verdict.eigenvalue, verdict.algebraic, verdict.geometric) == deficient
+
+
 def test_unsplit_eight_by_eight_answers_quickly():
     m = Matrix.parse(oracles.UNSPLIT_8X8)
     started = time.perf_counter()

@@ -24,7 +24,13 @@ from qlinalg import Matrix, Polynomial, char_poly, diagonalize, eigen_summary, r
 from qlinalg.eigen import _eigenspace
 from qlinalg.elimination import FORMS, Swap, _FractionFree, reduce
 from qlinalg.matrix import _integer_image
-from qlinalg.poly import _derivative_gcd, _distinct_rational_roots, _divide_root, _exact_div
+from qlinalg.poly import (
+    _derivative_gcd,
+    _distinct_rational_roots,
+    _divide_root,
+    _exact_div,
+    _rational_roots,
+)
 
 import oracles
 
@@ -186,7 +192,9 @@ def test_rational_roots_factor_adversarial_inputs_exactly(lead, roots, irreducib
     _check_factorization(lead, roots, irreducible)
 
 
-def test_rational_roots_come_back_zero_first_then_decreasing():
+def _with_zero_root():
+    """100 seeded (p, {root: multiplicity}): p has 0 as a root beside 1 to 7
+    long rational roots, each of multiplicity 1 or 2."""
     rng = random.Random(1409)
     for _ in range(100):
         roots = {Q(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 40)): rng.randint(1, 2)
@@ -195,10 +203,23 @@ def test_rational_roots_come_back_zero_first_then_decreasing():
         p = Polynomial([rng.choice((-1, 1)) * rng.randint(1, 9)])
         for r, m in roots.items():
             p = p * Polynomial([-r, 1]) ** m
+        yield p, roots
+
+
+def test_rational_roots_come_back_zero_first_then_decreasing():
+    for p, roots in _with_zero_root():
         found, _ = rational_roots(p)
         assert found[0] == (Q(0), roots[Q(0)])
         rest = [r for r, _ in found[1:]]
         assert rest == sorted(rest, reverse=True) and len(set(rest)) == len(rest)
+        assert dict(found) == roots
+
+
+def test_private_rational_roots_keep_zero_in_its_decreasing_place():
+    # the eigen verdicts take this order as it comes
+    for p, roots in _with_zero_root():
+        found, _ = _rational_roots(p.primitive_integer_coefficients(), p.coefficients[-1])
+        assert [r for r, _ in found] == sorted(roots, reverse=True)
         assert dict(found) == roots
 
 
