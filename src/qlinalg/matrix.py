@@ -328,8 +328,13 @@ def parse_matrix_text(text: str) -> tuple[Matrix, int | None]:
         grid.append([tok for side in sides for tok in side])
     if len(boundaries) > 1:
         raise RaggedRows("the '|' must sit in the same place in every row")
-    # every token is read before any width is compared, as Matrix(grid) does
-    rows = tuple(tuple(map(parse_scalar, r)) for r in grid)
+    # every token is read, in order, before any width is compared, as Matrix(grid)
+    # does; a token that recurs is read once and shares its (immutable) Fraction
+    read: dict[str, Fraction] = {}
+    rows = tuple(
+        tuple([read[t] if t in read else read.setdefault(t, parse_scalar(t)) for t in r])
+        for r in grid
+    )
     if any(len(r) != len(rows[0]) for r in rows):
         raise RaggedRows("rows of unequal length")
     return Matrix._of(rows), boundaries.pop()

@@ -205,11 +205,9 @@ def extend_to_basis(vectors, n: int | None = None) -> Subspace:
 # ---- coordinate formulas ---------------------------------------------------------
 
 _NAME = r"[A-Za-z_]\w*"
-_TERM = re.compile(
-    rf"(?:(?P<coef>{_NUMBER})\s*(?:\*\s*(?={_NAME}))?)?(?P<name>{_NAME})?\Z"
-)
-_TOKEN = re.compile(r"\s*[+-]?\s*[^+\-\s][^+-]*")
-_NONLINEAR = re.compile(rf"\^|\*\s*\*|{_NAME}\s*\*\s*{_NAME}")
+_TERM = rf"(?:(?P<coef>{_NUMBER})\s*(?:\*\s*(?={_NAME}))?)?(?P<name>{_NAME})?\Z"
+_TOKEN = r"\s*[+-]?\s*[^+\-\s][^+-]*"
+_NONLINEAR = rf"\^|\*\s*\*|{_NAME}\s*\*\s*{_NAME}"
 
 
 class LinearForm(_Record):
@@ -253,7 +251,7 @@ def parse_linear_form(text: str) -> LinearForm:
     """
     if not text.strip():
         raise MalformedForm("empty coordinate formula")
-    tokens = _TOKEN.findall(text)
+    tokens = re.findall(_TOKEN, text)
     if "".join(tokens) != text:
         raise MalformedForm(f"cannot read {text!r}")
     constant = Q(0)
@@ -265,9 +263,9 @@ def parse_linear_form(text: str) -> LinearForm:
         if body[0] in "+-":
             sign = Q(-1) if body[0] == "-" else Q(1)
             body = body[1:].lstrip()
-        m = _TERM.match(body)
+        m = re.match(_TERM, body)
         if not m or (m.group("coef") is None and m.group("name") is None):
-            if _NONLINEAR.search(body):
+            if re.search(_NONLINEAR, body):
                 raise NonLinearCoordinate(f"nonlinear term {token!r} in {text!r}")
             raise MalformedForm(f"cannot read term {token!r} in {text!r}")
         coef = sign * (parse_scalar(m.group("coef")) if m.group("coef") else Q(1))
@@ -282,7 +280,7 @@ def parse_linear_form(text: str) -> LinearForm:
     return LinearForm(constant=constant, terms=tuple((n, coeffs[n]) for n in order))
 
 
-_STEM_NUM = re.compile(r"([A-Za-z_]+?)(\d+)\Z")
+_STEM_NUM = r"([A-Za-z_]+?)(\d+)\Z"
 
 
 def infer_parameter_order(forms: Sequence[LinearForm]) -> tuple[str, ...]:
@@ -293,9 +291,9 @@ def infer_parameter_order(forms: Sequence[LinearForm]) -> tuple[str, ...]:
         for name in f.parameters:
             if name not in seen:
                 seen.append(name)
-    matches = [_STEM_NUM.match(n) for n in seen]
+    matches = [re.match(_STEM_NUM, n) for n in seen]
     if seen and all(matches) and len({m.group(1) for m in matches}) == 1:
-        return tuple(sorted(seen, key=lambda n: int(_STEM_NUM.match(n).group(2))))
+        return tuple(sorted(seen, key=lambda n: int(re.match(_STEM_NUM, n).group(2))))
     return tuple(seen)
 
 

@@ -1,10 +1,13 @@
 """Every module under src/qlinalg uses every name it imports, every
 module-level private name is used by some module of the package, and no
-module computes with floats.  The public names are pinned, and importing the
-CLI loads no module it does not need."""
+module computes with floats.  The public names are pinned, importing the
+CLI loads no module it does not need, and importing compiles no pattern that
+only a coordinate formula uses."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -52,6 +55,19 @@ def test_importing_the_cli_loads_no_introspection_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_only_the_scalar_patterns_are_compiled_at_import():
+    # every matrix text and every command line needs these two (argparse takes
+    # a compiled matcher); the coordinate-formula grammar stays as pattern
+    # strings, compiled by re on the first formula read and cached there
+    compiled = sorted(
+        f"{path.stem}.{name}"
+        for path in PACKAGE.glob("*.py")
+        for name, value in vars(importlib.import_module(f"qlinalg.{path.stem}")).items()
+        if isinstance(value, re.Pattern)
+    )
+    assert compiled == ["cli._NEGATIVE_SCALAR", "scalars._SCALAR"]
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import qlinalg.matrix
 from qlinalg import (
     Combination,
     DimensionMismatch,
@@ -12,10 +13,12 @@ from qlinalg import (
     Matrix,
     RaggedRows,
     SymmetryClass,
+    ZeroDenominator,
     as_vector,
     classify_symmetry,
     hstack,
     parse_matrix_text,
+    parse_scalar,
     product_as_combination,
     render_block,
     render_inline,
@@ -131,6 +134,77 @@ def test_parsed_entries_are_fractions_and_match_a_checked_matrix():
         assert all(type(x) is Fraction for row in m.entries for x in row)
         assert m == Matrix(grid)
         assert m.entries == tuple(map(tuple, values))
+
+
+def _recurring_text(rng):
+    """A seeded matrix text, with or without a bar, drawn from a small pool of
+    spellings so that tokens recur: integers, p/q, decimals, 64- to 200-bit
+    integers, and equal values written differently.  Returns the text, the
+    token grid and the bar."""
+    big = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(64, 200))
+    pool = [
+        str(rng.randint(-9, 9)),
+        f"{rng.randint(-20, 20)}/{rng.randint(1, 12)}",
+        f"{rng.choice(['', '-'])}{rng.randint(0, 9)}.{rng.randint(0, 99):02d}",
+        str(big), f"{big}/1",
+        "2/4", "1/2", "0.5", "+3", "3", "-0", "0", "0/7",
+    ]
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    grid = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+    bar = rng.randint(1, cols - 1) if cols > 1 and rng.randrange(2) else None
+    lines = [
+        " ".join(r) if bar is None else f"{' '.join(r[:bar])} | {' '.join(r[bar:])}"
+        for r in grid
+    ]
+    return rng.choice(["; ", "\n"]).join(lines), grid, bar
+
+
+def _counted_parse_scalar(monkeypatch) -> list[str]:
+    """Replace the matrix reader's scalar parser by one that records each call."""
+    calls: list[str] = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_scalar(text)
+
+    monkeypatch.setattr(qlinalg.matrix, "parse_scalar", counted)
+    return calls
+
+
+def test_parse_reads_each_distinct_token_once(monkeypatch):
+    calls = _counted_parse_scalar(monkeypatch)
+    m, boundary = parse_matrix_text("1 2/4 1 | 0; 1/2 2/4 -0 | 0; 1 1 1 | 1")
+    assert boundary == 3
+    assert calls == ["1", "2/4", "0", "1/2", "-0"]
+    # equal tokens share one Fraction; equal values written differently are equal
+    assert m[0, 0] is m[2, 3] and m[0, 1] is m[1, 1]
+    assert m[0, 1] == m[1, 0] == Q(1, 2) and m[1, 2] == m[1, 3] == 0
+
+
+def test_parse_of_recurring_tokens_matches_the_per_token_parse(monkeypatch):
+    calls = _counted_parse_scalar(monkeypatch)
+    rng = random.Random(25)
+    for _ in range(150):
+        text, grid, bar = _recurring_text(rng)
+        calls.clear()
+        m, boundary = parse_matrix_text(text)
+        assert boundary == bar
+        assert m.entries == tuple(tuple(parse_scalar(t) for t in r) for r in grid)
+        assert sorted(calls) == sorted({t for r in grid for t in r})
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("1 x; x 1/0", MalformedScalar, "not an exact scalar: 'x'"),
+        ("1/0 2; 3 1/0", ZeroDenominator, "zero denominator in '1/0'"),
+        ("1 1/0; x x", ZeroDenominator, "zero denominator in '1/0'"),
+    ],
+)
+def test_a_recurring_bad_token_raises_the_first_error_in_reading_order(text, error, message):
+    with pytest.raises(error) as err:
+        parse_matrix_text(text)
+    assert str(err.value) == message
 
 
 # ---- constructors and access -------------------------------------------------
