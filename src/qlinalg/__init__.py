@@ -104,7 +104,7 @@ from .orthogonal import (
     is_orthogonal_set,
     squared_norm,
 )
-from .poly import Polynomial, poly_eval, rational_roots
+from .poly import Polynomial, rational_roots
 from .scalars import Q, as_scalar, format_scalar, parse_scalar
 from .spaces import (
     Dependent,

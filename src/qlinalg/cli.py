@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import re
 import sys
@@ -674,6 +673,8 @@ def main(argv=None) -> int:
     else:
         code, out = 0, sys.stdout
         if args.format == "json":
+            import json  # plain runs never pay for it
+
             lines = [json.dumps({"verb": args.verb, **payload}, indent=2, default=_exact)]
     _write(out, lines)
     return code

@@ -306,8 +306,8 @@ class _FractionFree:
     def swept_row(self, k: int) -> tuple[Fraction, ...]:
         """Row k of the ``Fraction`` downward sweep (the semi-reduced matrix)."""
         row, prev = self.chosen[k]
-        d = prev * self.scales[k]
-        return tuple(Fraction(x, d) for x in row)
+        c, d = self.pivots[k], prev * self.scales[k]
+        return (Fraction(0, 1),) * c + tuple(Fraction(x, d) for x in row[c:])
 
     def _reduced_ints(self, cols) -> list[tuple[int, ...]]:
         """``last`` times the pivot rows of the completely reduced matrix R,

@@ -1,8 +1,10 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, and their rational roots.
 
-Coefficients are stored in ascending order of degree with trailing zeros
-stripped, so ``Polynomial([-2, 1, 2, -1])`` is ``-2 + x + 2x^2 - x^3`` and the
-zero polynomial has an empty coefficient tuple.
+:class:`Polynomial` is an exact value type: coefficients, degree, evaluation,
+rendering and integer form, with no ring arithmetic.  Coefficients are stored
+in ascending order of degree with trailing zeros stripped, so
+``Polynomial([-2, 1, 2, -1])`` is ``-2 + x + 2x^2 - x^3`` and the zero
+polynomial has an empty coefficient tuple.
 
 :func:`rational_roots` works on the primitive integer coefficients from
 start to end: the gcd with the derivative comes from integer
@@ -17,10 +19,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .scalars import _cleared, _render_sum, as_scalar, format_scalar
+from .scalars import _cleared, _render_sum, as_scalar
 
 
 class Polynomial:
+    """An exact polynomial value: its ``Fraction`` coefficients (ascending,
+    trailing zeros stripped), degree, evaluation ``p(x)`` by Horner's scheme,
+    rendering, and primitive integer form.  Equal coefficients make equal,
+    equally hashed values; there are no arithmetic operators."""
+
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients=()):
@@ -28,14 +35,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls([0, 1])
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -55,44 +54,6 @@ class Polynomial:
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
         return Fraction(0)
-
-    # ---- ring operations ---------------------------------------------------
-
-    def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        n = max(len(self._coeffs), len(other._coeffs))
-        return Polynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self._coeffs])
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) - self
-
-    def __mul__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial([1])
-        for _ in range(k):
-            result = result * self
-        return result
 
     def __call__(self, x) -> Fraction:
         """Evaluate by Horner's scheme."""
@@ -118,38 +79,7 @@ class Polynomial:
     def __str__(self):
         return self.render()
 
-    # ---- division ------------------------------------------------------------
-
-    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        other = _as_poly(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other._coeffs) + 1, 0)
-        lead = other._coeffs[-1]
-        for top in range(len(rem) - 1, len(other._coeffs) - 2, -1):
-            factor = rem[top] / lead
-            shift = top - (len(other._coeffs) - 1)
-            quot[shift] = factor
-            for j, b in enumerate(other._coeffs):
-                rem[shift + j] -= factor * b
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other) -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def deflate(self, root) -> "Polynomial":
-        """Divide out one factor of (x - root); the root must actually be one."""
-        root = as_scalar(root)
-        quot, rem = divmod(self, Polynomial([-root, 1]))
-        if not rem.is_zero:
-            raise ValueError(f"{format_scalar(root)} is not a root")
-        return quot
-
-    # ---- integer form and rational roots --------------------------------------
+    # ---- integer form and rendering ------------------------------------------
 
     def primitive_integer_coefficients(self) -> tuple[int, ...]:
         """Scale to coprime integers (sign of the leading coefficient kept)."""
@@ -165,17 +95,6 @@ class Polynomial:
             c[0] if c else Fraction(0),
             [(var if k == 1 else f"{var}^{k}", x) for k, x in enumerate(c[1:], 1)],
         )
-
-
-def _as_poly(obj) -> Polynomial:
-    if isinstance(obj, Polynomial):
-        return obj
-    return Polynomial([as_scalar(obj)])
-
-
-def poly_eval(p: Polynomial, x) -> Fraction:
-    """Function form of ``p(x)``."""
-    return p(x)
 
 
 def _primitive(cs) -> tuple[int, ...]:

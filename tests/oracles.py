@@ -2,13 +2,17 @@
 
 Everything here is deliberately written from first principles on plain
 tuples of Fractions — no imports from the package under test — so that
-agreement between these oracles and the library is meaningful.
+agreement between these oracles and the library is meaningful.  The one
+exception is :func:`poly_product`, a builder of test inputs, which hands its
+product over as the library's ``Polynomial`` value.
 """
 
 import re
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+
+from qlinalg import Polynomial
 
 
 def perm_parity(perm) -> int:
@@ -334,6 +338,20 @@ def char_poly_by_interpolation(rows):
                 scale *= t - s
         coeffs = [c + value * b / scale for c, b in zip(coeffs, basis)]
     return tuple(coeffs)
+
+
+def poly_product(*factors, roots=()) -> Polynomial:
+    """The ``Polynomial`` of the product of the ascending coefficient lists
+    ``factors`` and of (x - r)^m for each (r, m) in ``roots``, multiplied out
+    by schoolbook convolution (1 when there is no factor)."""
+    out = [Fraction(1)]
+    for f in [*factors, *([-r, 1] for r, m in roots for _ in range(m))]:
+        product = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                product[i + j] += a * b
+        out = product
+    return Polynomial(out)
 
 
 def first_vanishing(rows):

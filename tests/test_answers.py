@@ -26,7 +26,6 @@ from qlinalg import (
     FORMS,
     LinAlgError,
     Matrix,
-    Polynomial,
     adjoint,
     basis_of_span,
     char_poly,
@@ -194,10 +193,9 @@ def _matrix_power(rng, regime):
 
 def _rational_roots(rng, regime):
     """A product of (x - r) factors, with multiplicities, times a cofactor."""
-    p = Polynomial([_entry(rng, regime) or 1 for _ in range(rng.randint(1, 3))])
-    for _ in range(rng.randint(0, 3)):
-        p = p * Polynomial([-Fraction(_entry(rng, regime)), 1]) ** rng.randint(1, 3)
-    return [_answer(rational_roots, p)]
+    cofactor = [_entry(rng, regime) or 1 for _ in range(rng.randint(1, 3))]
+    roots = [(Fraction(_entry(rng, regime)), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+    return [_answer(rational_roots, oracles.poly_product(cofactor, roots=roots))]
 
 
 def _parse_linear_form(rng, regime):

@@ -10,6 +10,8 @@ import pytest
 
 from qlinalg import Matrix, Polynomial, char_poly, rational_roots
 
+import oracles
+
 sympy = pytest.importorskip("sympy")
 
 Q = Fraction
@@ -46,15 +48,12 @@ def _quadratic_factors(rng):
     if rng.random() < 0.5:
         c = rng.choice((2, 3, 5, 6, 7))
         k = rng.randint(1, 9)
-        return [Polynomial([-c, 0, 1]), Polynomial([-(c * 10 ** k + 1), 0, 10 ** k])]
-    return [Polynomial(
-        [rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(-9, 9), rng.randint(1, 9)]
-    )]
+        return [[-c, 0, 1], [-(c * 10 ** k + 1), 0, 10 ** k]]
+    return [[rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(-9, 9), rng.randint(1, 9)]]
 
 
 def _is_irreducible(quad):
-    coefficients = [sympy.Rational(c.numerator, c.denominator) for c in quad.coefficients]
-    return sympy.Poly(coefficients[::-1], sympy.Symbol("x")).is_irreducible
+    return sympy.Poly(quad[::-1], sympy.Symbol("x")).is_irreducible
 
 
 def test_rational_roots_finds_every_constructed_root():
@@ -62,27 +61,25 @@ def test_rational_roots_finds_every_constructed_root():
     for _ in range(150):
         lead = rng.randint(1, 15)
         expected: dict[Fraction, int] = {}
-        p = Polynomial([lead * rng.choice((1, -1))])
+        rest = [[lead * rng.choice((1, -1))]]
+        linear = []  # (root, multiplicity) in the order drawn
         if rng.random() < 0.3:
             expected[Q(0)] = rng.randint(1, 3)
-            p = p * Polynomial([0, 1]) ** expected[Q(0)]
+            linear.append((Q(0), expected[Q(0)]))
         for _ in range(rng.randint(0, 4)):
             root = Q(rng.randint(-40, 40), rng.randint(1, 15))
             mult = rng.randint(1, 3)
             expected[root] = expected.get(root, 0) + mult
-            p = p * Polynomial([-root, 1]) ** mult
-        rest = Polynomial([p.coefficients[-1]])
+            linear.append((root, mult))
         if rng.random() < 0.7:
             quads = _quadratic_factors(rng)
             if all(_is_irreducible(quad) for quad in quads):
-                for quad in quads:
-                    rest = rest * quad
-                    p = p * quad
+                rest += quads
 
-        roots, residual = rational_roots(p)
+        roots, residual = rational_roots(oracles.poly_product(*rest, roots=linear))
         assert dict(roots) == expected
         assert len(roots) == len(expected)
-        assert residual == rest
+        assert residual == oracles.poly_product(*rest)
 
 
 def _sympy_rational_roots(p):
@@ -108,11 +105,13 @@ def test_rational_roots_match_sympy_on_long_coefficients():
     for _ in range(40):
         p = Polynomial([Q(rng.randint(1, 2 ** 40) * rng.choice((1, -1)), rng.randint(1, 99))])
         while p.degree < 7 and rng.random() < 0.8:
-            p = p * Polynomial([-_long_root(rng), 1]) ** rng.randint(1, 2)
+            p = oracles.poly_product(p.coefficients, roots=[(_long_root(rng), rng.randint(1, 2))])
         if rng.random() < 0.6:
-            p = p * Polynomial([rng.randint(-(2 ** 80), 2 ** 80) for _ in range(3)])
+            p = oracles.poly_product(
+                p.coefficients, [rng.randint(-(2 ** 80), 2 ** 80) for _ in range(3)]
+            )
         if p.degree < 1:
-            p = p * Polynomial([-_long_root(rng), 1])
+            p = oracles.poly_product(p.coefficients, roots=[(_long_root(rng), 1)])
         roots, residual = rational_roots(p)
         assert dict(roots) == _sympy_rational_roots(p)
         assert residual.degree == p.degree - sum(m for _, m in roots)

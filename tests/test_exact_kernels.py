@@ -127,20 +127,13 @@ def _close_pair(c: int, k: int) -> Polynomial:
 def _check_factorization(lead, roots, irreducible=()):
     """p = lead * prod((x - r)^m) * prod(irreducible): rational_roots must
     find exactly ``roots`` and leave lead * prod(irreducible)."""
-    rest = Polynomial([lead])
-    for f in irreducible:
-        rest = rest * f
-    p = rest
-    for r, m in roots.items():
-        p = p * Polynomial([-r, 1]) ** m
+    rest = oracles.poly_product([lead], *(f.coefficients for f in irreducible))
+    p = oracles.poly_product(rest.coefficients, roots=roots.items())
     found, residual = rational_roots(p)
     assert dict(found) == roots
     assert len(found) == len(roots)
     assert residual == rest
-    rebuilt = residual
-    for r, m in found:
-        rebuilt = rebuilt * Polynomial([-r, 1]) ** m
-    assert rebuilt == p
+    assert oracles.poly_product(residual.coefficients, roots=found) == p
 
 
 @pytest.mark.parametrize(
@@ -200,10 +193,8 @@ def _with_zero_root():
         roots = {Q(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 40)): rng.randint(1, 2)
                  for _ in range(rng.randint(1, 7))}
         roots[Q(0)] = rng.randint(1, 3)
-        p = Polynomial([rng.choice((-1, 1)) * rng.randint(1, 9)])
-        for r, m in roots.items():
-            p = p * Polynomial([-r, 1]) ** m
-        yield p, roots
+        lead = rng.choice((-1, 1)) * rng.randint(1, 9)
+        yield oracles.poly_product([lead], roots=roots.items()), roots
 
 
 def test_rational_roots_come_back_zero_first_then_decreasing():
@@ -338,15 +329,13 @@ def test_checked_division_sees_near_misses_at_every_step():
         # x^2 - 7 has the roots 1 and 2 modulo 3, the prime the search takes,
         # and they lift to the candidates 13 and -13 beside the root -3
         (Polynomial([-7, 0, 1]), {Q(-3): 2}),
-        (Polynomial([-7, 0, 1]) * Polynomial([-2, 0, 1]), {}),
+        (oracles.poly_product([-7, 0, 1], [-2, 0, 1]), {}),
     ],
 )
 def test_a_candidate_with_no_rational_root_above_it_is_refused_and_dropped(
     rest, roots, monkeypatch
 ):
-    p = rest
-    for r, m in roots.items():
-        p = p * Polynomial([-r, 1]) ** m
+    p = oracles.poly_product(rest.coefficients, roots=roots.items())
     q = p.primitive_integer_coefficients()
     candidates = _distinct_rational_roots(_exact_div(q, _derivative_gcd(q)))
     false = [c for c in candidates if c not in roots]
