@@ -17,14 +17,16 @@ the honest answer is a :class:`NotSplit` verdict carrying whatever rational
 roots were found and the unfactored remainder.
 
 Eigenvalues are always reported in decreasing order, and the diagonal factor
-of a diagonalization lists them that way.
+of a diagonalization lists them that way.  ``eigenvalues``, ``diagonalize``
+and ``eigen_summary`` share one driver, which builds an eigenspace only when
+it is read: ``diagonalize`` stops at the first deficient eigenvalue.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Union
+from typing import Iterator, Union
 
 from .elimination import _FractionFree, inverse_gauss_jordan
 from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
@@ -96,9 +98,6 @@ class Split(_Record):
 
     roots: tuple[tuple[Fraction, int], ...]
 
-    def __bool__(self) -> bool:
-        return True
-
     @property
     def eigenvalues(self) -> tuple[Fraction, ...]:
         return tuple(lam for lam, _ in self.roots)
@@ -124,18 +123,22 @@ class NotSplit(_Record):
 EigenvalueVerdict = Union[Split, NotSplit]
 
 
+def _spectrum(a: Matrix) -> tuple[Polynomial, EigenvalueVerdict, Iterator]:
+    """det(A - x I), the verdict on its rational roots (in
+    :func:`poly._rational_roots`' decreasing order), and a lazy stream of
+    (eigenvalue, algebraic multiplicity, eigenspace), one per root found."""
+    b, d = _square_image(a)
+    p, ints, last = _char_poly(b, d)
+    roots, residual = _rational_roots(ints, p.coefficients[-1])
+    spectrum = ((lam, alg, _eigenspace(b, d, lam, last)) for lam, alg in roots)
+    if residual.degree <= 0:
+        return p, Split(roots=roots), spectrum
+    return p, NotSplit(found=roots, residual=residual), spectrum
+
+
 def eigenvalues(a: Matrix) -> EigenvalueVerdict:
     """Rational roots of the characteristic polynomial, with multiplicity."""
-    return _roots_verdict(*_char_poly(*_square_image(a))[:2])
-
-
-def _roots_verdict(p: Polynomial, ints: tuple[int, ...]) -> EigenvalueVerdict:
-    """The verdict on ``p``, given with its primitive integer coefficients;
-    the roots keep :func:`poly._rational_roots`' decreasing order."""
-    roots, residual = _rational_roots(ints, p.coefficients[-1])
-    if residual.degree <= 0:
-        return Split(roots=roots)
-    return NotSplit(found=roots, residual=residual)
+    return _spectrum(a)[1]
 
 
 def eigenspace(a: Matrix, lam) -> Subspace:
@@ -190,9 +193,6 @@ class Diagonalizable(_Record):
     L: Matrix
     D: Matrix
 
-    def __bool__(self) -> bool:
-        return True
-
     def reconstruct(self) -> Matrix:
         return self.L @ self.D @ inverse_gauss_jordan(self.L)
 
@@ -217,15 +217,12 @@ def diagonalize(a: Matrix) -> DiagonalizeVerdict:
     Walking eigenvalues in decreasing order, the first one whose eigenspace
     dimension misses its algebraic multiplicity decides NotDiagonalizable.
     """
-    b, d = _square_image(a)
-    p, ints, last = _char_poly(b, d)
-    verdict = _roots_verdict(p, ints)
+    _, verdict, spectrum = _spectrum(a)
     if isinstance(verdict, NotSplit):
         return verdict
     columns: list[tuple[Fraction, ...]] = []
     diag: list[Fraction] = []
-    for lam, alg in verdict.roots:
-        space = _eigenspace(b, d, lam, last)
+    for lam, alg, space in spectrum:
         if space.dimension < alg:
             return NotDiagonalizable(
                 eigenvalue=lam, algebraic=alg, geometric=space.dimension
@@ -280,26 +277,17 @@ class EigenSummary(_Record):
 def eigen_summary(a: Matrix) -> EigenSummary:
     """Characteristic polynomial, eigenvalues, eigenspaces, and the
     diagonalizability verdict, all at once."""
-    b, d = _square_image(a)
-    p, ints, last = _char_poly(b, d)
-    verdict = _roots_verdict(p, ints)
+    p, verdict, spectrum = _spectrum(a)
     split = isinstance(verdict, Split)
-    roots = verdict.roots if split else verdict.found
-    spaces = tuple((lam, _eigenspace(b, d, lam, last)) for lam, _ in roots)
-    deficient = next(
-        (
-            (lam, alg, space.dimension)
-            for (lam, alg), (_, space) in zip(roots, spaces)
-            if split and space.dimension < alg
-        ),
-        None,
-    )
+    spectrum = tuple(spectrum)
+    short = ((lam, alg, s.dimension) for lam, alg, s in spectrum if s.dimension < alg)
+    deficient = next(short, None) if split else None
     return EigenSummary(
         char=p,
         split=split,
-        roots=roots,
+        roots=verdict.roots if split else verdict.found,
         residual=None if split else verdict.residual,
-        spaces=spaces,
+        spaces=tuple((lam, space) for lam, _, space in spectrum),
         diagonalizable=deficient is None if split else None,
         deficient=deficient,
     )

@@ -30,6 +30,7 @@ the ``Fraction`` operations the paper's elimination performs.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import prod
 from operator import mul
@@ -479,15 +480,20 @@ class Infinite(_Record):
         """The full solution vector once every free variable is assigned.
 
         ``assignment`` is a mapping from free-variable index to value, or a
-        sequence aligned with ``self.free``.
+        sequence aligned with ``self.free``.  A mapping must give exactly the
+        free variables, a sequence one value per free variable.
         """
-        if isinstance(assignment, dict):
+        if isinstance(assignment, Mapping):
+            if assignment.keys() != set(self.free):
+                raise DimensionMismatch(
+                    f"free variables {self.free}, values for {tuple(assignment)}"
+                )
             free_vals = [as_scalar(assignment[f]) for f in self.free]
         else:
             free_vals = [as_scalar(v) for v in assignment]
             if len(free_vals) != len(self.free):
                 raise DimensionMismatch(
-                    f"{len(self.free)} free variables, {len(free_vals)} values"
+                    f"free variables {self.free}, {len(free_vals)} values"
                 )
         n = len(self.leading) + len(self.free)
         x: list[Fraction] = [Fraction(0)] * n

@@ -55,8 +55,7 @@ def _family(vectors) -> tuple[Vector, ...]:
 
 
 class Independent(_Record):
-    def __bool__(self) -> bool:
-        return True
+    """No row of the stacked generators vanished."""
 
 
 class Dependent(_Record):
@@ -232,6 +231,11 @@ class LinearForm(_Record):
         return Q(0)
 
     def evaluate(self, assignment) -> Fraction:
+        """The value at ``assignment`` (name -> value); names the form does not
+        use are ignored, so a parametrized vector's coordinates can share one."""
+        missing = [n for n, _ in self.terms if n not in assignment]
+        if missing:
+            raise DimensionMismatch(f"no value for parameter {', '.join(missing)}")
         return self.constant + sum(
             (c * as_scalar(assignment[n]) for n, c in self.terms), Q(0)
         )

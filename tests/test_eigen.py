@@ -377,18 +377,56 @@ def test_summary_of_the_fixture():
     assert s.deficient is None
 
 
-def test_summary_computes_the_characteristic_polynomial_once(monkeypatch):
+@pytest.mark.parametrize(
+    "call", [eigenvalues, diagonalize, eigen_summary], ids=lambda f: f.__name__
+)
+def test_each_call_runs_berkowitz_and_the_root_search_once(monkeypatch, call):
     calls = []
-    berkowitz = qlinalg.eigen._char_poly
+    berkowitz, search = qlinalg.eigen._char_poly, qlinalg.eigen._rational_roots
 
     def counted(b, d):
         calls.append((b, d))
         return berkowitz(b, d)
 
-    # the Berkowitz run behind char_poly, on the summary's one integer image
+    def counted_search(ints, lead):
+        calls.append(ints)
+        return search(ints, lead)
+
+    # the Berkowitz run behind char_poly, on the call's one integer image
     monkeypatch.setattr(qlinalg.eigen, "_char_poly", counted)
-    assert eigen_summary(A_TRI).char == Polynomial([-2, 1, 2, -1])
-    assert len(calls) == 1
+    monkeypatch.setattr(qlinalg.eigen, "_rational_roots", counted_search)
+    call(A_TRI)
+    assert calls == [([[2, 0, 1], [0, 1, -2], [0, 0, -1]], 1), (-2, 1, 2, -1)]
+
+
+# diag(3) + J_2(1) + (-1): 1 is deficient; a quarter turn + (2) does not split
+_MIXED = Matrix.parse("3 0 0 0; 0 1 1 0; 0 0 1 0; 0 0 0 -1")
+_TURN_AND_TWO = Matrix.parse("0 -1 0; 1 0 0; 0 0 2")
+
+
+@pytest.mark.parametrize(
+    "a, call, built",
+    [
+        (_MIXED, eigenvalues, []),
+        (_MIXED, diagonalize, [3, 1]),
+        (_MIXED, eigen_summary, [3, 1, -1]),
+        (_TURN_AND_TWO, eigenvalues, []),
+        (_TURN_AND_TWO, diagonalize, []),
+        (_TURN_AND_TWO, eigen_summary, [2]),
+    ],
+    ids=[f"{a}-{call}" for a in ("mixed", "not-split") for call in ("values", "diag", "summary")],
+)
+def test_eigenspaces_are_built_only_as_far_as_the_answer_reads(monkeypatch, a, call, built):
+    calls = []
+    inner = qlinalg.eigen._eigenspace
+
+    def counted(b, d, lam, last=()):
+        calls.append(lam)
+        return inner(b, d, lam, last)
+
+    monkeypatch.setattr(qlinalg.eigen, "_eigenspace", counted)
+    call(a)
+    assert calls == built
 
 
 def test_summary_names_the_deficiency():

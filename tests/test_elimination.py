@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +356,11 @@ def test_infinite_solutions_with_two_free_variables():
     assert result.particular() == (0, Q(-10, 3), 0, Q(13, 3), 0)
     assert result.at([1, 0]) == (Q(1, 2), Q(-7, 3), 1, Q(13, 3), 0)
     assert result.at({2: 1, 4: 0}) == result.at([1, 0])
+    assert result.at(MappingProxyType({2: 1, 4: 0})) == result.at([1, 0])
+    # a mapping gives exactly the free variables, a sequence one value each
+    for assignment in ({2: 1}, {}, {2: 1, 4: 0, 0: 99}, {2: 1, 3: 0}, [1], [1, 0, 0]):
+        with pytest.raises(DimensionMismatch, match=r"free variables \(2, 4\)"):
+            result.at(assignment)
 
 
 def test_inconsistent_keeps_the_raw_witness():

@@ -11,15 +11,20 @@ from qlinalg import (
     IndexOutOfRange,
     MalformedScalar,
     Matrix,
+    NotSquare,
+    Polynomial,
     RaggedRows,
+    Subspace,
     SymmetryClass,
     ZeroDenominator,
+    as_scalar,
     as_vector,
     classify_symmetry,
     hstack,
     parse_matrix_text,
     parse_scalar,
     product_as_combination,
+    rational_roots,
     render_block,
     render_inline,
     split_augmented,
@@ -303,6 +308,7 @@ def test_product_both_orders():
     ab = A33 @ B33
     assert ab == Matrix.parse("1 5 3; 3 15 9; 1 3 2")
     assert ab[1, 2] == 9
+    assert A33 * B33 == ab
     assert B33 @ A33 == Matrix.parse("5 9; 7 13")
 
 
@@ -405,6 +411,33 @@ def test_hstack():
     assert hstack(left, Matrix.identity(2)) == Matrix.parse("1 2 1 0; 3 4 0 1")
     with pytest.raises(DimensionMismatch):
         hstack(left, Matrix.parse("1; 2; 3"))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Matrix.identity(0), EmptyInput),
+        (lambda: Matrix.zero(0, 2), EmptyInput),
+        (lambda: A123 + 1, TypeError),
+        (lambda: A123 @ 2, TypeError),
+        (lambda: A33 * A33, DimensionMismatch),
+        (lambda: A123 ** 2, NotSquare),
+        (lambda: A123.trace(), NotSquare),
+        (lambda: A123.take_columns(1, 4), IndexOutOfRange),
+        (lambda: split_augmented(A123, 3), DimensionMismatch),
+        (lambda: as_scalar(object()), TypeError),
+        (lambda: Subspace(0, ()), EmptyInput),
+        (lambda: rational_roots(Polynomial([])), ValueError),
+    ],
+    ids=[
+        "identity-0", "zero-rows", "add-int", "matmul-int", "mul-shapes",
+        "power-not-square", "trace-not-square", "take-columns-range",
+        "split-boundary", "as-scalar-object", "subspace-ambient-0", "roots-of-zero",
+    ],
+)
+def test_guard_raises_its_documented_error(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # ---- product columns/rows as combinations --------------------------------------

@@ -489,3 +489,9 @@ def test_polynomial_span_reduction():
 def test_linear_form_evaluate():
     f = LinearForm(constant=Q(1), terms=(("a", Q(2)), ("b", Q(-1))))
     assert f.evaluate({"a": 3, "b": 4}) == 1 + 6 - 4
+    # names the form does not use are ignored; a missing one is named
+    assert f.evaluate({"a": 3, "b": 4, "c": 5}) == 3
+    with pytest.raises(DimensionMismatch, match="parameter b"):
+        f.evaluate({"a": 3})
+    with pytest.raises(DimensionMismatch, match="parameter a, b"):
+        parse_linear_form("2a - b + 1").evaluate({})
