@@ -130,24 +130,21 @@ def _op_rows(op: RowOp) -> tuple[int, ...]:
     return (op.first, op.second)
 
 
-def _apply_in_place(grid: list[list[Fraction]], op: RowOp) -> None:
-    if isinstance(op, Scale):
-        grid[op.row] = [op.alpha * x for x in grid[op.row]]
-    elif isinstance(op, AddMultiple):
-        src = grid[op.source]
-        grid[op.target] = [t + op.alpha * s for t, s in zip(grid[op.target], src)]
-    else:
-        grid[op.first], grid[op.second] = grid[op.second], grid[op.first]
-
-
 def _replay(m: Matrix, ops) -> Matrix:
-    """``ops`` applied in turn to one copy of ``m``'s rows."""
+    """``ops`` applied in turn to one copy of ``m``'s rows, edited in place:
+    a scale or an added multiple rebuilds its one row, a swap exchanges two."""
     grid = [list(r) for r in m.entries]
     for op in ops:
         for r in _op_rows(op):
             if r >= m.rows:
                 raise IndexOutOfRange(f"row {r} outside a {m.rows}-row matrix")
-        _apply_in_place(grid, op)
+        if isinstance(op, Scale):
+            grid[op.row] = [op.alpha * x for x in grid[op.row]]
+        elif isinstance(op, AddMultiple):
+            src = grid[op.source]
+            grid[op.target] = [t + op.alpha * s for t, s in zip(grid[op.target], src)]
+        else:
+            grid[op.first], grid[op.second] = grid[op.second], grid[op.first]
     return Matrix._of(tuple(map(tuple, grid)))
 
 

@@ -7,7 +7,6 @@ keep, so coercion raises instead of guessing.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import lcm
 
@@ -15,9 +14,8 @@ from .errors import MalformedScalar, ZeroDenominator
 
 Q = Fraction
 
-# an unsigned scalar; coordinate formulas read their coefficients with it too
+# the unsigned scalar of parse_scalar's grammar, for coordinate formulas
 _NUMBER = r"(\d+)(?:/(\d+)|\.(\d+))?"
-_SCALAR = re.compile(rf"([+-]?){_NUMBER}\Z")
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -25,10 +23,11 @@ def parse_scalar(text: str) -> Fraction:
 
     After surrounding whitespace is stripped, the text must be, in full,
     ``([+-]?)(\d+)(?:/(\d+)|\.(\d+))?``: an optional sign, digits (any
-    Unicode decimal digits), then optionally ``/`` and an unsigned
-    denominator or ``.`` and fraction digits.  So ``1_000``, ``1e3``, ``1.``,
-    ``.5`` and ``3/-4`` raise :class:`MalformedScalar`, and a zero
-    denominator raises :class:`ZeroDenominator`.
+    Unicode decimal digits, as ``str.isdecimal`` tests), then optionally
+    ``/`` and an unsigned denominator or ``.`` and fraction digits.  So
+    ``1_000``, ``1e3``, ``1.``, ``.5`` and ``3/-4`` raise
+    :class:`MalformedScalar`, and a zero denominator raises
+    :class:`ZeroDenominator`.
 
     >>> parse_scalar("17/7")
     Fraction(17, 7)
@@ -37,16 +36,19 @@ def parse_scalar(text: str) -> Fraction:
     >>> parse_scalar("6")
     Fraction(6, 1)
     """
-    m = _SCALAR.match(text.strip())
-    if m is None:
+    body = text.strip()
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    whole, mark, rest = body[len(sign):].partition("/")
+    if not mark:
+        whole, mark, rest = whole.partition(".")
+    if not (whole.isdecimal() and (rest.isdecimal() or not mark)):
         raise MalformedScalar(f"not an exact scalar: {text!r}")
-    sign, whole, den, frac = m.groups()
-    if den is None and frac is None:
+    if not mark:
         return Fraction(int(sign + whole))  # one int, so no gcd
-    if frac is not None:
-        n = int(whole) * 10 ** len(frac) + int(frac)
-        return Fraction(-n if sign == "-" else n, 10 ** len(frac))
-    if not (q := int(den)):
+    if mark == ".":
+        n = int(whole) * 10 ** len(rest) + int(rest)
+        return Fraction(-n if sign == "-" else n, 10 ** len(rest))
+    if not (q := int(rest)):
         raise ZeroDenominator(f"zero denominator in {text!r}")
     return Fraction(int(sign + whole), q)
 

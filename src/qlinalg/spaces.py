@@ -18,11 +18,10 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .elimination import (
-    AddMultiple,
     Inconsistent,
     RowOp,
+    Swap,
     Unique,
-    _apply_in_place,
     _FractionFree,
     solve,
 )
@@ -78,7 +77,9 @@ IndependenceVerdict = Union[Independent, Dependent]
 def independence(vectors) -> IndependenceVerdict:
     """Exact test: stack as rows, semi-reduce, look for vanished rows.  The
     first to vanish is a zero input, else the target of the AddMultiple that
-    emptied it (no other operation of the sweep changes what a row holds)."""
+    emptied it.  The sweep adds only to a row with a nonzero entry under the
+    pivot, so following each input row through the swaps, the witness is the
+    earliest last AddMultiple among the rows that end below the rank."""
     vecs = _family(vectors)
     run = _FractionFree(Matrix(vecs))
     if len(run.pivots) == len(vecs):
@@ -86,12 +87,14 @@ def independence(vectors) -> IndependenceVerdict:
     zero = next((i for i, v in enumerate(vecs) if not any(v)), None)
     if zero is not None:
         return Dependent(row=zero, op=None)
-    grid = [list(v) for v in vecs]
-    for op in run.ops(0):
-        _apply_in_place(grid, op)
-        if isinstance(op, AddMultiple) and not any(grid[op.target]):
-            return Dependent(row=op.target, op=op)
-    raise AssertionError("reduction lost a zero row it once created")
+    ops, at, last = run.ops(0), list(range(len(vecs))), {}  # at: input row per place
+    for i, op in enumerate(ops):
+        if isinstance(op, Swap):
+            at[op.first], at[op.second] = at[op.second], at[op.first]
+        else:
+            last[at[op.target]] = i
+    op = ops[min(last[row] for row in at[len(run.pivots):])]
+    return Dependent(row=op.target, op=op)
 
 
 # ---- subspaces ---------------------------------------------------------------

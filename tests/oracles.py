@@ -101,6 +101,28 @@ def parse_scalar_reference(text):
     raise MalformedScalar(f"not an exact scalar: {text!r}")
 
 
+_SCALAR = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\Z")
+
+
+def parse_scalar_by_pattern(text):
+    """The scalar reader as it stood with one pattern for the whole grammar:
+    a match splits the token into sign, digits, denominator and fraction
+    digits, read with ``int``.  Raises exceptions of the library's class
+    names with its messages."""
+    m = _SCALAR.match(text.strip())
+    if m is None:
+        raise MalformedScalar(f"not an exact scalar: {text!r}")
+    sign, whole, den, frac = m.groups()
+    if den is None and frac is None:
+        return Fraction(int(sign + whole))
+    if frac is not None:
+        n = int(whole) * 10 ** len(frac) + int(frac)
+        return Fraction(-n if sign == "-" else n, 10 ** len(frac))
+    if not (q := int(den)):
+        raise ZeroDenominator(f"zero denominator in {text!r}")
+    return Fraction(int(sign + whole), q)
+
+
 def naive_matmul(a, b):
     """Plain triple-loop product on nested sequences."""
     rows, inner, cols = len(a), len(b), len(b[0])

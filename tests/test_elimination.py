@@ -797,6 +797,10 @@ _REDUCTIONS = {
         lambda: independence([(1, -2, 4, 6), (-1, 2, 0, 2), (1, -2, 8, 14)]),
         1,
     ),
+    "independence, emptied row swapped down": (
+        lambda: independence([(1, 1, 0), (1, 1, 0), (0, 0, 1)]),
+        1,
+    ),
     "solve": (lambda: solve(_A, [3, 5, 5]), 1),
     "fundamental_subspaces": (
         lambda: fundamental_subspaces(Matrix.parse("1 2 3; 2 4 6")),

@@ -59,16 +59,17 @@ def test_importing_the_cli_loads_no_introspection_modules():
 
 
 def test_only_the_scalar_patterns_are_compiled_at_import():
-    # every matrix text and every command line needs these two (argparse takes
-    # a compiled matcher); the coordinate-formula grammar stays as pattern
-    # strings, compiled by re on the first formula read and cached there
+    # every command line needs this one (argparse takes a compiled matcher);
+    # scalars are read with string methods, and the coordinate-formula grammar
+    # stays as pattern strings, compiled by re on the first formula read and
+    # cached there
     compiled = sorted(
         f"{path.stem}.{name}"
         for path in PACKAGE.glob("*.py")
         for name, value in vars(importlib.import_module(f"qlinalg.{path.stem}")).items()
         if isinstance(value, re.Pattern)
     )
-    assert compiled == ["cli._NEGATIVE_SCALAR", "scalars._SCALAR"]
+    assert compiled == ["cli._NEGATIVE_SCALAR"]
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -108,6 +109,27 @@ def test_pinned_tokens_read_as_before(text, expected):
         assert got == (Fraction, expected.numerator, expected.denominator)
     else:
         assert got[0] == expected.__name__
+
+
+# ---- the reader against the one-pattern grammar it replaces ------------------------
+
+# digits weighted up so that every shape of token turns up; "٣" is a Unicode
+# decimal digit (category Nd), "²" a digit that is not one
+_FUZZ_ALPHABET = "0123456789" * 3 + "+-/._e" + " \t\n\u3000" + "٣²"
+
+
+def test_parse_scalar_matches_the_one_pattern_grammar_on_seeded_strings():
+    rng = random.Random(28001)
+    kinds = set()
+    for _ in range(100_000):
+        text = "".join(rng.choices(_FUZZ_ALPHABET, k=rng.randint(0, 9)))
+        got = _outcome(parse_scalar, text)
+        assert got == _outcome(oracles.parse_scalar_by_pattern, text), text
+        kinds.add(got[0] if got[0] != Fraction else ("/" in text, "." in text))
+    assert kinds == {
+        "MalformedScalar", "ZeroDenominator",
+        (False, False), (True, False), (False, True),
+    }
 
 
 _LONG = [

@@ -242,12 +242,52 @@ def _replayed_dependence(vectors):
     return Independent()
 
 
-def test_independence_matches_a_matrix_per_operation_replay():
+def _big_int(rng):
+    bits = rng.randint(64, 200)
+    return rng.choice((-1, 1)) * (rng.getrandbits(bits - 1) | 1 << (bits - 1))
+
+
+def _ratio(rng):
+    return Q(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def _dependent_families(seed, count, entry):
+    """Seeded families that hold a combination of two of their other vectors,
+    put back at a random place; every entry and coefficient drawn by ``entry``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        vecs = [tuple(entry(rng) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        a, b, c = rng.choice(vecs), rng.choice(vecs), entry(rng)
+        vecs.insert(rng.randint(0, len(vecs)), tuple(x + c * y for x, y in zip(a, b)))
+        yield vecs
+
+
+# row 1 empties, then a swap moves it below the last pivot row
+_SWAP_DOWN = [(1, 1, 0), (1, 1, 0), (0, 0, 1)]
+
+
+def test_independence_matches_a_matrix_per_operation_replay(monkeypatch):
+    dependent = (
+        list(_dependent_families(11006, 60, _big_int))
+        + list(_dependent_families(11007, 60, _ratio))
+        + [_SWAP_DOWN]
+    )
+    families = (
+        [vecs for _, vecs in _families(11003, 400)] + list(_EDGE_FAMILIES) + dependent
+    )
+    expected = [_replayed_dependence(vecs) for vecs in families]
+    assert all(isinstance(e, Dependent) for e in expected[-len(dependent):])
+    assert expected[-1] == Dependent(row=1, op=AddMultiple(-1, 0, 1))
+
+    def replayed(*args):
+        raise AssertionError("independence replayed a reduction")
+
+    monkeypatch.setattr("qlinalg.elimination._replay", replayed)
     verdicts = set()
-    families = [vecs for _, vecs in _families(11003, 400)] + list(_EDGE_FAMILIES)
-    for vecs in families:
+    for vecs, want in zip(families, expected):
         verdict = independence(vecs)
-        assert verdict == _replayed_dependence(vecs), vecs
+        assert verdict == want, vecs
         verdicts.add((type(verdict).__name__, getattr(verdict, "op", 0) is None))
     assert verdicts == {("Independent", False), ("Dependent", True), ("Dependent", False)}
 
