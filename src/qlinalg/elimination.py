@@ -238,11 +238,12 @@ class _FractionFree:
     multiplier, or as a zero in a free column), and a pivot row gets its
     zero prefix back once, when it goes into ``chosen``.
 
-    What callers read: ``pivots[k]`` is the column of row k's pivot, ``free``
-    the columns with no pivot (both ascending, together every column once),
-    :meth:`minor` the determinant of the rows on the pivot columns, and the
-    readers :meth:`reduced`, :meth:`null_basis` and :meth:`swept_row`.  The
-    record fields ``sign``, ``last``, ``scales`` and ``chosen`` stay here.
+    Callers read ``pivots[k]``, the column of row k's pivot, ``free``, the
+    columns with no pivot (both ascending, together every column once),
+    ``order[k]``, the input row now at row k, :meth:`minor`, the determinant
+    on the pivot columns, and :meth:`reduced`, :meth:`null_basis` and
+    :meth:`swept_row`.  The record fields ``sign``, ``last``, ``scales`` and
+    ``chosen`` stay here.
     """
 
     def __init__(self, m: Matrix | list[list[int]]):
@@ -256,6 +257,7 @@ class _FractionFree:
             grid, scales = m, [1] * len(m)
         height, width = len(grid), len(grid[0])
         self.width, self.scales = width, scales
+        self.order = order = list(range(height))
         self.pivots, self.free = pivots, free = [], []
         self.chosen: list[tuple[list[int], int]] = []
         self.steps: list[Swap | tuple[int, int, int, int]] = []
@@ -272,8 +274,8 @@ class _FractionFree:
                     del grid[k][0]
                 continue
             if src != r:
-                grid[r], grid[src] = grid[src], grid[r]
-                scales[r], scales[src] = scales[src], scales[r]
+                for held in (grid, scales, order):
+                    held[r], held[src] = held[src], held[r]
                 sign = -sign
                 steps.append(Swap(r, src))
             top = grid[r]

@@ -2,14 +2,24 @@
 
 Square roots rarely stay rational, so the orthogonal vectors produced here
 are not scaled to unit length; their squared norms ride along instead.
+
+Gram-Schmidt is read off two sweeps.  The first canonicalizes the input: its
+rows E are the source, and E_i is input row A_i less earlier ones, so E and
+A (the input rows in pivot order) share W = L^-1 A.  Sweeping [A A^T | A]
+makes no swap (A A^T = L D L^T is positive definite), and its row i is
+[(D L^T)_i | W_i] with pivot |W_i|^2; projections are E W^T over the norms.
+This is integral Gram-Schmidt by exact division (Erlingsson, Kaltofen and
+Musser, ISSAC 1996), the fraction-free QR of Zhou and Jeffrey (2008).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import truediv
 
+from .elimination import _FractionFree
 from .errors import AllZeroInput, DimensionMismatch, ZeroVectorPresent, _Record
-from .matrix import as_vector
+from .matrix import Matrix, as_vector, hstack
 from .spaces import Subspace, _family, basis_of_span
 
 
@@ -72,31 +82,19 @@ class OrthogonalBasis(_Record):
 
 
 def gram_schmidt(vectors) -> OrthogonalBasis:
-    """Orthogonalize the span of the input (vectors stay unnormalized).
-
-    The generators are first canonicalized to a basis of their span, so
-    dependent or redundant inputs are fine; a span of dimension zero is not.
-    """
-    space = basis_of_span(vectors)
-    if space.dimension == 0:
+    """Orthogonalize the span of the input (vectors stay unnormalized):
+    dependent generators are fine, a span of dimension zero is not."""
+    vecs = _family(vectors)
+    run = _FractionFree(Matrix(vecs))
+    rank = len(run.pivots)
+    if rank == 0:
         raise AllZeroInput("every input vector is zero")
-    ws: list[tuple[Fraction, ...]] = []
-    norms: list[Fraction] = []
-    projections: list[tuple[Fraction, ...]] = []
-    for v in space.basis:
-        coeffs = tuple(dot(v, w) / n for w, n in zip(ws, norms))
-        w = list(v)
-        for c, earlier in zip(coeffs, ws):
-            w = [x - c * e for x, e in zip(w, earlier)]
-        wt = tuple(w)
-        n2 = squared_norm(wt)
-        assert n2 != 0, "independent input cannot orthogonalize to zero"
-        ws.append(wt)
-        norms.append(n2)
-        projections.append(coeffs)
-    return OrthogonalBasis(
-        vectors=tuple(ws),
-        squared_norms=tuple(norms),
-        projections=tuple(projections),
-        source=space.basis,
-    )
+    source = Matrix._of(tuple(map(run.swept_row, range(rank))))
+    a = Matrix._of(tuple(vecs[i] for i in run.order[:rank]))
+    qr = _FractionFree(hstack(a @ a.transpose(), a))
+    rows = [qr.swept_row(i) for i in range(rank)]
+    norms = tuple(row[i] for i, row in enumerate(rows))
+    ws = Matrix._of(tuple(row[rank:] for row in rows))
+    dots = (source @ ws.transpose()).entries
+    projections = tuple(tuple(map(truediv, row[:i], norms)) for i, row in enumerate(dots))
+    return OrthogonalBasis(ws.entries, norms, projections, source.entries)

@@ -307,7 +307,7 @@ def infer_parameter_order(forms: Sequence[LinearForm]) -> tuple[str, ...]:
 def _read_forms(forms, names, noun: str) -> tuple[list[LinearForm], tuple[str, ...]]:
     """Parse coordinate formulas and fix the order of their ``noun``s
     ("parameter" or "variable"): inferred when ``names`` is None, otherwise
-    the declared order, which every formula must keep to."""
+    the declared order, which names each once and every formula keeps to."""
     parsed = []
     for idx, f in enumerate(forms):
         try:
@@ -319,6 +319,9 @@ def _read_forms(forms, names, noun: str) -> tuple[list[LinearForm], tuple[str, .
     if names is None:
         return parsed, infer_parameter_order(parsed)
     names = tuple(names)
+    for idx, name in enumerate(names):
+        if name in names[:idx]:
+            raise MalformedForm(f"{noun} {name!r} is declared twice")
     for idx, f in enumerate(parsed):
         for name in f.parameters:
             if name not in names:

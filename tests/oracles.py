@@ -409,6 +409,38 @@ def greedy_extension(vectors):
     return tuple(current)
 
 
+def dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def squared_norm(v) -> Fraction:
+    return dot(v, v)
+
+
+def gram_schmidt_by_projection(rows):
+    """The textbook projection loop on the canonical basis of the rows' span
+    (the nonzero rows of the semi-reduced matrix): each W_i is its source
+    vector less dot(v, W_j)/|W_j|^2 times each earlier W_j.  Returns the
+    vectors, squared norms, projections and source, each as a tuple."""
+    _, end, pivots = eliminate(rows, 0)
+    source = end[: len(pivots)]
+    ws: list[tuple[Fraction, ...]] = []
+    norms: list[Fraction] = []
+    projections: list[tuple[Fraction, ...]] = []
+    for v in source:
+        coeffs = tuple(dot(v, w) / n for w, n in zip(ws, norms))
+        w = list(v)
+        for c, earlier in zip(coeffs, ws):
+            w = [x - c * e for x, e in zip(w, earlier)]
+        wt = tuple(w)
+        n2 = squared_norm(wt)
+        assert n2 != 0, "independent input cannot orthogonalize to zero"
+        ws.append(wt)
+        norms.append(n2)
+        projections.append(coeffs)
+    return tuple(ws), tuple(norms), tuple(projections), source
+
+
 def in_span(basis, v) -> bool:
     """Is ``v`` a combination of the independent ``basis`` (zero when empty)?"""
     return rank(list(basis) + [v]) == len(basis)

@@ -395,6 +395,12 @@ def test_formula_errors_name_their_coordinate(capsys):
         assert err == f"error: coordinate 1: cannot read term {text!r} in {text!r}\n"
 
 
+def test_subspace_refuses_a_repeated_parameter(capsys):
+    code, out, err = run(capsys, "subspace", "a; b", "--params", "a,a,b")
+    assert (code, out) == (2, "")
+    assert err == "error: parameter 'a' is declared twice\n"
+
+
 def test_subspace_verdict_no(capsys):
     code, out, _ = run(capsys, "subspace", "x; 1")
     assert code == 0

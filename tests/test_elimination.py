@@ -715,6 +715,38 @@ def test_run_records_its_pivot_columns_free_columns_and_pivot_minor(kind):
         assert isinstance(minor, Fraction) and minor == expected
 
 
+def _order_grids():
+    """Seeded grids of every ``_KINDS`` bend in every ``_SHAPES`` shape (wide
+    and tall included), then the same shapes with 64- to 200-bit numerators,
+    about one entry in three zero."""
+    rng = random.Random("engine/order")
+    for kind in _KINDS:
+        for rows, cols in _SHAPES:
+            yield _shaped_grid(rng, rows, cols, kind)
+    for bits in (64, 128, 200):
+        for rows, cols in _SHAPES:
+            yield [
+                [Q(rng.getrandbits(bits) * rng.choice((1, -1)), rng.choice(_DENOMINATORS))
+                 if rng.random() < 0.65 else Q(0) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+
+
+def test_order_names_the_input_row_now_at_each_row():
+    swapped = 0
+    for grid in _order_grids():
+        run = qlinalg.elimination._FractionFree(Matrix(grid))
+        assert sorted(run.order) == list(range(len(grid)))
+        # the rows taken in that order need no swap and sweep to the same rows
+        again = qlinalg.elimination._FractionFree(Matrix([grid[i] for i in run.order]))
+        assert not any(isinstance(op, Swap) for op in again.ops(0))
+        assert again.pivots == run.pivots
+        rank = range(len(run.pivots))
+        assert list(map(again.swept_row, rank)) == list(map(run.swept_row, rank))
+        swapped += run.order != sorted(run.order)
+    assert swapped >= 20
+
+
 def test_reader_asks_only_for_the_columns_it_is_given(monkeypatch):
     built = []
     monkeypatch.setattr(

@@ -1,7 +1,8 @@
 """Differential checks of the fraction-free sweep's readers against sympy,
 where installed: eigenspaces, the fundamental subspaces, ``solve``, the
 Gauss-Jordan inverse, the completely reduced form, ``det`` and Gram-Schmidt;
-``det``, ``solve`` and the inverse on 64- to 200-bit numerators as well.
+``det``, ``solve``, the inverse and Gram-Schmidt on 64- to 200-bit numerators
+as well.
 
 sympy is not a dependency of the package; without it this module is skipped.
 """
@@ -165,7 +166,7 @@ def test_det_matches_bareiss(grid):
     assert det(Matrix(grid)) == _fraction(_to_sympy(grid).det(method="bareiss"))
 
 
-@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("grid", GRIDS + LONG)
 def test_gram_schmidt_matches_sympy_on_its_source(grid):
     if not any(any(row) for row in grid):
         with pytest.raises(AllZeroInput):

@@ -162,7 +162,7 @@ def test_the_check_sees_a_dead_private_name():
     assert _dead_privates(sources) == ["a.py: _UNUSED", "a.py: _walk"]
 
 
-# The record fields of an elimination run; callers read pivots, free and minor().
+# The record fields of an elimination run; callers read pivots, free, order and minor().
 _RUN_RECORD = {"sign", "last", "scales", "chosen"}
 
 

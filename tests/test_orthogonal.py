@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import qlinalg.orthogonal
 from qlinalg import (
     AllZeroInput,
     DimensionMismatch,
     EmptyInput,
+    Matrix,
     MixedDimensions,
     ZeroVectorPresent,
     basis_of_span,
@@ -18,6 +20,7 @@ from qlinalg import (
     is_orthogonal_set,
     squared_norm,
 )
+from qlinalg.elimination import _FractionFree
 
 import oracles
 
@@ -202,3 +205,70 @@ def test_gram_schmidt_property():
             assert tuple(rebuilt) == v
         runs += 1
     assert runs == 200
+
+
+def _entry(rng, kind):
+    if kind == "integer":
+        return Q(rng.randint(-9, 9))
+    if kind == "p/q":
+        return Q(rng.randint(-9, 9), rng.randint(1, 9))
+    return Q(rng.getrandbits(kind) * rng.choice((1, -1)), rng.choice((1, 1, 3, 7)))
+
+
+def _family(rng, kind):
+    """A seeded family of ``kind`` entries (-9..9, p/q, or of that many bits),
+    now and then with a dependent last row, a zero vector, or a zero first
+    entry in row 0 that makes the first sweep swap when it has any pivot."""
+    count, n = rng.randrange(1, 7), rng.randrange(1, 7)
+    family = [[_entry(rng, kind) for _ in range(n)] for _ in range(count)]
+    if count > 2 and rng.random() < 0.4:
+        w = Q(rng.randint(-3, 3), rng.randint(1, 3))
+        family[-1] = [x + w * y for x, y in zip(family[0], family[1])]
+    if rng.random() < 0.25:
+        family.insert(rng.randrange(count + 1), [Q(0)] * n)
+    if rng.random() < 0.4:
+        family[0][0] = Q(0)
+    return family
+
+
+def test_gram_schmidt_equals_the_projection_loop():
+    rng = random.Random(29001)
+    seen = {"deficient": 0, "zero vector": 0, "swapped": 0}
+    for index in range(330):
+        family = _family(rng, ("integer", "p/q", 64, 128, 200)[index % 5])
+        ops, _, pivots = oracles.eliminate(family, 0)
+        if not pivots:
+            with pytest.raises(AllZeroInput):
+                gram_schmidt(family)
+            continue
+        out = gram_schmidt(family)
+        expected = oracles.gram_schmidt_by_projection(family)
+        found = (out.vectors, out.squared_norms, out.projections, out.source)
+        assert repr(found) == repr(expected)
+        seen["deficient"] += len(pivots) < len(family)
+        seen["zero vector"] += not all(any(v) for v in family)
+        seen["swapped"] += any(op[0] == "swap" for op in ops)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_gram_schmidt_runs_two_sweeps_and_two_products(monkeypatch):
+    runs, products = [], []
+    start, times = _FractionFree.__init__, Matrix.__matmul__
+
+    def counted_run(self, *args):
+        runs.append(args)
+        start(self, *args)
+
+    def counted_product(self, other):
+        products.append(other)
+        return times(self, other)
+
+    def refused(*_):
+        raise AssertionError("gram_schmidt takes no dot products")
+
+    monkeypatch.setattr(_FractionFree, "__init__", counted_run)
+    monkeypatch.setattr(Matrix, "__matmul__", counted_product)
+    monkeypatch.setattr(qlinalg.orthogonal, "dot", refused)
+    out = gram_schmidt([(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 2, 2), (0, 0, 0, 0)])
+    assert out.dimension == 2
+    assert (len(runs), len(products)) == (2, 2)

@@ -457,6 +457,12 @@ def test_forms_with_undeclared_parameter():
         subspace_from_forms(["a + q"], parameters=["a"])
 
 
+def test_forms_refuse_a_repeated_declared_parameter():
+    # a repeated name once made one generator per occurrence
+    with pytest.raises(MalformedForm, match=r"^parameter 'a' is declared twice$"):
+        subspace_from_forms(["a", "b"], parameters=["a", "a", "b"])
+
+
 def test_forms_without_parameters_give_zero_subspace():
     z = subspace_from_forms(["0", "0"])
     assert isinstance(z, Subspace)

@@ -83,6 +83,12 @@ def test_from_forms_rejects_squares_and_undeclared_names():
         from_forms(("0", "0"))  # no variables anywhere and none declared
 
 
+def test_from_forms_refuses_a_repeated_variable():
+    # a repeated name once built a 2x3 map whose apply((1, 2, 3)) gave (6, 3)
+    with pytest.raises(MalformedForm, match=r"^variable 'x1' is declared twice$"):
+        from_forms(["x1+x2", "x2"], variables=["x1", "x1", "x2"])
+
+
 def test_from_forms_declared_variable_order_sets_columns():
     t = from_forms(("w",), variables=("m", "w"))
     assert standard_matrix(t) == Matrix([[0, 1]])
