@@ -32,7 +32,7 @@ from .elimination import _FractionFree, inverse_gauss_jordan
 from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
 from .matrix import Matrix, _integer_image
 from .poly import Polynomial, _primitive, _rational_roots
-from .scalars import Q, as_scalar
+from .scalars import Q, _ratio, as_scalar
 from .spaces import Subspace, _null_space
 
 
@@ -73,7 +73,7 @@ def _char_poly(g: list[list[int]], d: int) -> tuple[Polynomial, tuple[int, ...],
         col = [-sum(map(mul, r, v)) for v in reversed(krylov)] + [-g[k][k], 1]
         coeffs = [sum(map(mul, coeffs, col[k + 1 - i:])) for i in range(k + 2)]
     sign = -1 if n % 2 else 1
-    poly = Polynomial([Fraction(sign * c, d**i) for i, c in enumerate(coeffs)][::-1])
+    poly = Polynomial([_ratio(sign * c, d**i) for i, c in enumerate(coeffs)][::-1])
     ints = _primitive([sign * c * d**i for i, c in enumerate(reversed(coeffs))])
     return poly, ints, (chi, krylov)
 
@@ -166,7 +166,7 @@ def _eigenspace(b: list[list[int]], d: int, lam: Fraction, last: tuple = ()) -> 
         w = _adjugate_column(*last, p, q)
         for wf in reversed(w):
             if wf:
-                return Subspace._trusted(len(b), (tuple(Fraction(x, wf) for x in w),))
+                return Subspace._trusted(len(b), (tuple(_ratio(x, wf) for x in w),))
     rows = [[q * x for x in row] for row in b]
     for i, row in enumerate(rows):
         row[i] -= p

@@ -45,7 +45,7 @@ from .errors import (
     _Record,
 )
 from .matrix import Matrix, as_vector, hstack
-from .scalars import _cleared, as_scalar, format_scalar
+from .scalars import _cleared, _ratio, as_scalar, format_scalar
 
 
 # ---- the three operations ----------------------------------------------------
@@ -230,7 +230,7 @@ class _FractionFree:
     then left alone: ``chosen[k]`` is pivot row k with the pivot before it,
     and ``last`` is the final pivot.  ``width`` is the number of columns.
     ``steps`` holds each swap and, per row cleared below a pivot, the raw
-    ``(pivot row, row, entry, row scale)`` that :meth:`ops` reads.
+    ``(pivot row, row, entry, row scale)`` that :meth:`op` reads.
 
     While column c is worked on, every row from the working row down holds
     only its columns from c on: the columns before c are known zeros.  Each
@@ -241,9 +241,9 @@ class _FractionFree:
     Callers read ``pivots[k]``, the column of row k's pivot, ``free``, the
     columns with no pivot (both ascending, together every column once),
     ``order[k]``, the input row now at row k, :meth:`minor`, the determinant
-    on the pivot columns, and :meth:`reduced`, :meth:`null_basis` and
-    :meth:`swept_row`.  The record fields ``sign``, ``last``, ``scales`` and
-    ``chosen`` stay here.
+    on the pivot columns, :meth:`reduced`, :meth:`null_basis`, :meth:`swept_row`
+    and ``steps`` with :meth:`op`.  The record fields ``sign``, ``last``,
+    ``scales`` and ``chosen`` stay here.
     """
 
     def __init__(self, m: Matrix | list[list[int]]):
@@ -301,13 +301,13 @@ class _FractionFree:
         the last pivot, signed by the swaps, over the product of the row scales."""
         if len(self.pivots) < len(self.scales):
             return Fraction(0, 1)
-        return Fraction(self.sign * self.last, prod(self.scales))
+        return _ratio(self.sign * self.last, prod(self.scales))
 
     def swept_row(self, k: int) -> tuple[Fraction, ...]:
         """Row k of the ``Fraction`` downward sweep (the semi-reduced matrix)."""
         row, prev = self.chosen[k]
         c, d = self.pivots[k], prev * self.scales[k]
-        return (Fraction(0, 1),) * c + tuple(Fraction(x, d) for x in row[c:])
+        return (Fraction(0, 1),) * c + tuple(_ratio(x, d) for x in row[c:])
 
     def _reduced_ints(self, cols) -> list[tuple[int, ...]]:
         """``last`` times the pivot rows of the completely reduced matrix R,
@@ -326,7 +326,7 @@ class _FractionFree:
     def reduced(self, cols) -> list[list[Fraction]]:
         """The pivot rows of the completely reduced matrix, on ``cols``."""
         last = self.last
-        return [[Fraction(x, last) for x in row] for row in self._reduced_ints(cols)]
+        return [[_ratio(x, last) for x in row] for row in self._reduced_ints(cols)]
 
     def null_basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """One null vector per free column (1 there, 0 at the other free
@@ -338,9 +338,17 @@ class _FractionFree:
             v = [zero] * self.width
             v[f] = one
             for c, row in zip(self.pivots, rows):
-                v[c] = Fraction(-row[s], last)
+                v[c] = _ratio(-row[s], last)
             basis.append(tuple(v))
         return tuple(basis)
+
+    def op(self, i: int) -> RowOp:
+        """Stage-0 operation i, built from ``steps[i]`` alone."""
+        if isinstance(step := self.steps[i], Swap):
+            return step
+        r, k, a, s = step
+        pivot = self.chosen[r][0][self.pivots[r]]
+        return AddMultiple(_ratio(-a * self.scales[r], pivot * s), r, k)
 
     def ops(self, stage: int) -> list[RowOp]:
         """The ``Fraction`` operations carrying the start to ``stage`` (see
@@ -350,23 +358,17 @@ class _FractionFree:
         recorded ints."""
         chosen, scales = self.chosen, self.scales
         pivot = [row[c] for c, (row, _) in zip(self.pivots, chosen)]
-        ops: list[RowOp] = []
-        for step in self.steps:
-            if isinstance(step, Swap):
-                ops.append(step)
-            else:
-                r, k, a, s = step
-                ops.append(AddMultiple(Fraction(-a * scales[r], pivot[r] * s), r, k))
+        ops = list(map(self.op, range(len(self.steps))))
         if stage >= 1:
             for r, (_, prev) in enumerate(chosen):
                 if pivot[r] != prev * scales[r]:
-                    ops.append(Scale(Fraction(prev * scales[r], pivot[r]), r))
+                    ops.append(Scale(_ratio(prev * scales[r], pivot[r]), r))
         if stage >= 2:
             for r, c in reversed(list(enumerate(self.pivots))):
                 for k in range(r - 1, -1, -1):
                     above = chosen[k][0][c]
                     if above:
-                        ops.append(AddMultiple(Fraction(-above, pivot[k]), r, k))
+                        ops.append(AddMultiple(_ratio(-above, pivot[k]), r, k))
         return ops
 
     def trace(self, start: Matrix, stage: int) -> Trace:
@@ -379,7 +381,7 @@ class _FractionFree:
             end = []
             for c, (row, prev), s in zip(self.pivots, self.chosen, self.scales):
                 d = prev * s if stage == 0 else row[c]
-                end.append([Fraction(x, d) for x in row])
+                end.append([_ratio(x, d) for x in row])
         end += [[Fraction(0, 1)] * self.width] * (len(self.scales) - len(end))
         return Trace(start, Matrix._of(tuple(map(tuple, end))), tuple(self.ops(stage)))
 
@@ -529,10 +531,10 @@ def _solution(run: _FractionFree, n: int) -> SolutionSet:
         return Inconsistent(row=i, value=run.swept_row(i)[n])
     free = tuple(run.free[:-1])  # the constants column n is free and last
     last, rows = run.last, run._reduced_ints((n, *free))
-    constants = tuple(Fraction(row[0], last) for row in rows)
+    constants = tuple(_ratio(row[0], last) for row in rows)
     if not free:
         return Unique(constants)
-    coefficients = tuple(tuple(Fraction(-x, last) for x in row[1:]) for row in rows)
+    coefficients = tuple(tuple(_ratio(-x, last) for x in row[1:]) for row in rows)
     return Infinite(tuple(run.pivots), free, constants, coefficients)
 
 

@@ -26,7 +26,7 @@ from .errors import (
     NotSquare,
     RaggedRows,
 )
-from .scalars import _cleared, as_scalar, format_scalar, parse_scalar
+from .scalars import _cleared, _ratio, as_scalar, format_scalar, parse_scalar
 
 
 class Matrix:
@@ -198,7 +198,7 @@ class Matrix:
         rows = [_cleared(row) for row in self._data]
         cols = [_cleared(col) for col in zip(*other._data)]
         return Matrix._of(tuple(
-            tuple(Fraction(sum(map(mul, u, v)), s * t) for v, t in cols) for u, s in rows
+            tuple(_ratio(sum(map(mul, u, v)), s * t) for v, t in cols) for u, s in rows
         ))
 
     def __pow__(self, k: int) -> "Matrix":
@@ -220,7 +220,7 @@ class Matrix:
             if bit == "1":
                 power = _int_product(power, b)
         dk = d**k
-        return Matrix._of(tuple(tuple(Fraction(x, dk) for x in row) for row in power))
+        return Matrix._of(tuple(tuple(_ratio(x, dk) for x in row) for row in power))
 
     # ---- reshaping ---------------------------------------------------------------
 

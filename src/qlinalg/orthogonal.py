@@ -7,7 +7,7 @@ Gram-Schmidt is read off two sweeps.  The first canonicalizes the input: its
 rows E are the source, and E_i is input row A_i less earlier ones, so E and
 A (the input rows in pivot order) share W = L^-1 A.  Sweeping [A A^T | A]
 makes no swap (A A^T = L D L^T is positive definite), and its row i is
-[(D L^T)_i | W_i] with pivot |W_i|^2; projections are E W^T over the norms.
+[(D L^T)_i | W_i] with pivot |W_i|^2; projection j < i is E_i W_j / |W_j|^2.
 This is integral Gram-Schmidt by exact division (Erlingsson, Kaltofen and
 Musser, ISSAC 1996), the fraction-free QR of Zhou and Jeffrey (2008).
 """
@@ -15,11 +15,12 @@ Musser, ISSAC 1996), the fraction-free QR of Zhou and Jeffrey (2008).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import truediv
+from operator import mul
 
 from .elimination import _FractionFree
 from .errors import AllZeroInput, DimensionMismatch, ZeroVectorPresent, _Record
 from .matrix import Matrix, as_vector, hstack
+from .scalars import _cleared, _ratio
 from .spaces import Subspace, _family, basis_of_span
 
 
@@ -89,12 +90,16 @@ def gram_schmidt(vectors) -> OrthogonalBasis:
     rank = len(run.pivots)
     if rank == 0:
         raise AllZeroInput("every input vector is zero")
-    source = Matrix._of(tuple(map(run.swept_row, range(rank))))
+    source = tuple(map(run.swept_row, range(rank)))
     a = Matrix._of(tuple(vecs[i] for i in run.order[:rank]))
     qr = _FractionFree(hstack(a @ a.transpose(), a))
     rows = [qr.swept_row(i) for i in range(rank)]
     norms = tuple(row[i] for i, row in enumerate(rows))
-    ws = Matrix._of(tuple(row[rank:] for row in rows))
-    dots = (source @ ws.transpose()).entries
-    projections = tuple(tuple(map(truediv, row[:i], norms)) for i, row in enumerate(dots))
-    return OrthogonalBasis(ws.entries, norms, projections, source.entries)
+    ws = tuple(row[rank:] for row in rows)
+    # E_i = u/s, W_j = v/t and |W_j|^2 = N/D give E_i W_j / |W_j|^2 = u v D / (s t N)
+    cleared = [(*_cleared(w), q.denominator, q.numerator) for w, q in zip(ws, norms)]
+    projections = tuple(
+        tuple(_ratio(sum(map(mul, u, v)) * dq, s * t * nq) for v, t, dq, nq in cleared[:i])
+        for i, (u, s) in enumerate(map(_cleared, source))
+    )
+    return OrthogonalBasis(ws, norms, projections, source)

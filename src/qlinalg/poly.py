@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .scalars import _cleared, _render_sum, as_scalar
+from .scalars import _cleared, _ratio, _render_sum, as_scalar
 
 
 class Polynomial:
@@ -213,7 +213,7 @@ def _distinct_rational_roots(s: tuple[int, ...]) -> list[Fraction]:
         if 2 * y > m:
             y -= m
         found.append(y)
-    return [Fraction(y, lead) for y in sorted(found, reverse=True)]
+    return [_ratio(y, lead) for y in sorted(found, reverse=True)]
 
 
 def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Polynomial]:
@@ -253,5 +253,5 @@ def _rational_roots(
                 roots.append((root, mult))
 
     # q is p over its rational roots, up to a constant: rescale it to lead(p)
-    residual = [Fraction(c * lead.numerator, q[-1] * lead.denominator) for c in q]
+    residual = [_ratio(c * lead.numerator, q[-1] * lead.denominator) for c in q]
     return tuple(roots), Polynomial(residual)

@@ -8,7 +8,7 @@ keep, so coercion raises instead of guessing.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import MalformedScalar, ZeroDenominator
 
@@ -47,10 +47,10 @@ def parse_scalar(text: str) -> Fraction:
         return Fraction(int(sign + whole))  # one int, so no gcd
     if mark == ".":
         n = int(whole) * 10 ** len(rest) + int(rest)
-        return Fraction(-n if sign == "-" else n, 10 ** len(rest))
+        return _ratio(-n if sign == "-" else n, 10 ** len(rest))
     if not (q := int(rest)):
         raise ZeroDenominator(f"zero denominator in {text!r}")
-    return Fraction(int(sign + whole), q)
+    return _ratio(int(sign + whole), q)
 
 
 def format_scalar(q: Fraction) -> str:
@@ -97,9 +97,20 @@ def as_scalar(value) -> Fraction:
 
 def _cleared(values) -> tuple[list[int], int]:
     """Integers ``ints`` and the lcm ``s`` of the denominators of the
-    sequence ``values``, with ``values[i] == ints[i] / s``."""
-    pairs = [x.as_integer_ratio() for x in values]
-    s = lcm(*[d for _, d in pairs])
+    sequence of ``Fraction``s ``values``, with ``values[i] == ints[i] / s``."""
+    s = lcm(*[x._denominator for x in values])
     if s == 1:
-        return [n for n, _ in pairs], 1
-    return [n * (s // d) for n, d in pairs], s
+        return [x._numerator for x in values], 1
+    return [x._numerator * (s // x._denominator) for x in values], s
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for ints ``n`` and ``d``, the one way every result
+    is built: one gcd, the sign moved to the numerator, and the two slots
+    filled, skipping ``Fraction.__new__``'s dispatch on argument types."""
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = n // g, d // g
+    return q

@@ -87,13 +87,13 @@ def independence(vectors) -> IndependenceVerdict:
     zero = next((i for i, v in enumerate(vecs) if not any(v)), None)
     if zero is not None:
         return Dependent(row=zero, op=None)
-    ops, at, last = run.ops(0), list(range(len(vecs))), {}  # at: input row per place
-    for i, op in enumerate(ops):
-        if isinstance(op, Swap):
-            at[op.first], at[op.second] = at[op.second], at[op.first]
+    last = [None] * len(vecs)  # per place, the step that last added to its row
+    for i, step in enumerate(run.steps):  # a Swap, or a raw (pivot row, row, ...)
+        if isinstance(step, Swap):
+            last[step.first], last[step.second] = last[step.second], last[step.first]
         else:
-            last[at[op.target]] = i
-    op = ops[min(last[row] for row in at[len(run.pivots):])]
+            last[step[1]] = i
+    op = run.op(min(last[len(run.pivots):]))
     return Dependent(row=op.target, op=op)
 
 

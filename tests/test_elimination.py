@@ -750,7 +750,7 @@ def test_order_names_the_input_row_now_at_each_row():
 def test_reader_asks_only_for_the_columns_it_is_given(monkeypatch):
     built = []
     monkeypatch.setattr(
-        qlinalg.elimination, "Fraction", lambda *a: built.append(a) or Fraction(*a)
+        qlinalg.elimination, "_ratio", lambda *a: built.append(a) or Fraction(*a)
     )
     a = Matrix.parse("2 1 0 1; 1 3 1 0; 0 1 4 5")
     run = qlinalg.elimination._FractionFree(a)

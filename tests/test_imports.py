@@ -210,7 +210,7 @@ _INTEGER_KERNELS = {
     "_FractionFree",  # elimination.py
     "__matmul__", "__pow__", "_integer_image", "_int_product",  # matrix.py
     "char_poly", "_char_poly", "_adjugate_column", "_eigenspace",  # eigen.py
-    "_cleared",  # scalars.py
+    "_cleared", "_ratio",  # scalars.py
     "_primitive", "_pseudo_rem", "_exact_div", "_divide_root", "_derivative_gcd",
     "_value_mod", "_simple_roots_mod_prime", "_distinct_rational_roots",  # poly.py
 }
@@ -230,8 +230,9 @@ def test_every_integer_kernel_is_defined():
 def _float_uses(source: str) -> list[str]:
     """Float literals, ``float(...)`` calls, float-valued math names, and,
     anywhere inside an integer kernel (a class's methods included), true
-    division or a ``Fraction`` built from anything but ``Fraction(num, den)``:
-    its values are ints, which ``/`` would turn into floats."""
+    division or a ``Fraction`` built from anything but ``Fraction(num, den)``
+    or ``_ratio(num, den)``: its values are ints, which ``/`` would turn into
+    floats."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
@@ -255,10 +256,10 @@ def _float_uses(source: str) -> list[str]:
                     found.append((sub.lineno, f"/ in {node.name}"))
                 elif (
                     isinstance(sub, ast.Call)
-                    and getattr(sub.func, "id", None) == "Fraction"
+                    and (name := getattr(sub.func, "id", None)) in ("Fraction", "_ratio")
                     and len(sub.args) != 2
                 ):
-                    found.append((sub.lineno, f"Fraction(x) in {node.name}"))
+                    found.append((sub.lineno, f"{name}(x) in {node.name}"))
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
@@ -288,6 +289,7 @@ def test_the_check_sees_a_float():
         "def char_poly(a):\n    return [Fraction(c, d) for c, d in a], Fraction(a[0])\n"
         "def _pseudo_rem(a, b):\n    return a[-1] / b[-1]\n"
         "def _exact_div(a, b):\n    return a[-1] // b[-1]\n"
+        "def _eigenspace(w, wf):\n    return [_ratio(x, wf) for x in w], _ratio(wf)\n"
     )
     assert _float_uses(source) == [
         "math.sqrt (line 2)",
@@ -302,4 +304,54 @@ def test_the_check_sees_a_float():
         "Fraction(x) in __matmul__ (line 14)",
         "Fraction(x) in char_poly (line 16)",
         "/ in _pseudo_rem (line 18)",
+        "_ratio(x) in _eigenspace (line 22)",
+    ]
+
+
+def _is_int_literal(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _boundary_crossings(source: str) -> list[str]:
+    """Every ``Fraction(n, d)`` with a computed argument, which
+    ``scalars._ratio`` builds instead, and every ``as_integer_ratio()`` call,
+    where ``_cleared`` reads a ``Fraction``'s two slots."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if (
+            getattr(node.func, "id", None) == "Fraction"
+            and len(node.args) == 2
+            and not all(map(_is_int_literal, node.args))
+        ):
+            found.append((node.lineno, "Fraction(n, d)"))
+        elif getattr(node.func, "attr", None) == "as_integer_ratio":
+            found.append((node.lineno, "as_integer_ratio()"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_every_result_crosses_into_fraction_through_one_constructor():
+    crossings = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := _boundary_crossings(path.read_text(encoding="utf-8")))
+    }
+    assert crossings == {}
+
+
+def test_the_check_sees_a_computed_fraction():
+    source = (
+        "zero, half, one = Fraction(0, 1), Fraction(-1, 2), Fraction(1)\n"
+        "q = Fraction(n, d) + Fraction(x, 1) + _ratio(n, d) + Fraction(x)\n"
+        "pairs = [x.as_integer_ratio() for x in row]\n"
+        "r = Fraction(2, 3 * d)\n"
+    )
+    assert _boundary_crossings(source) == [
+        "Fraction(n, d) (line 2)",
+        "Fraction(n, d) (line 2)",
+        "as_integer_ratio() (line 3)",
+        "Fraction(n, d) (line 4)",
     ]

@@ -1,6 +1,8 @@
+import pickle
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from qlinalg import (
     format_scalar,
     parse_scalar,
 )
+from qlinalg.scalars import _cleared, _ratio
 
 import oracles
 
@@ -183,6 +186,58 @@ def test_as_scalar_refuses_floats_and_bools():
         as_scalar(0.1)
     with pytest.raises(TypeError):
         as_scalar(True)
+
+
+# ---- the int -> Fraction boundary ----------------------------------------------------
+
+
+def _seeded_pairs(count):
+    """``(n, d)`` with n of 0, +-1 or 1-400 bits and d of +-1 or 1-400 bits, each
+    of either sign, often times a common factor; the edge pairs first."""
+    rng = random.Random("ratio")
+    yield from ((0, 1), (0, -1), (0, 7), (1, 1), (-1, 1), (1, -1), (-1, -1), (6, -4), (-6, 4))
+    for _ in range(count):
+        bits = rng.randint(1, 400), rng.randint(1, 400)
+        n = rng.choice((0, 1, -1, rng.getrandbits(bits[0]) | 1 << (bits[0] - 1)))
+        d = rng.choice((1, -1, rng.getrandbits(bits[1]) | 1 << (bits[1] - 1)))
+        g = rng.choice((1, 1, 2, 6, rng.getrandbits(64) | 1))
+        yield n * g * rng.choice((1, -1)), d * g * rng.choice((1, -1))
+
+
+def test_ratio_builds_the_fraction_the_stdlib_builds():
+    for n, d in _seeded_pairs(10_000):
+        q, want = _ratio(n, d), Fraction(n, d)
+        assert type(q) is Fraction and q == want
+        assert (q.numerator, q.denominator) == (want.numerator, want.denominator)
+        assert (hash(q), repr(q), format_scalar(q)) == (hash(want), repr(want), format_scalar(want))
+        back = pickle.loads(pickle.dumps(q))
+        assert type(back) is Fraction
+        assert (back.numerator, back.denominator) == (want.numerator, want.denominator)
+        assert repr(q + 1) == repr(want + 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, -7, 3**200])
+def test_ratio_refuses_a_zero_denominator_as_the_stdlib_does(n):
+    with pytest.raises(ZeroDivisionError) as ours:
+        _ratio(n, 0)
+    with pytest.raises(ZeroDivisionError) as stdlib:
+        Fraction(n, 0)
+    assert str(ours.value) == str(stdlib.value)
+
+
+def _cleared_reference(values):
+    pairs = [x.as_integer_ratio() for x in values]
+    s = lcm(*(d for _, d in pairs))
+    return [n * s // d for n, d in pairs], s
+
+
+def test_cleared_matches_an_integer_ratio_reading():
+    rng = random.Random("cleared")
+    pairs = _seeded_pairs(20_000)
+    for _ in range(2_000):
+        row = tuple(Fraction(*next(pairs)) for _ in range(rng.randint(0, 9)))
+        assert _cleared(row) == _cleared_reference(row)
+        assert _cleared(list(row)) == _cleared_reference(row)
 
 
 # ---- the c0 + c1 name1 - ... notation -----------------------------------------------

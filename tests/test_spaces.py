@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import qlinalg
 from qlinalg import (
     AddMultiple,
     Dependent,
@@ -290,6 +291,19 @@ def test_independence_matches_a_matrix_per_operation_replay(monkeypatch):
         assert verdict == want, vecs
         verdicts.add((type(verdict).__name__, getattr(verdict, "op", 0) is None))
     assert verdicts == {("Independent", False), ("Dependent", True), ("Dependent", False)}
+
+
+def test_independence_builds_only_its_witness(monkeypatch):
+    rng = random.Random(11008)
+    vecs = [tuple(rng.getrandbits(64) - 2**63 for _ in range(16)) for _ in range(15)]
+    vecs.insert(9, tuple(x - 3 * y for x, y in zip(vecs[2], vecs[11])))
+    expected = _replayed_dependence(vecs)
+    built = []
+    monkeypatch.setattr(
+        qlinalg.elimination, "AddMultiple", lambda *a: built.append(a) or AddMultiple(*a)
+    )
+    assert independence(vecs) == expected
+    assert len(built) == 1
 
 
 def test_extension_matches_the_greedy_definition():
