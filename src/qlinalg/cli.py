@@ -514,7 +514,7 @@ def _cmd_diagonalize(args):
             "algebraic": verdict.algebraic,
             "geometric": verdict.geometric,
         }
-    check = "yes" if verdict.reconstruct() == m else "no"
+    check = "yes" if m @ verdict.L == verdict.L @ verdict.D else "no"  # L is invertible
     lines = ["L =", *_block_lines(verdict.L), "D =", *_block_lines(verdict.D)]
     lines.append(f"check L D L^-1 = A: {check}")
     return lines, {

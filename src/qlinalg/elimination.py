@@ -20,8 +20,12 @@ produces; the form names differ in how far normalization and clearing above
 the leaders go.
 
 One engine, ``_FractionFree``, runs every reduction as one downward sweep.
-It eliminates on Python ints, dividing exactly by the previous pivot (E. H.
-Bareiss, Math. Comp. 22, 1968), so no entry update pays for a gcd; exact
+It eliminates on Python ints, two pivot columns per pass where it can
+(E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968, the two-step method): each row
+below a pair of pivots is updated once, dividing exactly by the pivot before
+the pair, and a pivot with no partner in the next column clears its column
+alone, dividing by the previous pivot.  No entry update pays for a gcd; exact
 back-substitution reads the completely reduced matrix off the same run, on
 only the columns a question reads.  Untraced questions convert to
 ``Fraction`` only in the answer; a trace is read off the run afterwards, as
@@ -225,17 +229,28 @@ class _FractionFree:
     Each row of a ``Matrix`` is multiplied by the lcm of its denominators;
     rows that are already ints (a list of int lists) keep a scale of 1, and
     the run consumes them: it edits those lists in place.  The scales travel
-    with the rows through swaps.  Each pivot clears the rows below it by
-    ``(p*x - a*y) // prev``, dividing exactly by the previous pivot, and is
-    then left alone: ``chosen[k]`` is pivot row k with the pivot before it,
-    and ``last`` is the final pivot.  ``width`` is the number of columns.
-    ``steps`` holds each swap and, per row cleared below a pivot, the raw
-    ``(pivot row, row, entry, row scale)`` that :meth:`op` reads.
+    with the rows through swaps.  A pivot p in column c, on pivot row T,
+    pairs with column c + 1 when some row below has a nonzero entry there
+    one step on; the first such row X is swapped up behind T, and every
+    other row R below is cleared of both columns in one pass (Bareiss's
+    two-step method), ``(p2*R + c1*T - e*X) // prev``.  Here T, X and R are
+    the rows as they stand before the pair (index 0 is column c), ``prev``
+    is the pivot before p, ``e = (p*R[1] - R[0]*T[1]) // prev`` is R's entry
+    at c + 1 one step on, ``c1 = (X[0]*R[1] - R[0]*X[1]) // prev``, and the
+    second pivot ``p2`` is X's entry at c + 1 one step on.  A pivot with no
+    partner (in the last column or row, or when column c + 1 falls free)
+    clears the rows below it alone, by ``(p*x - a*y) // prev``.  Every
+    division is exact, and the record is the one-pivot sweep's:
+    ``chosen[k]`` is pivot row k with the pivot before it, and ``last`` is
+    the final pivot.  ``width`` is the number of columns.  ``steps`` holds
+    each swap and, per row cleared below a pivot, the raw ``(pivot row, row,
+    entry, row scale)`` that :meth:`op` reads, pivot by pivot: a pair records
+    its first pivot's entries, the swap for its second, then the second's.
 
     While column c is worked on, every row from the working row down holds
     only its columns from c on: the columns before c are known zeros.  Each
-    row drops its leading entry once it is read (as the pivot, as a
-    multiplier, or as a zero in a free column), and a pivot row gets its
+    row drops its leading entries once they are read (as pivots, as
+    multipliers, or as a zero in a free column), and a pivot row gets its
     zero prefix back once, when it goes into ``chosen``.
 
     Callers read ``pivots[k]``, the column of row k's pivot, ``free``, the
@@ -263,8 +278,8 @@ class _FractionFree:
         self.steps: list[Swap | tuple[int, int, int, int]] = []
         chosen, steps = self.chosen, self.steps
         sign = prev = 1
-        r = 0
-        for c in range(width):
+        r = c = 0
+        while c < width:
             for src in range(r, height):
                 if grid[src][0]:
                     break
@@ -272,6 +287,7 @@ class _FractionFree:
                 free.append(c)
                 for k in range(r, height):
                     del grid[k][0]
+                c += 1
                 continue
             if src != r:
                 for held in (grid, scales, order):
@@ -281,19 +297,54 @@ class _FractionFree:
             top = grid[r]
             p = top[0]
             chosen.append(([0] * c + top, prev))
-            del top[0]
+            pivots.append(c)
+            # the partner: the first row below whose entry at c + 1 is nonzero one step on
+            for two in range(r + 1, height if c + 1 < width else r + 1):
+                x = grid[two]
+                if p * x[1] != x[0] * top[1]:
+                    break
+            else:  # no partner: clear column c alone
+                del top[0]
+                for k in range(r + 1, height):
+                    row = grid[k]
+                    a = row[0]
+                    del row[0]
+                    if a:
+                        grid[k] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+                        steps.append((r, k, a, scales[k]))
+                    else:
+                        grid[k] = [p * x // prev for x in row]
+                prev = p
+                r, c = r + 1, c + 1
+                continue
+            # a pair: X = x is the second pivot row; clear columns c and c + 1 at once
+            x0, x1, t1 = x[0], x[1], top[1]
+            p2 = (p * x1 - x0 * t1) // prev
+            top, x = top[2:], x[2:]
+            second = []
             for k in range(r + 1, height):
                 row = grid[k]
-                a = row[0]
-                del row[0]
-                if a:
-                    grid[k] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+                if a := row[0]:
                     steps.append((r, k, a, scales[k]))
-                else:
-                    grid[k] = [p * x // prev for x in row]
-            pivots.append(c)
-            prev = p
-            r += 1
+                if k == two:
+                    continue
+                b = row[1]
+                e, c1 = (p * b - a * t1) // prev, (x0 * b - a * x1) // prev
+                del row[:2]
+                grid[k] = [(p2 * y + c1 * t - e * z) // prev for y, t, z in zip(row, top, x)]
+                if e:
+                    second.append((r + 1, k, e, scales[k]))
+            if two != r + 1:
+                for held in (grid, scales, order):
+                    held[r + 1], held[two] = held[two], held[r + 1]
+                sign = -sign
+                steps.append(Swap(r + 1, two))
+            x = [(p * y - x0 * t) // prev for y, t in zip(x, top)]
+            chosen.append(([0] * (c + 1) + [p2] + x, p))
+            pivots.append(c + 1)
+            steps += second
+            prev = p2
+            r, c = r + 2, c + 2
         self.sign, self.last = sign, prev
 
     def minor(self) -> Fraction:
@@ -375,14 +426,16 @@ class _FractionFree:
         """``ops(stage)`` and where they carry ``start``, the matrix this run
         reduced: the pivot rows of the sweep (stage 0), scaled to leading 1s
         (stage 1) or completely reduced (stage 2), over the zero rows."""
-        if stage == 2:
-            end = self.reduced(range(self.width))
+        zero, one, end = Fraction(0, 1), Fraction(1, 1), []
+        if stage == 2:  # the pivot columns are unit vectors; back-substitute the rest
+            for c, xs in zip(self.pivots, self.reduced(self.free)):
+                at = {c: one, **dict(zip(self.free, xs))}
+                end.append([at.get(j, zero) for j in range(self.width)])
         else:
-            end = []
             for c, (row, prev), s in zip(self.pivots, self.chosen, self.scales):
                 d = prev * s if stage == 0 else row[c]
                 end.append([_ratio(x, d) for x in row])
-        end += [[Fraction(0, 1)] * self.width] * (len(self.scales) - len(end))
+        end += [[zero] * self.width] * (len(self.scales) - len(end))
         return Trace(start, Matrix._of(tuple(map(tuple, end))), tuple(self.ops(stage)))
 
 

@@ -237,9 +237,10 @@ def fraction_free_reference(rows):
     keeps scale 1); the topmost nonzero row at or below the working row is
     swapped up, and every row below the pivot becomes ``(p*x - a*y) // prev``
     with its columns up to the pivot's set to 0.  Returns a dict of
-    ``pivots``, ``free``, ``chosen`` (pivot row, previous pivot), ``steps``
-    (``("swap", r, src)`` or ``(pivot row, row, entry, row scale)``),
-    ``sign``, ``last`` and ``scales``.
+    ``pivots``, ``free``, ``order`` (the input row now at each row),
+    ``chosen`` (pivot row, previous pivot), ``steps`` (``("swap", r, src)``
+    or ``(pivot row, row, entry, row scale)``), ``sign``, ``last`` and
+    ``scales``.
     """
     grid, scales = [], []
     for row in rows:
@@ -250,7 +251,7 @@ def fraction_free_reference(rows):
         grid.append([int(x * s) for x in row])
         scales.append(s)
     height, width = len(grid), len(grid[0])
-    pivots, free, chosen, steps = [], [], [], []
+    pivots, free, chosen, steps, order = [], [], [], [], list(range(height))
     sign = prev = 1
     r = 0
     for c in range(width):
@@ -264,6 +265,7 @@ def fraction_free_reference(rows):
         if src != r:
             grid[r], grid[src] = grid[src], grid[r]
             scales[r], scales[src] = scales[src], scales[r]
+            order[r], order[src] = order[src], order[r]
             sign = -sign
             steps.append(("swap", r, src))
         top = grid[r]
@@ -280,7 +282,7 @@ def fraction_free_reference(rows):
         prev = p
         r += 1
     return dict(
-        pivots=pivots, free=free, chosen=chosen, steps=steps,
+        pivots=pivots, free=free, order=order, chosen=chosen, steps=steps,
         sign=sign, last=prev, scales=scales,
     )
 

@@ -15,6 +15,7 @@ change the rows it was handed to read.
 import copy
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -389,8 +390,8 @@ def _record(run):
     """A run's record in the reference's terms, each swap as ("swap", r, src)."""
     steps = [("swap", s.first, s.second) if isinstance(s, Swap) else s for s in run.steps]
     return dict(
-        pivots=run.pivots, free=run.free, chosen=run.chosen, steps=steps,
-        sign=run.sign, last=run.last, scales=run.scales,
+        pivots=run.pivots, free=run.free, order=run.order, chosen=run.chosen,
+        steps=steps, sign=run.sign, last=run.last, scales=run.scales,
     )
 
 
@@ -399,6 +400,15 @@ def _sweep_matches(grid):
     assert repr(_record(_FractionFree(Matrix(grid)))) == want
     if all(x.denominator == 1 for row in grid for x in row):
         assert repr(_record(_FractionFree([[int(x) for x in row] for row in grid]))) == want
+
+
+def _sweep_matches_cleared(grid):
+    """As ``_sweep_matches``, then again on the rows cleared to ints, so that
+    a p/q grid's integer rows also run as int-grid input."""
+    _sweep_matches(grid)
+    ints = [[x * lcm(*(y.denominator for y in row)) for x in row] for row in grid]
+    if ints != grid:
+        _sweep_matches(ints)
 
 
 @settings(max_examples=250, deadline=None)
@@ -419,10 +429,69 @@ def test_the_sweep_keeps_the_reference_record(grid):
         [[1], [2], [3], [4], [5], [6], [7]],
         [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # two swaps
         [[2, 4, 1], [1, 2, 5], [3, 6, 0], [1, 2, 3]],  # rank 2 over 4 rows
+        [[1, 2, 3], [2, 4, 5], [1, 3, 1]],  # the second pivot of a pair needs a swap
+        [[0, 0, 2, 3], [2, 4, 5, 1], [1, 2, 3, 0], [1, 3, 1, 1]],  # both pivots of a pair swap
+        [[1, 2, 3], [2, 4, 7], [3, 6, 1]],  # column 1 falls free right after pivot 0
+        [[2, 1, 1], [1, 3, 2], [1, 0, 5]],  # odd rank: a pair, then a pivot alone
+        # rank 4: column 2 falls free between two pairs, and both pivots of the second swap
+        [[1, 2, 0, 1, 3], [2, 5, 1, 0, 1], [3, 7, 1, 1, 4], [1, 3, 1, 4, 2], [0, 1, 1, 3, 9]],
+        [[1, 0, 0], [0, 0, 4], [0, 0, 5]],  # a pivot in the last column, a row below it
+        [[1, 2, 3], [0, 0, 0], [4, 5, 6]],  # a zero row between the two pivot rows
+        [[1, 2, 3], [4, 5, 6], [0, 0, 0], [7, 8, 10]],  # a zero row below a pair
+        [[3, 1, 4, 1], [6, 2, 8, 5], [0, 0, 0, 0], [9, 3, 2, 6]],  # free column 1, zero row
     ],
 )
 def test_the_sweep_keeps_the_reference_record_on_edge_shapes(grid):
     _sweep_matches([[Q(x) for x in row] for row in grid])
+    _sweep_matches_cleared([[Q(x, 1 + i) for x in row] for i, row in enumerate(grid)])
+
+
+def _paired_grid(rows, cols, kind, rank, seed):
+    """A seeded ``rows`` x ``cols`` grid of −9..9 ints, p/q over 1..7 or 64-bit
+    ints.  With ``rank``, the rows past the first ``rank`` are combinations of
+    those; a few columns are zeroed or copied (times 2) from their left
+    neighbour, so columns fall free right after a pivot, and a few rows are
+    zeroed."""
+    rng = random.Random(seed)
+
+    def entry():
+        if kind == "64-bit":
+            return Q(rng.getrandbits(64) - 2**63)
+        return Q(rng.randint(-9, 9), rng.randint(1, 7) if kind == "pq" else 1)
+
+    grid = [[entry() for _ in range(cols)] for _ in range(rank or rows)]
+    while len(grid) < rows:
+        u, v = rng.sample(grid[:rank], 2)
+        a, b = Q(rng.randint(-3, 3)), Q(rng.randint(-3, 3), rng.randint(1, 3))
+        grid.insert(rng.randint(0, len(grid)), [a * x + b * y for x, y in zip(u, v)])
+    for j in rng.sample(range(1, cols), 3):
+        for row in grid:
+            row[j] = 2 * row[j - 1] if rng.random() < 0.5 else Q(0)
+    for i in rng.sample(range(rows), 2):
+        grid[i] = [Q(0)] * cols
+    return grid
+
+
+@pytest.mark.parametrize(
+    "rows, cols, kind, rank",
+    [
+        (12, 12, "int", None),
+        (12, 12, "pq", None),
+        (12, 12, "64-bit", None),
+        (16, 16, "int", 9),
+        (16, 16, "pq", 11),
+        (16, 16, "64-bit", 7),
+        (20, 24, "int", None),
+        (20, 24, "pq", 13),
+        (20, 24, "64-bit", 10),
+        (20, 12, "int", 12),
+        (20, 12, "pq", 5),
+        (12, 20, "64-bit", 8),
+    ],
+)
+def test_the_sweep_keeps_the_reference_record_on_large_grids(rows, cols, kind, rank):
+    for seed in range(3):
+        _sweep_matches_cleared(_paired_grid(rows, cols, kind, rank, 3100 + seed))
 
 
 # ---- what a call reads, it leaves as it found it -------------------------------------
