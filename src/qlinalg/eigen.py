@@ -31,7 +31,7 @@ from typing import Iterator, Union
 from .elimination import _FractionFree, inverse_gauss_jordan
 from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
 from .matrix import Matrix, _integer_image
-from .poly import Polynomial, _primitive, _rational_roots
+from .poly import Polynomial, _primitive, _rational_roots, _rescaled
 from .scalars import Q, _ratio, as_scalar
 from .spaces import Subspace, _null_space
 
@@ -45,51 +45,54 @@ def _square_image(a: Matrix) -> tuple[list[list[int]], int]:
 
 def char_poly(a: Matrix) -> Polynomial:
     """det(A - x I), ascending coefficients; leading coefficient (-1)^n."""
-    return _char_poly(*_square_image(a))[0]
+    b, d = _square_image(a)
+    return _rescaled(_char_poly(b, d)[0], (-1) ** len(b))
 
 
-def _char_poly(g: list[list[int]], d: int) -> tuple[Polynomial, tuple[int, ...], tuple]:
-    """det(A - x I) for A = B / d, B the integer rows ``g``, its primitive
-    integer coefficients (ascending, sign kept), and the last step's
-    (det(x I - M) descending, [C, M C, ..., M^(n-2) C]) for ``_adjugate_column``.
+def _char_poly(g: list[list[int]], d: int) -> tuple[tuple[int, ...], tuple]:
+    """The primitive integer coefficients of det(A - x I) (ascending, sign
+    kept) for A = B / d, B the integer rows ``g``, and the last step's
+    (det(x I - M) descending, the rows of the Krylov matrix [C, M C, ...,
+    M^(n-2) C]) for ``_adjugate_column``.
 
     Berkowitz's division-free algorithm, O(n^4) ring operations, run on B.
     Write each leading principal submatrix as B_k = [[M, C], [R, b_kk]].  The
     descending coefficients of det(x I - B_k) are the lower-triangular
     Toeplitz matrix with first column [1, -b_kk, -R C, -R M C, ...,
     -R M^(k-1) C] times those of det(x I - M), so each step builds just the
-    Krylov vectors C, M C, ..., M^(k-1) C that the column reads.  Since
-    det(x I - A) = d^-n det(d x I - B), its coefficient of x^i is that of
-    det(x I - B) over d^(n-i); times d^n, it is that coefficient times d^i.
+    Krylov vectors C, M C, ..., M^(k-1) C that the column reads, each a dot
+    product of B's first k rows with the last (``map`` stops at its k
+    entries).  Since det(x I - A) = d^-n det(d x I - B), its coefficient of
+    x^i is that of det(x I - B) over d^(n-i); times d^n, it is that
+    coefficient times d^i.
     """
     n = len(g)
     coeffs = [1]
     for k in range(n):
-        m = [g[i][:k] for i in range(k)]
-        r = g[k][:k]
-        chi, krylov = coeffs, ([[g[i][k] for i in range(k)]] if k else [])
+        m = g[:k]
+        chi, krylov = coeffs, ([[row[k] for row in m]] if k else [])
         for _ in range(1, k):
-            krylov.append([sum(map(mul, mi, krylov[-1])) for mi in m])
-        col = [-sum(map(mul, r, v)) for v in reversed(krylov)] + [-g[k][k], 1]
+            krylov.append([sum(map(mul, row, krylov[-1])) for row in m])
+        col = [-sum(map(mul, g[k], v)) for v in reversed(krylov)] + [-g[k][k], 1]
         coeffs = [sum(map(mul, coeffs, col[k + 1 - i:])) for i in range(k + 2)]
     sign = -1 if n % 2 else 1
-    poly = Polynomial([_ratio(sign * c, d**i) for i, c in enumerate(coeffs)][::-1])
     ints = _primitive([sign * c * d**i for i, c in enumerate(reversed(coeffs))])
-    return poly, ints, (chi, krylov)
+    return ints, (chi, list(zip(*krylov)))
 
 
-def _adjugate_column(chi: list[int], krylov: list, p: int, q: int) -> list[int]:
+def _adjugate_column(chi: list[int], rows: list, p: int, q: int) -> list[int]:
     """q^(n-1) times the last column of adj(mu I - B) at mu = p/q, from
     Berkowitz's last step on B = [[M, C], [R, b]]: [sum_k h_k(mu) M^k C ;
     chi(mu)], chi = det(x I - M) = sum a_j x^j and h_k = sum_(j>k) a_j
-    x^(j-k-1) its Horner partial sums.  With G_i = q^i times the i-th Horner
+    x^(j-k-1) its Horner partial sums, with ``rows`` the rows of the Krylov
+    matrix [C, M C, ..., M^(n-2) C].  With G_i = q^i times the i-th Horner
     sum at mu, q^(n-1) h_k(mu) = q^(k+1) G_(n-2-k) and q^(n-1) chi(mu) = G_(n-1).
     """
     horner = [1]
     for i, a in enumerate(chi[1:], 1):
         horner.append(horner[-1] * p + a * q**i)
     scale = [q ** (k + 1) * g for k, g in enumerate(reversed(horner[:-1]))]
-    return [sum(map(mul, scale, row)) for row in zip(*krylov)] + [horner[-1]]
+    return [sum(map(mul, scale, row)) for row in rows] + [horner[-1]]
 
 
 class Split(_Record):
@@ -123,17 +126,18 @@ class NotSplit(_Record):
 EigenvalueVerdict = Union[Split, NotSplit]
 
 
-def _spectrum(a: Matrix) -> tuple[Polynomial, EigenvalueVerdict, Iterator]:
-    """det(A - x I), the verdict on its rational roots (in
-    :func:`poly._rational_roots`' decreasing order), and a lazy stream of
-    (eigenvalue, algebraic multiplicity, eigenspace), one per root found."""
+def _spectrum(a: Matrix) -> tuple[tuple[int, ...], EigenvalueVerdict, Iterator]:
+    """The primitive integer coefficients of det(A - x I), the verdict on
+    its rational roots (in :func:`poly._rational_roots`' decreasing order),
+    and a lazy stream of (eigenvalue, algebraic multiplicity, eigenspace),
+    one per root found."""
     b, d = _square_image(a)
-    p, ints, last = _char_poly(b, d)
-    roots, residual = _rational_roots(ints, p.coefficients[-1])
+    ints, last = _char_poly(b, d)
+    roots, residual = _rational_roots(ints, (-1) ** len(b))
     spectrum = ((lam, alg, _eigenspace(b, d, lam, last)) for lam, alg in roots)
     if residual.degree <= 0:
-        return p, Split(roots=roots), spectrum
-    return p, NotSplit(found=roots, residual=residual), spectrum
+        return ints, Split(roots=roots), spectrum
+    return ints, NotSplit(found=roots, residual=residual), spectrum
 
 
 def eigenvalues(a: Matrix) -> EigenvalueVerdict:
@@ -277,13 +281,13 @@ class EigenSummary(_Record):
 def eigen_summary(a: Matrix) -> EigenSummary:
     """Characteristic polynomial, eigenvalues, eigenspaces, and the
     diagonalizability verdict, all at once."""
-    p, verdict, spectrum = _spectrum(a)
+    ints, verdict, spectrum = _spectrum(a)
     split = isinstance(verdict, Split)
     spectrum = tuple(spectrum)
     short = ((lam, alg, s.dimension) for lam, alg, s in spectrum if s.dimension < alg)
     deficient = next(short, None) if split else None
     return EigenSummary(
-        char=p,
+        char=_rescaled(ints, (-1) ** a.rows),
         split=split,
         roots=verdict.roots if split else verdict.found,
         residual=None if split else verdict.residual,

@@ -7,11 +7,14 @@ in ascending order of degree with trailing zeros stripped, so
 polynomial has an empty coefficient tuple.
 
 :func:`rational_roots` works on the primitive integer coefficients from
-start to end: the gcd with the derivative comes from integer
-pseudo-remainders, each root of the squarefree part modulo one small prime
-is lifted p-adically to a candidate y/L, and a candidate is a root exactly
-when the integer factor L x - y divides out.  The residual is rescaled to
-the input's leading coefficient once, at the end.
+start to end.  The squarefree part s = q / gcd(q, q') comes from one integer
+gcd (GCDHEU): the balanced base-xi digits of gcd(q(xi), q'(xi)) give a
+candidate h, accepted only when checked exact division shows h | q and
+h | q'; after a few refused tries the gcd comes from integer
+pseudo-remainders instead.  Each root of s modulo one small prime is lifted
+p-adically to a candidate y/L, and a candidate is a root exactly when the
+integer factor L x - y divides out.  The residual is rescaled to the input's
+leading coefficient once, at the end.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .scalars import _cleared, _ratio, _render_sum, as_scalar
+
+# GCDHEU evaluation points tried before the pseudo-remainder chain
+_GCDHEU_TRIES = 4
 
 
 class Polynomial:
@@ -117,15 +123,20 @@ def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _primitive(rem)
 
 
-def _exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """a / b for integer polynomials where b divides a over the integers."""
+def _exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
+    """a / b for integer polynomials (ascending), or None when b does not
+    divide a over the integers: a quotient step that does not divide
+    exactly, or a nonzero remainder."""
     rem = list(a)
     quot = [0] * (len(a) - len(b) + 1)
     for shift in range(len(quot) - 1, -1, -1):
-        f = quot[shift] = rem[shift + len(b) - 1] // b[-1]
+        f, r = divmod(rem[shift + len(b) - 1], b[-1])
+        if r:
+            return None
+        quot[shift] = f
         for j, y in enumerate(b):
             rem[shift + j] -= f * y
-    return tuple(quot)
+    return None if any(rem[: len(b) - 1]) else tuple(quot)
 
 
 def _divide_root(q: tuple[int, ...], y: int, den: int) -> tuple[int, ...]:
@@ -157,6 +168,51 @@ def _derivative_gcd(q: tuple[int, ...]) -> tuple[int, ...]:
     while len(b) > 1 and (rem := _pseudo_rem(a, b)):
         a, b = b, rem
     return b
+
+
+def _balanced_digits(n: int, base: int) -> list[int]:
+    """The digits of n in base ``base``, lowest first, each in (-base/2, base/2]."""
+    digits = []
+    while n:
+        n, r = divmod(n, base)
+        if 2 * r > base:
+            r -= base
+            n += 1
+        digits.append(r)
+    return digits
+
+
+def _squarefree_part(q: tuple[int, ...]) -> tuple[int, ...]:
+    """q / gcd(q, q') for a primitive integer polynomial ``q`` of degree >= 1.
+
+    GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet, J. Symbolic Comput.
+    7, 1989): h, the primitive part of the polynomial G whose coefficients
+    are the balanced base-xi digits of gamma = gcd(q(xi), q'(xi)), is
+    accepted only when it divides q and q' exactly.  It is then the gcd for
+    xi >= 2 m + 2, m = min(|q|, |q'|) in max norm (q' primitive): with
+    gcd = h c, c(xi) divides gamma / h(xi) = cont(G), at most xi/2, while
+    every root of c is below 1 + m <= xi/2 (Cauchy), so |c(xi)| > xi/2
+    unless c = ±1.  An accepted proper divisor would leave repeated roots, and
+    :func:`_simple_roots_mod_prime` would find no prime.  Each refused try
+    grows xi; after the last, the pseudo-remainder chain gives the gcd.
+    """
+    dq = _primitive([k * c for k, c in enumerate(q)][1:])
+    xi = 2 * min(max(map(abs, q)), max(map(abs, dq))) + 2
+    for _ in range(_GCDHEU_TRIES):
+        gamma = gcd(_value(q, xi), _value(dq, xi))
+        h = _primitive(_balanced_digits(gamma, xi))
+        if (s := _exact_div(q, h)) and _exact_div(dq, h):
+            return s
+        xi = 2 * xi + 1
+    return _exact_div(q, _derivative_gcd(q))
+
+
+def _value(cs, x: int) -> int:
+    """The integer polynomial ``cs`` (ascending) at the integer x."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 def _value_mod(cs, x: int, m: int) -> int:
@@ -224,10 +280,13 @@ def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Pol
     the rest in decreasing order, and ``residual`` is what is left after
     dividing every rational root out.  ``residual`` has degree 0 exactly when
     ``p`` splits over the rationals.  The roots are those of the squarefree
-    part s = p / gcd(p, p'), found modulo the first prime p at which they are
-    all simple (at most log2|lead(s) disc(s)| + 1 primes are tried) and
-    lifted by Newton steps that double the p-adic precision, O(log b) steps
-    for b-bit coefficients: time polynomial in the degree and the bit size.
+    part s = p / gcd(p, p'), with the gcd read off one integer gcd of p and p'
+    at a large enough point (GCDHEU), accepted only after checked exact
+    division, else taken from integer pseudo-remainders.  They are found
+    modulo the first prime p at which they are all simple (at most
+    log2|lead(s) disc(s)| + 1 primes are tried) and lifted by Newton steps
+    that double the p-adic precision, O(log b) steps for b-bit coefficients:
+    time polynomial in the degree and the bit size.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
@@ -236,7 +295,7 @@ def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Pol
 
 
 def _rational_roots(
-    q: tuple[int, ...], lead: Fraction
+    q: tuple[int, ...], lead: Fraction | int
 ) -> tuple[tuple[tuple[Fraction, int], ...], Polynomial]:
     """:func:`rational_roots` of the polynomial with primitive integer
     coefficients ``q`` and leading coefficient ``lead``, but with every root
@@ -244,7 +303,7 @@ def _rational_roots(
     like any other root.  The public wrapper moves zero first."""
     roots: list[tuple[Fraction, int]] = []
     if len(q) > 1:
-        for root in _distinct_rational_roots(_exact_div(q, _derivative_gcd(q))):
+        for root in _distinct_rational_roots(_squarefree_part(q)):
             mult = 0
             while quot := _divide_root(q, root.numerator, root.denominator):
                 q = quot
@@ -253,5 +312,9 @@ def _rational_roots(
                 roots.append((root, mult))
 
     # q is p over its rational roots, up to a constant: rescale it to lead(p)
-    residual = [_ratio(c * lead.numerator, q[-1] * lead.denominator) for c in q]
-    return tuple(roots), Polynomial(residual)
+    return tuple(roots), _rescaled(q, lead)
+
+
+def _rescaled(q: tuple[int, ...], lead: Fraction | int) -> Polynomial:
+    """The integer polynomial ``q`` (ascending) times lead / lead(q)."""
+    return Polynomial([_ratio(c * lead.numerator, q[-1] * lead.denominator) for c in q])

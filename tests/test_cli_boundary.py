@@ -1,15 +1,15 @@
 """The CLI's text boundary: exit-code contract per verb, round trips, junk input."""
 
 import argparse
-import contextlib
-import io
 import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qlinalg import Matrix, cli, parse_matrix_text, parse_scalar, render_inline
-from qlinalg.cli import build_parser, main
+from qlinalg.cli import build_parser
+
+from replay import run
 
 # verb: (arguments of one answer, arguments of one malformed input)
 CONTRACT = {
@@ -46,17 +46,6 @@ def parser_verbs(verb=None) -> set[str]:
         a for a in build_parser(verb)._actions if isinstance(a, argparse._SubParsersAction)
     ]
     return set(sub.choices)
-
-
-def run(argv) -> tuple[int, str, str]:
-    """One in-process invocation; argparse's own exits count as exit codes."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_contract_names_every_verb_of_the_parser():

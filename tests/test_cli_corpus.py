@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import shlex
 import sys
-from pathlib import Path
 
-from test_cli_boundary import parser_verbs, run
-
-CORPUS = Path(__file__).parent / "golden" / "cli_corpus.txt"
+from replay import CORPUS, parse_corpus, run
+from test_cli_boundary import parser_verbs
 
 _NINE_BY_NINE = "; ".join(
     " ".join(str((3 * i + 5 * j) % 7 - 3) for j in range(9)) for i in range(9)
@@ -173,17 +171,6 @@ def render_corpus(runs: list[list[str]]) -> str:
         lines.append("--- stderr")
         lines.extend(_section(err))
     return "\n".join(lines) + "\n"
-
-
-def parse_corpus(text: str) -> list[tuple[list[str], int, str, str]]:
-    records = []
-    for block in text.split("### qlinalg ")[1:]:
-        head, exit_line, rest = block.split("\n", 2)
-        out, err = rest.removeprefix("--- stdout\n").split("--- stderr\n")
-        records.append(
-            (shlex.split(head), int(exit_line.removeprefix("exit: ")), out, err)
-        )
-    return records
 
 
 def test_corpus_covers_every_verb_plain_and_json():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qlinalg import Matrix, Polynomial, char_poly, rational_roots
+from qlinalg.poly import _squarefree_part
 
 import oracles
 
@@ -136,3 +137,79 @@ def test_char_poly_roots_match_sympy_on_sixteen_by_sixteen():
         roots, _ = rational_roots(p)
         assert dict(roots) == _sympy_rational_roots(p)
         assert all(dict(roots)[x] >= diagonal.count(x) for x in diagonal)
+
+
+# ---- the squarefree part against sympy's sqf_part --------------------------------------
+
+
+def _sympy_squarefree(q):
+    """sympy's squarefree part of the ascending integer coefficients ``q``,
+    primitive with a positive leading coefficient."""
+    part = sympy.Poly(q[::-1], sympy.Symbol("x"), domain="ZZ").sqf_part()
+    _, part = part.primitive()
+    return [int(c) for c in part.all_coeffs()[::-1]] if part.LC() > 0 else [
+        -int(c) for c in part.all_coeffs()[::-1]
+    ]
+
+
+def _factor(rng, family):
+    """One factor of a drawn polynomial: degree 1-3, small coefficients, or
+    64-200-bit ones in the "long" family; leading coefficient nonzero."""
+    degree = rng.randint(1, 3)
+    if family == "long":
+        bits = rng.randint(64, 200)
+        return [rng.randint(-(2 ** bits), 2 ** bits) for _ in range(degree)] + [
+            rng.randint(1, 2 ** bits)
+        ]
+    return [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((1, 1, 2, 3, -1))]
+
+
+def _drawn(rng, family):
+    """Ascending primitive integer coefficients of a product of drawn factors.
+    "integer" and "long" factors repeat now and then; "repeated" ones always
+    do; "x^k" multiplies by x^k, k = 1..5."""
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        low = 2 if family == "repeated" else 1
+        factors += [_factor(rng, family)] * rng.choice((low, low, 2, 3))
+    if family == "x^k":
+        factors += [[0, 1]] * rng.randint(1, 5)
+    return oracles.poly_product(*factors).primitive_integer_coefficients()
+
+
+def _positive(s):
+    return list(s) if s[-1] > 0 else [-c for c in s]
+
+
+@pytest.mark.parametrize("family", ("integer", "long", "repeated", "x^k"))
+def test_squarefree_part_matches_sympy(family):
+    rng = random.Random(f"squarefree/{family}")
+    for _ in range(60):
+        q = _drawn(rng, family)
+        assert _positive(_squarefree_part(q)) == _sympy_squarefree(q), q
+
+
+# Polynomials on which a weaker squarefree step goes wrong.  At an evaluation
+# point xi = 2 min(|q|, |q'|), or lower, (x - a)^2 can give gcd(q(xi), q'(xi))
+# a factor xi - a that the content of the digits absorbs, so a proper divisor
+# of the gcd would be accepted; and for x^4 (x - 1) and (x + 3)(2x^2 - 1)
+# the first candidate divides q but not q'.
+_EDGES = (
+    (1, -2, 1), (4, -4, 1), (25, -10, 1), (0, 0, 0, 0, -1, 1), (-3, -1, 6, 2),
+    (0, 0, 9, -6, 1), (36, -12, 1), (-1, 0, 0, 0, 1),
+)
+
+
+@pytest.mark.parametrize("q", _EDGES)
+def test_squarefree_part_matches_sympy_where_a_weaker_step_fails(q):
+    assert _positive(_squarefree_part(q)) == _sympy_squarefree(q)
+
+
+def test_squarefree_part_matches_sympy_on_characteristic_polynomials():
+    rng = random.Random(16005)
+    for n in range(1, 13):
+        grid = [[Q(rng.randint(-3, 3), rng.choice(DENOMINATORS)) for _ in range(n)] for _ in range(n)]
+        for i in range(n // 2):  # a rank-deficient top-left block: x^k and repeated roots
+            grid[i] = [2 * x for x in grid[-1]]
+        q = char_poly(Matrix(grid)).primitive_integer_coefficients()
+        assert _positive(_squarefree_part(q)) == _sympy_squarefree(q), n

@@ -212,7 +212,8 @@ _INTEGER_KERNELS = {
     "char_poly", "_char_poly", "_adjugate_column", "_eigenspace",  # eigen.py
     "_cleared", "_ratio",  # scalars.py
     "_primitive", "_pseudo_rem", "_exact_div", "_divide_root", "_derivative_gcd",
-    "_value_mod", "_simple_roots_mod_prime", "_distinct_rational_roots",  # poly.py
+    "_balanced_digits", "_squarefree_part", "_value", "_value_mod",
+    "_simple_roots_mod_prime", "_distinct_rational_roots", "_rescaled",  # poly.py
 }
 
 
