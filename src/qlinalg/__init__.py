@@ -28,7 +28,6 @@ from .eigen import (
     NotSplit,
     Split,
     char_poly,
-    deficient_eigenvalue,
     diagonalize,
     eigen_summary,
     eigenspace,

@@ -9,12 +9,15 @@ everything in the call reads B: Berkowitz runs on B and hands the root search
 the polynomial's primitive integer coefficients.  The eigenspace of a root
 lam = p/q is null(mu I - B), mu = d lam, which holds every column of
 adj(mu I - B); when the last one, read off Berkowitz's last step, is nonzero,
-the eigenspace is the line through it.  Otherwise it is the null space of the
-integer rows q B - p d I, swept by fraction-free elimination.  Each
-coefficient, root and basis entry becomes a ``Fraction`` once, at the end.
-Irrational or complex eigenvalues cannot be represented here; in that case
-the honest answer is a :class:`NotSplit` verdict carrying whatever rational
-roots were found and the unfactored remainder.
+the eigenspace is the line through it.  When it is zero and lam is a simple
+root, adj(mu I - B) has rank 1, and the line is read off adj(mu I - B) z for
+z = (n, n - 1, ..., 1) instead.  Otherwise (a repeated root whose last
+column is zero, or the rare u z = 0 for the left eigenvector u) it is the
+null space of the integer rows q B - p d I, swept by fraction-free
+elimination.  Each coefficient, root and basis entry becomes a ``Fraction``
+once, at the end.  Irrational or complex eigenvalues cannot be represented
+here; in that case the honest answer is a :class:`NotSplit` verdict carrying
+whatever rational roots were found and the unfactored remainder.
 
 Eigenvalues are always reported in decreasing order, and the diagonal factor
 of a diagonalization lists them that way.  ``eigenvalues``, ``diagonalize``
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .elimination import _FractionFree, inverse_gauss_jordan
 from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
@@ -53,7 +56,7 @@ def _char_poly(g: list[list[int]], d: int) -> tuple[tuple[int, ...], tuple]:
     """The primitive integer coefficients of det(A - x I) (ascending, sign
     kept) for A = B / d, B the integer rows ``g``, and the last step's
     (det(x I - M) descending, the rows of the Krylov matrix [C, M C, ...,
-    M^(n-2) C]) for ``_adjugate_column``.
+    M^(n-2) C]) with det(x I - B) descending, for ``_adjugate_column``.
 
     Berkowitz's division-free algorithm, O(n^4) ring operations, run on B.
     Write each leading principal submatrix as B_k = [[M, C], [R, b_kk]].  The
@@ -70,23 +73,38 @@ def _char_poly(g: list[list[int]], d: int) -> tuple[tuple[int, ...], tuple]:
     coeffs = [1]
     for k in range(n):
         m = g[:k]
-        chi, krylov = coeffs, ([[row[k] for row in m]] if k else [])
-        for _ in range(1, k):
-            krylov.append([sum(map(mul, row, krylov[-1])) for row in m])
+        chi, krylov = coeffs, (_krylov(m, [row[k] for row in m], k) if k else [])
         col = [-sum(map(mul, g[k], v)) for v in reversed(krylov)] + [-g[k][k], 1]
         coeffs = [sum(map(mul, coeffs, col[k + 1 - i:])) for i in range(k + 2)]
     sign = -1 if n % 2 else 1
     ints = _primitive([sign * c * d**i for i, c in enumerate(reversed(coeffs))])
-    return ints, (chi, list(zip(*krylov)))
+    return ints, (chi, list(zip(*krylov)), coeffs)
+
+
+def _krylov(m: list[list[int]], v: list[int], count: int) -> list[list[int]]:
+    """The Krylov vectors v, M v, ..., M^(count-1) v, M the integer rows ``m``."""
+    krylov = [v]
+    for _ in range(1, count):
+        krylov.append([sum(map(mul, row, krylov[-1])) for row in m])
+    return krylov
+
+
+def _krylov_rows(g: list[list[int]]) -> list[tuple[int, ...]]:
+    """The rows of the Krylov matrix [z, B z, ..., B^(n-1) z] for B the
+    integer rows ``g`` and z = (n, n - 1, ..., 1)."""
+    return list(zip(*_krylov(g, list(range(len(g), 0, -1)), len(g))))
 
 
 def _adjugate_column(chi: list[int], rows: list, p: int, q: int) -> list[int]:
-    """q^(n-1) times the last column of adj(mu I - B) at mu = p/q, from
-    Berkowitz's last step on B = [[M, C], [R, b]]: [sum_k h_k(mu) M^k C ;
-    chi(mu)], chi = det(x I - M) = sum a_j x^j and h_k = sum_(j>k) a_j
-    x^(j-k-1) its Horner partial sums, with ``rows`` the rows of the Krylov
-    matrix [C, M C, ..., M^(n-2) C].  With G_i = q^i times the i-th Horner
-    sum at mu, q^(n-1) h_k(mu) = q^(k+1) G_(n-2-k) and q^(n-1) chi(mu) = G_(n-1).
+    """[q^m sum_k h_k(mu) X^k v ; q^m chi(mu)] at mu = p/q, for chi =
+    det(x I - X) = sum a_j x^j of degree m, h_k = sum_(j>k) a_j x^(j-k-1)
+    its Horner partial sums, and ``rows`` the rows of the Krylov matrix
+    [v, X v, ..., X^(m-1) v].  Since adj(x I - X) = sum_k h_k(x) X^k, the
+    sum is q^m adj(mu I - X) v.  Berkowitz's last step on B = [[M, C], [R,
+    b]] gives X = M, v = C, and the list is q^(n-1) times the last column
+    of adj(mu I - B); X = B and v = z give q^n adj(mu I - B) z, and at a
+    root q^n chi(mu) = 0.  With G_i = q^i times the i-th Horner sum at mu,
+    q^m h_k(mu) = q^(k+1) G_(m-1-k) and q^m chi(mu) = G_m.
     """
     horner = [1]
     for i, a in enumerate(chi[1:], 1):
@@ -130,11 +148,23 @@ def _spectrum(a: Matrix) -> tuple[tuple[int, ...], EigenvalueVerdict, Iterator]:
     """The primitive integer coefficients of det(A - x I), the verdict on
     its rational roots (in :func:`poly._rational_roots`' decreasing order),
     and a lazy stream of (eigenvalue, algebraic multiplicity, eigenspace),
-    one per root found."""
+    one per root found.  The Krylov rows of z are built for the first simple
+    root whose last adjugate column is zero, and kept for the rest."""
     b, d = _square_image(a)
-    ints, last = _char_poly(b, d)
+    ints, (chi, rows, coeffs) = _char_poly(b, d)
     roots, residual = _rational_roots(ints, (-1) ** len(b))
-    spectrum = ((lam, alg, _eigenspace(b, d, lam, last)) for lam, alg in roots)
+    z_rows = []
+
+    def space(lam: Fraction, alg: int) -> Subspace:
+        nonlocal z_rows
+        p, q = lam.numerator * d, lam.denominator
+        w = _adjugate_column(chi, rows, p, q)
+        if alg == 1 and not any(w):
+            z_rows = z_rows or _krylov_rows(b)
+            w = _adjugate_column(coeffs, z_rows, p, q)[:-1]
+        return _eigenspace(b, d, lam, w)
+
+    spectrum = ((lam, alg, space(lam, alg)) for lam, alg in roots)
     if residual.degree <= 0:
         return ints, Split(roots=roots), spectrum
     return ints, NotSplit(found=roots, residual=residual), spectrum
@@ -152,42 +182,28 @@ def eigenspace(a: Matrix, lam) -> Subspace:
     return _eigenspace(*_integer_image(a), as_scalar(lam))
 
 
-def _eigenspace(b: list[list[int]], d: int, lam: Fraction, last: tuple = ()) -> Subspace:
+def _eigenspace(b: list[list[int]], d: int, lam: Fraction, w: Sequence[int] = ()) -> Subspace:
     """The null space of A - lam I for A = B / d, B the integer rows ``b``.
 
-    Given ``last`` from ``_char_poly(b, d)`` and lam a root, w, the last
-    column of adj(mu I - B) at mu = d lam, lies in null(mu I - B), since
-    (mu I - B) adj(mu I - B) = det(mu I - B) I = 0.  If w != 0, mu I - B has
-    rank n - 1 and the null space is the line through w; the null-space
+    ``w`` is empty or a multiple of adj(mu I - B) v for some vector v, mu =
+    d lam and lam a root; it lies in null(mu I - B), since (mu I - B) adj(mu
+    I - B) = det(mu I - B) I = 0.  If w != 0, adj(mu I - B) != 0, so mu I - B
+    has rank n - 1 and the null space is the line through w; the null-space
     reader's basis vector is w / w_f, f the last index with w_f != 0 (the one
-    free column).  w = 0 when the geometric multiplicity is 2 or more or the
-    left eigenvector's last coordinate is 0; then, as for any lam without
-    ``last``, sweep the integer rows q B - p d I (lam = p/q), that is
-    q d (A - lam I), with the same null space.
+    free column).  For a simple root adj(mu I - B) = c v' u' (c != 0, v' and
+    u' the right and left eigenvectors), so w = 0 only when u' v = 0; for a
+    repeated root it is 0 also when the geometric multiplicity is 2 or more.
+    Then, as for any lam without ``w``, sweep the integer rows q B - p d I
+    (lam = p/q), that is q d (A - lam I), with the same null space.
     """
+    for wf in reversed(w):
+        if wf:
+            return Subspace._trusted(len(b), (tuple(_ratio(x, wf) for x in w),))
     p, q = lam.numerator * d, lam.denominator
-    if last:
-        w = _adjugate_column(*last, p, q)
-        for wf in reversed(w):
-            if wf:
-                return Subspace._trusted(len(b), (tuple(_ratio(x, wf) for x in w),))
     rows = [[q * x for x in row] for row in b]
     for i, row in enumerate(rows):
         row[i] -= p
     return _null_space(_FractionFree(rows))
-
-
-def deficient_eigenvalue(profile) -> Fraction | None:
-    """First eigenvalue whose geometric multiplicity falls short.
-
-    ``profile`` is an ordered sequence of (eigenvalue, algebraic, geometric)
-    triples; the answer is None when every geometric multiplicity matches its
-    algebraic one — exactly the diagonalizable case (for a split polynomial).
-    """
-    for lam, alg, geom in profile:
-        if geom < alg:
-            return as_scalar(lam)
-    return None
 
 
 class Diagonalizable(_Record):

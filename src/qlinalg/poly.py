@@ -229,15 +229,21 @@ def _simple_roots_mod_prime(s: tuple[int, ...], ds: list[int], lead: int):
 
     A prime is rejected only if it divides lead * disc(s), which is nonzero
     for squarefree s, so at most log2|lead * disc(s)| + 1 primes are tried.
+    Each prime's residues are scanned once, and the scan stops at the first
+    repeated root.
     """
     p = 1
     while True:
         p += 1
         if not lead % p or any(not p % k for k in range(2, isqrt(p) + 1)):
             continue
-        sp = [c % p for c in s]
-        roots = [r for r in range(p) if not _value_mod(sp, r, p)]
-        if all(_value_mod(ds, r, p) for r in roots):
+        sp, roots = [c % p for c in s], []
+        for r in range(p):
+            if not _value_mod(sp, r, p):
+                if not _value_mod(ds, r, p):
+                    break
+                roots.append(r)
+        else:
             return p, roots
 
 

@@ -30,11 +30,11 @@ from qlinalg import (
     basis_of_span,
     classify_symmetry,
     cramer_solve,
-    deficient_eigenvalue,
     det,
     det_cofactor,
     diagonalize,
     dot,
+    eigen_summary,
     eigenspace,
     eigenvalues,
     elementary_matrix,
@@ -297,7 +297,9 @@ def test_short_eigenspace_blocks_diagonalization():
 
 
 def test_multiplicity_profile_names_the_deficient_eigenvalue():
-    assert deficient_eigenvalue([(2, 2, 1), (1, 1, 1)]) == 2
+    # (1-x)(2-x)^2 with a one-dimensional E_2
+    a = Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 1]])
+    assert eigen_summary(a).deficient == (2, 2, 1)
 
 
 # ---- orthogonality ------------------------------------------------------------------

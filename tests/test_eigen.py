@@ -21,7 +21,6 @@ from qlinalg import (
     Split,
     Subspace,
     char_poly,
-    deficient_eigenvalue,
     det,
     diagonalize,
     eigen_summary,
@@ -238,21 +237,24 @@ def test_eigenspace_needs_square():
         eigenspace(Matrix([[1, 2, 3], [4, 5, 6]]), 1)
 
 
-# ---- the multiplicity predicate ----------------------------------------------------
+# ---- the deficiency verdict --------------------------------------------------------
 
 
 def test_deficient_eigenvalue_names_the_short_space():
     # 5x5 with (3-x)^2(-2-x)(4-x)^2 and dim(E_3) stuck at 1
-    assert deficient_eigenvalue([(3, 2, 1), (-2, 1, 1), (4, 2, 2)]) == 3
+    a = Matrix.parse("3 1 0 0 0; 0 3 0 0 0; 0 0 -2 0 0; 0 0 0 4 0; 0 0 0 0 4")
+    assert eigen_summary(a).deficient == (3, 2, 1)
 
 
 def test_full_geometric_multiplicities_pass():
-    assert deficient_eigenvalue([(2, 3, 3), (3, 1, 1)]) is None
+    s = eigen_summary(Matrix.parse("2 0 0 0; 0 2 0 0; 0 0 2 0; 0 0 0 3"))
+    assert s.deficient is None and s.diagonalizable is True
 
 
 def test_deficient_eigenvalue_on_a_repeated_root():
     # (1-x)(2-x)^2 with a one-dimensional E_2
-    assert deficient_eigenvalue([(2, 2, 1), (1, 1, 1)]) == 2
+    a = Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 1]])
+    assert eigen_summary(a).deficient == (2, 2, 1)
 
 
 # ---- diagonalize -------------------------------------------------------------------
@@ -421,9 +423,9 @@ def test_eigenspaces_are_built_only_as_far_as_the_answer_reads(monkeypatch, a, c
     calls = []
     inner = qlinalg.eigen._eigenspace
 
-    def counted(b, d, lam, last=()):
+    def counted(b, d, lam, w=()):
         calls.append(lam)
-        return inner(b, d, lam, last)
+        return inner(b, d, lam, w)
 
     monkeypatch.setattr(qlinalg.eigen, "_eigenspace", counted)
     call(a)
@@ -544,8 +546,11 @@ def test_eigen_calls_coerce_no_entry_the_library_built(monkeypatch):
 # ---- the adjugate line against the sweep --------------------------------------------
 
 _ROUTE_FAMILIES = ("int", "pq", "long", "jordan", "repeated", "lower", "upper", "block")
-# families where some eigenvalue's last adjugate column is bound to be zero
-_SWEPT_FAMILIES = {"repeated", "lower", "block"}
+# families where some eigenvalue is repeated and its last adjugate column zero
+_SWEPT_FAMILIES = {"repeated", "block"}
+# triangular simple spectra: most last adjugate columns are zero ("lower"),
+# and adj(mu I - A) z answers every one of them
+_UNSWEPT_FAMILIES = {"lower", "upper"}
 
 
 def _route_grid(rng, n, family):
@@ -604,6 +609,15 @@ def _sweeps(monkeypatch):
     return runs
 
 
+def _z_builds(monkeypatch):
+    """The list that records each build of the Krylov rows of z from now on."""
+    inner, builds = qlinalg.eigen._krylov_rows, []
+    monkeypatch.setattr(
+        qlinalg.eigen, "_krylov_rows", lambda g: builds.append(g) or inner(g)
+    )
+    return builds
+
+
 @pytest.mark.parametrize("family", _ROUTE_FAMILIES)
 def test_every_summary_eigenspace_is_the_public_sweeps(family, monkeypatch):
     rng = random.Random(f"route/{family}")
@@ -625,6 +639,7 @@ def test_every_summary_eigenspace_is_the_public_sweeps(family, monkeypatch):
             assert verdict.L == Matrix(bases).transpose()
     assert swept < spaces  # the line answered some eigenvalues
     assert swept > 0 or family not in _SWEPT_FAMILIES
+    assert swept == 0 or family not in _UNSWEPT_FAMILIES
 
 
 # The last column of adj(mu I - A_TRI) is (mu - 1, -2 (mu - 2), (mu - 2)(mu - 1)):
@@ -647,6 +662,59 @@ def test_the_public_eigenspace_always_sweeps(monkeypatch):
     for lam in (2, 1, -1, 7):
         eigenspace(A_TRI, lam)
     assert len(runs) == 4
+
+
+# A = P^-1 diag(1, 2, 3) P, P's rows the left eigenvectors u = (2, -3, 0),
+# (1, -1, 0) and (0, 0, 1).  u_3 = 0 at 1 and at 2, so the last adjugate column
+# vanishes there; with z = (3, 2, 1), u z is 0 at 1 and 1 at 2, so 2 takes the
+# line through adj(2 I - A) z and only 1 is swept.
+_LEFT_ZERO = Matrix([[4, -3, 0], [2, -1, 0], [0, 0, 3]])
+
+
+@pytest.mark.parametrize("call", (eigen_summary, diagonalize))
+def test_a_simple_root_with_u_z_zero_is_still_swept(call, monkeypatch):
+    runs, lines = _sweeps(monkeypatch), []
+    inner = qlinalg.eigen._eigenspace
+
+    def counted(b, d, lam, w=()):
+        lines.append((lam, any(w)))
+        return inner(b, d, lam, w)
+
+    monkeypatch.setattr(qlinalg.eigen, "_eigenspace", counted)
+    assert call(_LEFT_ZERO)
+    assert lines == [(3, True), (2, True), (1, False)]
+    assert len(runs) == 1
+    summary = eigen_summary(_LEFT_ZERO)
+    assert summary.roots == ((3, 1), (2, 1), (1, 1))
+    for lam, space in summary.spaces:
+        assert repr(space) == repr(eigenspace(_LEFT_ZERO, lam))
+    assert [space.basis for _, space in summary.spaces] == [
+        ((0, 0, 1),), ((Q(3, 2), 1, 0),), ((1, 1, 0),)
+    ]
+
+
+@pytest.mark.parametrize("call", (eigenvalues, eigen_summary, diagonalize))
+@pytest.mark.parametrize(
+    "a, built", ((A_TRI, 0), (_DOUBLE, 0), (_MIXED, 1), (_LEFT_ZERO, 1))
+)
+def test_the_z_krylov_rows_are_built_at_most_once_per_call(call, a, built, monkeypatch):
+    # A_TRI's columns are all nonzero and _DOUBLE's zero column belongs to
+    # its repeated root; _MIXED's simple root 3 needs z, and _LEFT_ZERO's
+    # simple roots 2 and 1 both do
+    builds = _z_builds(monkeypatch)
+    call(a)
+    assert len(builds) == (built if call is not eigenvalues else 0)
+
+
+def test_lower_triangular_spectra_build_the_z_rows_once(monkeypatch):
+    builds, built = _z_builds(monkeypatch), 0
+    rng = random.Random("route/lower")
+    for case in range(18):
+        builds.clear()
+        eigen_summary(Matrix(_route_grid(rng, case % 6 + 1, "lower")))
+        assert len(builds) <= 1
+        built += len(builds)
+    assert built > 0
 
 
 # ---- random diagonalizable constructions -------------------------------------------

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from qlinalg import Matrix, Polynomial, char_poly, rational_roots
+from qlinalg import Matrix, Polynomial, Subspace, char_poly, eigen_summary, rational_roots
 from qlinalg.poly import _squarefree_part
 
 import oracles
+from test_eigen import _z_builds
 
 sympy = pytest.importorskip("sympy")
 
@@ -213,3 +214,65 @@ def test_squarefree_part_matches_sympy_on_characteristic_polynomials():
             grid[i] = [2 * x for x in grid[-1]]
         q = char_poly(Matrix(grid)).primitive_integer_coefficients()
         assert _positive(_squarefree_part(q)) == _sympy_squarefree(q), n
+
+
+# ---- eigenspaces against sympy's eigenvects -------------------------------------------
+
+
+def _eigen_family(rng, n, family):
+    """An n x n grid whose spectrum is rational.  "lower" is lower triangular;
+    "sparse" is an upper triangular grid with most entries above the diagonal
+    zero, its rows and columns permuted alike; "stochastic" is P D P^-1 with
+    P's first column all ones and D_11 = 1, so every row sums to 1 and every
+    other left eigenvector is orthogonal to (1, ..., 1)."""
+    diagonal = [Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+    if family == "stochastic":
+        diagonal[0] = Q(1)
+        p = [[Q(0)]]
+        while oracles.leibniz_det(p) == 0:
+            p = [[Q(1)] + row for row in oracles.rand_grid(rng, n, n - 1, lo=-2, hi=2)]
+        d = [[diagonal[i] * (i == j) for j in range(n)] for i in range(n)]
+        return oracles.naive_matmul(
+            oracles.naive_matmul(p, d), oracles.inverse_by_elimination(p)
+        )
+    chance = 0.7 if family == "lower" else 0.3
+    grid = [
+        [diagonal[i] if i == j else oracles.rand_fraction(rng, -3, 3)
+         if j < i and rng.random() < chance else Q(0) for j in range(n)]
+        for i in range(n)
+    ]
+    if family == "lower":
+        return grid
+    order = rng.sample(range(n), n)
+    return [[grid[j][i] for j in order] for i in order]  # transposed: upper
+
+
+def _sympy_eigenspaces(grid):
+    """{eigenvalue: (algebraic multiplicity, basis)} from sympy's eigenvects."""
+    m = sympy.Matrix(
+        [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in grid]
+    )
+    return {
+        Q(int(lam.p), int(lam.q)): (
+            mult, [tuple(Q(int(x.p), int(x.q)) for x in v) for v in vectors]
+        )
+        for lam, mult, vectors in m.eigenvects()
+    }
+
+
+@pytest.mark.parametrize("family", ("lower", "sparse", "stochastic"))
+def test_eigenspaces_match_sympy_eigenvects(family, monkeypatch):
+    builds = _z_builds(monkeypatch)
+    rng = random.Random(f"eigenvects/{family}")
+    for case in range(16):
+        n = case % 7 + 1
+        grid = _eigen_family(rng, n, family)
+        summary = eigen_summary(Matrix(grid))
+        expected = _sympy_eigenspaces(grid)
+        assert summary.split is True
+        assert dict(summary.roots) == {lam: m for lam, (m, _) in expected.items()}
+        for lam, space in summary.spaces:
+            basis = expected[lam][1]
+            assert space.dimension == len(basis), (grid, lam)
+            assert space.same_space(Subspace(n, basis)), (grid, lam)
+    assert builds  # some simple eigenvalue took the line through adj(mu I - B) z

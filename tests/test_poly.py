@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 from qlinalg import Polynomial, rational_roots
+from qlinalg.poly import _simple_roots_mod_prime, _squarefree_part
 
 import oracles
 
@@ -86,3 +88,33 @@ def test_render():
     assert Polynomial([0, 0, Q(1, 3)]).render() == "(1/3)x^2"
     assert Polynomial().render() == "0"
     assert str(Polynomial([1, 0, 1])) == "1 + x^2"
+
+
+def _collected_then_checked(s, ds, lead):
+    """The first prime not dividing ``lead`` at which every root of ``s`` is
+    simple, found by collecting every root mod p and then checking each."""
+    p = 1
+    while True:
+        p += 1
+        if lead % p == 0 or any(p % k == 0 for k in range(2, p)):
+            continue
+        roots = [r for r in range(p) if sum(c * r**i for i, c in enumerate(s)) % p == 0]
+        if all(sum(c * r**i for i, c in enumerate(ds)) % p for r in roots):
+            return p, roots
+
+
+def test_the_prime_search_matches_collecting_every_root_first():
+    rng = random.Random(16201)
+    rejected = 0
+    for _ in range(150):
+        roots = [(Q(rng.randint(-20, 20), rng.randint(1, 6)), 1) for _ in range(rng.randint(1, 6))]
+        cofactor = [rng.randint(-9, 9) for _ in range(rng.randint(0, 2))] + [rng.randint(1, 5)]
+        q = oracles.poly_product(cofactor, roots=roots).primitive_integer_coefficients()
+        if len(q) < 2:
+            continue
+        s = _squarefree_part(q)
+        ds = [k * c for k, c in enumerate(s)][1:]
+        found = _simple_roots_mod_prime(s, ds, abs(s[-1]))
+        assert found == _collected_then_checked(s, ds, abs(s[-1])), q
+        rejected += found[0] > 2 and abs(s[-1]) % 2 == 1
+    assert rejected > 20  # many searches went past a prime with a repeated root
