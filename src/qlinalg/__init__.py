@@ -101,7 +101,6 @@ from .orthogonal import (
     dot,
     gram_schmidt,
     is_orthogonal_set,
-    squared_norm,
 )
 from .poly import Polynomial, rational_roots
 from .scalars import Q, as_scalar, format_scalar, parse_scalar
@@ -130,7 +129,6 @@ from .transform import (
     from_matrix,
     integral_functional,
     poly_to_coords,
-    standard_matrix,
 )
 
 __version__ = "0.1.0"

@@ -61,10 +61,6 @@ class DetEffectLog(_Record):
         steps = tuple((op, row_op_det_effect(op)) for op in ops)
         return cls(steps=steps, factor=prod((f for _, f in steps), start=Fraction(1)))
 
-    def applied_to(self, value: Fraction) -> Fraction:
-        """det after the ops, given det before."""
-        return self.factor * value
-
 
 def det_with_effects(a: Matrix) -> tuple[Fraction, DetEffectLog, Trace]:
     """Determinant via elimination, plus the effect log and the trace behind it."""

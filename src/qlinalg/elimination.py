@@ -185,9 +185,6 @@ class Trace(_Record):
     end: Matrix
     steps: tuple[RowOp, ...]
 
-    def ops(self) -> tuple[RowOp, ...]:
-        return self.steps
-
     def replay(self, m: Matrix | None = None) -> Matrix:
         """Apply the recorded operations to ``m`` (default: to ``start``)."""
         return _replay(self.start if m is None else m, self.steps)
@@ -227,8 +224,9 @@ class _FractionFree:
     """One forward reduction on Python ints.
 
     Each row of a ``Matrix`` is multiplied by the lcm of its denominators;
-    rows that are already ints (a list of int lists) keep a scale of 1, and
-    the run consumes them: it edits those lists in place.  The scales travel
+    rows that are already ints (a list of int lists) stand for themselves over
+    ``scales``, one positive int per row (1 when not given), and the run
+    consumes them: it edits those lists in place.  The scales travel
     with the rows through swaps.  A pivot p in column c, on pivot row T,
     pairs with column c + 1 when some row below has a nonzero entry there
     one step on; the first such row X is swapped up behind T, and every
@@ -261,7 +259,7 @@ class _FractionFree:
     ``scales`` and ``chosen`` stay here.
     """
 
-    def __init__(self, m: Matrix | list[list[int]]):
+    def __init__(self, m: Matrix | list[list[int]], scales: list[int] | None = None):
         if isinstance(m, Matrix):
             grid, scales = [], []
             for row in m.entries:
@@ -269,7 +267,7 @@ class _FractionFree:
                 grid.append(ints)
                 scales.append(s)
         else:
-            grid, scales = m, [1] * len(m)
+            grid, scales = m, scales or [1] * len(m)
         height, width = len(grid), len(grid[0])
         self.width, self.scales = width, scales
         self.order = order = list(range(height))

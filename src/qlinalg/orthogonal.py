@@ -5,7 +5,8 @@ are not scaled to unit length; their squared norms ride along instead.
 
 Gram-Schmidt is read off two sweeps.  The first canonicalizes the input: its
 rows E are the source, and E_i is input row A_i less earlier ones, so E and
-A (the input rows in pivot order) share W = L^-1 A.  Sweeping [A A^T | A]
+A (the input rows in pivot order) share W = L^-1 A.  The second sweep runs on
+[A A^T | A], built on ints from A's cleared rows with one scale per row; it
 makes no swap (A A^T = L D L^T is positive definite), and its row i is
 [(D L^T)_i | W_i] with pivot |W_i|^2; projection j < i is E_i W_j / |W_j|^2.
 This is integral Gram-Schmidt by exact division (Erlingsson, Kaltofen and
@@ -15,11 +16,12 @@ Musser, ISSAC 1996), the fraction-free QR of Zhou and Jeffrey (2008).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .elimination import _FractionFree
 from .errors import AllZeroInput, DimensionMismatch, ZeroVectorPresent, _Record
-from .matrix import Matrix, as_vector, hstack
+from .matrix import Matrix, as_vector
 from .scalars import _cleared, _ratio
 from .spaces import Subspace, _family, basis_of_span
 
@@ -29,10 +31,6 @@ def dot(u, v) -> Fraction:
     if len(uu) != len(vv):
         raise DimensionMismatch(f"dot of lengths {len(uu)} and {len(vv)}")
     return sum((a * b for a, b in zip(uu, vv)), Fraction(0))
-
-
-def squared_norm(v) -> Fraction:
-    return dot(v, v)
 
 
 class OrthogonalityReport(_Record):
@@ -91,8 +89,11 @@ def gram_schmidt(vectors) -> OrthogonalBasis:
     if rank == 0:
         raise AllZeroInput("every input vector is zero")
     source = tuple(map(run.swept_row, range(rank)))
-    a = Matrix._of(tuple(vecs[i] for i in run.order[:rank]))
-    qr = _FractionFree(hstack(a @ a.transpose(), a))
+    # A_i = u_i/s_i and S = lcm(s_j): row i of [A A^T | A] is [u_i u_j S/s_j | u_i S] / (s_i S)
+    a = [_cleared(vecs[i]) for i in run.order[:rank]]
+    big = lcm(*(s for _, s in a))
+    grid = [[sum(map(mul, u, v)) * (big // t) for v, t in a] + [x * big for x in u] for u, _ in a]
+    qr = _FractionFree(grid, [s * big for _, s in a])
     rows = [qr.swept_row(i) for i in range(rank)]
     norms = tuple(row[i] for i, row in enumerate(rows))
     ws = tuple(row[rank:] for row in rows)

@@ -140,21 +140,18 @@ class Subspace(_Record):
     def is_zero(self) -> bool:
         return not self.basis
 
-    def coordinates_of(self, q) -> tuple[Fraction, ...] | None:
-        return span_contains(self, q)
-
     def __contains__(self, q) -> bool:
         return span_contains(self, q) is not None
 
     def same_space(self, other: "Subspace") -> bool:
         """Span equality: the same ambient space and dimension, and stacking
-        both bases adds no dimension (one reduction)."""
+        both bases adds no dimension (the pivots of one reduction)."""
         if self.ambient != other.ambient or self.dimension != other.dimension:
             return False
-        return (
-            self.is_zero
-            or basis_of_span(self.basis + other.basis).dimension == self.dimension
-        )
+        if self.is_zero:
+            return True
+        run = _FractionFree(Matrix._of(self.basis + other.basis))
+        return len(run.pivots) == self.dimension
 
 
 def basis_of_span(vectors) -> Subspace:

@@ -71,9 +71,6 @@ class LinearMap(_Record):
             )
         return as_vector(self.matrix @ Matrix.column_vector(vec))
 
-    def __call__(self, v) -> tuple[Fraction, ...]:
-        return self.apply(v)
-
     def kernel(self) -> Subspace:
         """All domain vectors sent to zero (the matrix's null space)."""
         return _null_space(_FractionFree(self.matrix))
@@ -105,12 +102,6 @@ def from_forms(forms, variables=None) -> Union[LinearMap, NotLinear]:
         raise EmptyInput("the formulas mention no variables; pass variables=")
     rows = [[f.coefficient(n) for n in names] for f in parsed]
     return LinearMap(matrix=Matrix(rows))
-
-
-def standard_matrix(map_or_matrix) -> Matrix:
-    if isinstance(map_or_matrix, LinearMap):
-        return map_or_matrix.matrix
-    return map_or_matrix
 
 
 def from_basis_images(pairs) -> LinearMap:

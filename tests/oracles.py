@@ -415,10 +415,6 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def squared_norm(v) -> Fraction:
-    return dot(v, v)
-
-
 def gram_schmidt_by_projection(rows):
     """The textbook projection loop on the canonical basis of the rows' span
     (the nonzero rows of the semi-reduced matrix): each W_i is its source
@@ -435,7 +431,7 @@ def gram_schmidt_by_projection(rows):
         for c, earlier in zip(coeffs, ws):
             w = [x - c * e for x, e in zip(w, earlier)]
         wt = tuple(w)
-        n2 = squared_norm(wt)
+        n2 = dot(wt, wt)
         assert n2 != 0, "independent input cannot orthogonalize to zero"
         ws.append(wt)
         norms.append(n2)

@@ -53,9 +53,8 @@ from qlinalg import (
     matrix_power,
     parse_matrix_text,
     solve,
+    span_contains,
     split_augmented,
-    squared_norm,
-    standard_matrix,
     subspace_from_forms,
     sym_skew_decompose,
 )
@@ -158,7 +157,7 @@ def test_closed_form_inverse_of_a_two_by_two():
 def test_row_scalings_compound_on_the_determinant():
     log = DetEffectLog.from_ops([Scale(2, 0), Scale(3, 2), Scale(-2, 3)])
     assert log.factor == -12
-    assert log.applied_to(Q(4)) == -48
+    assert log.factor * Q(4) == -48
 
 
 def test_cramer_rule_coordinates():
@@ -204,7 +203,7 @@ def test_parametrized_plane_reduces_to_a_two_vector_basis():
 def test_membership_with_unit_coordinates():
     d = basis_of_span([(1, 1, 1, 1), (-1, -1, 0, 0), (0, 0, 1, 1)])
     assert (1, 1, 2, 2) in d
-    assert d.coordinates_of((1, 1, 2, 2)) == (1, 1)
+    assert span_contains(d, (1, 1, 2, 2)) == (1, 1)
 
 
 def test_null_space_basis_rank_and_nullity():
@@ -240,22 +239,22 @@ def test_redundant_spanning_set_has_dimension_two():
 
 def test_map_from_two_basis_images_extends_linearly():
     t = from_basis_images([((2, 0), (0, 1, 4)), ((-1, 1), (2, 1, 5))])
-    assert t((3, 5)) == (10, 9, 41)
+    assert t.apply((3, 5)) == (10, 9, 41)
 
 
 def test_standard_matrix_application_kernel_and_range():
     t = from_forms(("-5x1", "2x2+x3", "-x1", "0"))
-    assert standard_matrix(t) == Matrix(
+    assert t.matrix == Matrix(
         [[-5, 0, 0], [0, 2, 1], [-1, 0, 0], [0, 0, 0]]
     )
-    assert t((3, 2, 1)) == (-15, 5, -3, 0)
+    assert t.apply((3, 2, 1)) == (-15, 5, -3, 0)
     assert t.kernel().basis == ((0, Q(-1, 2), 1),)
     assert t.range().basis == ((-5, 0, -1, 0), (0, 2, 0, 0))
 
 
 def test_integration_functional_kills_the_centered_line():
     t = integral_functional(2)
-    assert t((-1, 2)) == (0,)  # the line 2x - 1, coordinatized ascending
+    assert t.apply((-1, 2)) == (0,)  # the line 2x - 1, coordinatized ascending
     assert t.kernel().same_space(Subspace(2, ((Q(-1, 2), 1),)))
 
 
@@ -433,7 +432,7 @@ def test_orthogonalization_preserves_span_and_independence():
         assert is_orthogonal_set(out.vectors)
         assert independence(out.vectors)
         assert out.span().same_space(basis_of_span(vectors))
-        assert tuple(squared_norm(w) for w in out.vectors) == out.squared_norms
+        assert tuple(dot(w, w) for w in out.vectors) == out.squared_norms
 
 
 def test_constructed_diagonalizable_matrices_round_trip():

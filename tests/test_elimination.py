@@ -281,7 +281,7 @@ def test_satisfies_form_examples():
 
 def test_swap_turns_reduced_into_echelon():
     result, trace = reduce(UNSTAGGERED, "echelon")
-    assert trace.ops() == (Swap(0, 1),)
+    assert trace.steps == (Swap(0, 1),)
     assert satisfies_form(result, "echelon")
     assert result.row(0) == (1, 0, 3, 2, 5, 6)
 
@@ -330,7 +330,7 @@ def test_unique_solution_2x2_with_trace():
     a, b = _augmented("3 2 | 5; -2 1 | -6")
     result, trace = solve_with_trace(a, b)
     assert result.values == (Q(17, 7), Q(-8, 7))
-    assert [render_row_op(op) for op in trace.ops()] == [
+    assert [render_row_op(op) for op in trace.steps] == [
         "2/3R1+R2->R2",
         "1/3R1",
         "3/7R2",
@@ -484,7 +484,7 @@ def test_solve_trace_is_the_reduction_trace():
             form = "semi_reduced" if kind == "inconsistent" else "completely_reduced"
             end, reference = reduce(aug, form)
             assert trace.start == aug
-            assert trace.ops() == reference.ops()
+            assert trace.steps == reference.steps
             assert trace.end == end
             if kind == "inconsistent":
                 assert end[result.row, a.cols] == result.value != 0

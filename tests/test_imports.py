@@ -1,8 +1,8 @@
 """Every module under src/qlinalg uses every name it imports, every
 module-level private name is used by some module of the package, and no
-module computes with floats.  The public names are pinned, importing the
-CLI loads no module it does not need, and importing compiles no pattern that
-only a coordinate formula uses."""
+module computes with floats.  The public names and the methods of the public
+classes are pinned, importing the CLI loads no module it does not need, and
+importing compiles no pattern that only a coordinate formula uses."""
 
 import ast
 import importlib
@@ -32,6 +32,35 @@ def test_public_names_are_pinned():
         if not isinstance(getattr(qlinalg, name), types.ModuleType)
     ]
     assert names == sorted(public + module_attributes)
+
+
+def _public_methods() -> list[str]:
+    """``Class.name`` for every function, property, classmethod and
+    staticmethod defined in the body of a public class of the package,
+    dunders included and other ``_`` names left out.  A function the class
+    machinery puts there (``enum`` gives each Enum a ``__new__``) is left out
+    by its module."""
+    kinds = (types.FunctionType, property, classmethod, staticmethod)
+    found = []
+    for name in qlinalg.__all__:
+        cls = getattr(qlinalg, name)
+        if not (isinstance(cls, type) and cls.__module__.startswith("qlinalg.")):
+            continue
+        for attr, value in vars(cls).items():
+            if not isinstance(value, kinds):
+                continue
+            if attr.startswith("_") and not (attr.startswith("__") and attr.endswith("__")):
+                continue
+            func = value.fget if isinstance(value, property) else getattr(value, "__func__", value)
+            if func.__module__.startswith("qlinalg."):
+                found.append(f"{name}.{attr}")
+    return sorted(found)
+
+
+def test_public_methods_are_pinned():
+    # module-level names are pinned above; this pins what each public class
+    # defines, so adding or removing a method changes a golden too
+    assert _public_methods() == (GOLDEN / "public_methods.txt").read_text().split()
 
 
 def test_no_private_name_is_pinned_as_public():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,7 +19,6 @@ from qlinalg import (
     gram_schmidt,
     independence,
     is_orthogonal_set,
-    squared_norm,
 )
 from qlinalg.elimination import _FractionFree
 
@@ -54,9 +54,10 @@ def test_dot_length_mismatch():
 
 
 def test_squared_norm():
-    assert squared_norm((1, 0, 1, 1)) == 3
-    assert squared_norm((Q(-1, 3), 1, Q(-1, 3), Q(2, 3))) == Q(5, 3)
-    assert squared_norm((0, 0)) == 0
+    assert dot((1, 0, 1, 1), (1, 0, 1, 1)) == 3
+    w = (Q(-1, 3), 1, Q(-1, 3), Q(2, 3))
+    assert dot(w, w) == Q(5, 3)
+    assert dot((0, 0), (0, 0)) == 0
 
 
 def test_dot_is_symmetric_and_bilinear():
@@ -251,7 +252,40 @@ def test_gram_schmidt_equals_the_projection_loop():
     assert min(seen.values()) >= 40, seen
 
 
-def test_gram_schmidt_runs_two_sweeps_and_one_product(monkeypatch):
+def test_gram_schmidt_with_mixed_row_scales_equals_the_projection_loop():
+    # every shape from 1x1 to 8x10; each row has its own denominators, so the
+    # second sweep's int rows [A A^T | A] carry different scales s_i S
+    rng = random.Random(35001)
+    seen = {"dependent": 0, "zero row": 0, "mixed scales": 0}
+    for count in range(1, 9):
+        for n in range(1, 11):
+            for _ in range(3):
+                family = [
+                    [Q(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12))) for _ in range(n)]
+                    for _ in range(count)
+                ]
+                if count > 2 and rng.random() < 0.5:
+                    w = Q(rng.randint(-3, 3), rng.randint(1, 4))
+                    family[-1] = [x + w * y for x, y in zip(family[0], family[1])]
+                if rng.random() < 0.3:
+                    family[rng.randrange(count)] = [Q(0)] * n
+                _, _, pivots = oracles.eliminate(family, 0)
+                if not pivots:
+                    with pytest.raises(AllZeroInput):
+                        gram_schmidt(family)
+                    continue
+                out = gram_schmidt(family)
+                expected = oracles.gram_schmidt_by_projection(family)
+                found = (out.vectors, out.squared_norms, out.projections, out.source)
+                assert repr(found) == repr(expected)
+                scales = {lcm(*(x.denominator for x in row)) for row in family if any(row)}
+                seen["dependent"] += len(pivots) < len(family)
+                seen["zero row"] += not all(any(v) for v in family)
+                seen["mixed scales"] += len(scales) > 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_gram_schmidt_runs_two_sweeps_and_no_product(monkeypatch):
     runs, products = [], []
     start, times = _FractionFree.__init__, Matrix.__matmul__
 
@@ -271,5 +305,5 @@ def test_gram_schmidt_runs_two_sweeps_and_one_product(monkeypatch):
     monkeypatch.setattr(qlinalg.orthogonal, "dot", refused)
     out = gram_schmidt([(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 2, 2), (0, 0, 0, 0)])
     assert out.dimension == 2
-    # the one product is A A^T; each projection is one ratio of cleared-row ints
-    assert (len(runs), len(products)) == (2, 1)
+    # A A^T is built on the cleared rows' ints; each projection is one ratio of them
+    assert (len(runs), len(products)) == (2, 0)

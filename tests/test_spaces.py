@@ -29,6 +29,7 @@ from qlinalg import (
     span_contains,
     subspace_from_forms,
 )
+from qlinalg.elimination import _FractionFree
 
 import oracles
 
@@ -126,9 +127,9 @@ def test_membership_and_coordinates():
     assert d.dimension == 2
     assert d.basis == ((1, 1, 1, 1), (0, 0, 1, 1))
     assert (1, 1, 2, 2) in d
-    assert d.coordinates_of((1, 1, 2, 2)) == (1, 1)
+    assert span_contains(d, (1, 1, 2, 2)) == (1, 1)
     assert (1, 0, 0, 0) not in d
-    assert d.coordinates_of((1, 0, 0, 0)) is None
+    assert span_contains(d, (1, 0, 0, 0)) is None
 
 
 def test_membership_exercise():
@@ -345,6 +346,51 @@ def test_span_comparison_matches_mutual_membership():
         assert a.same_space(b) == b.same_space(a) == expected, (a, b)
         answers.add((expected, a.is_zero or b.is_zero))
     assert answers == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _span_pairs(rng):
+    """Seeded subspace pairs of four kinds: the same span under two bases,
+    different spans of one dimension, zero subspaces, and different ambients."""
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        a = basis_of_span(_mixed_family(rng, n, rng.randint(1, n)) + [(1,) * n])
+        mix = oracles.rand_invertible_grid(rng, a.dimension)
+        rebased = [
+            tuple(sum((c * v[t] for c, v in zip(row, a.basis)), Q(0)) for t in range(n))
+            for row in mix
+        ]
+        yield "same span", a, Subspace(n, rebased)
+        if a.dimension < n:  # trade a's last basis vector for one outside a
+            outside = extend_to_basis(a.basis).basis[a.dimension]
+            yield "same dimension", a, Subspace(n, a.basis[:-1] + (outside,))
+        yield "zero", Subspace.zero(n), Subspace.zero(n)
+        yield "zero", Subspace.zero(n), a
+        yield "ambient", a, basis_of_span([v + (oracles.rand_fraction(rng),) for v in a.basis])
+        yield "ambient", Subspace.zero(n), Subspace.zero(n + 1)
+
+
+def test_same_space_reads_the_pivots_of_one_run(monkeypatch):
+    # same_space builds no Fraction row: it counts the pivots of one run over
+    # both bases, and agrees with the dimension of basis_of_span's answer
+    cases, kinds = [], {}
+    for kind, a, b in _span_pairs(random.Random(35002)):
+        expected = (
+            a.ambient == b.ambient
+            and a.dimension == b.dimension
+            and (a.is_zero or basis_of_span(a.basis + b.basis).dimension == a.dimension)
+        )
+        cases.append((a, b, expected))
+        kinds.setdefault(kind, set()).add(expected)
+
+    def refused(*_):
+        raise AssertionError("same_space builds no swept row")
+
+    monkeypatch.setattr(_FractionFree, "swept_row", refused)
+    for a, b, expected in cases:
+        assert a.same_space(b) == b.same_space(a) == expected, (a, b)
+    assert kinds == {
+        "same span": {True}, "same dimension": {False}, "zero": {True, False}, "ambient": {False}
+    }
 
 
 # ---- parametrized coordinate descriptions -------------------------------------------

@@ -29,7 +29,6 @@ from qlinalg import (
     independence,
     integral_functional,
     poly_to_coords,
-    standard_matrix,
 )
 
 import oracles
@@ -45,9 +44,9 @@ def test_from_forms_builds_the_map():
     assert isinstance(t, LinearMap)
     assert t.domain_dim == 2
     assert t.codomain_dim == 3
-    assert standard_matrix(t) == Matrix([[3, 1], [0, 1], [-1, 0]])
-    assert t((1, 1)) == (4, 1, -1)
-    assert t((1, 0)) == (3, 0, -1)
+    assert t.matrix == Matrix([[3, 1], [0, 1], [-1, 0]])
+    assert t.apply((1, 1)) == (4, 1, -1)
+    assert t.apply((1, 0)) == (3, 0, -1)
 
 
 def test_from_forms_constant_coordinate_is_not_linear():
@@ -63,15 +62,15 @@ def test_from_forms_zero_coordinate_is_fine():
     # same formulas with the constant replaced by 0: a genuine map
     t = from_forms(("-3x3+6x1", "-10x2", "0", "-x3"))
     assert isinstance(t, LinearMap)
-    assert standard_matrix(t) == Matrix(
+    assert t.matrix == Matrix(
         [[6, 0, -3], [0, -10, 0], [0, 0, 0], [0, 0, -1]]
     )
 
 
 def test_from_forms_all_zero_is_the_zero_map():
     t = from_forms(("0", "0"), variables=("x", "y"))
-    assert standard_matrix(t) == Matrix([[0, 0], [0, 0]])
-    assert t((7, -3)) == (0, 0)
+    assert t.matrix == Matrix([[0, 0], [0, 0]])
+    assert t.apply((7, -3)) == (0, 0)
 
 
 def test_from_forms_rejects_squares_and_undeclared_names():
@@ -91,7 +90,7 @@ def test_from_forms_refuses_a_repeated_variable():
 
 def test_from_forms_declared_variable_order_sets_columns():
     t = from_forms(("w",), variables=("m", "w"))
-    assert standard_matrix(t) == Matrix([[0, 1]])
+    assert t.matrix == Matrix([[0, 1]])
 
 
 # ---- standard matrix / apply -----------------------------------------------------
@@ -99,26 +98,26 @@ def test_from_forms_declared_variable_order_sets_columns():
 
 def test_standard_matrix_of_coordinate_formulas():
     t = from_forms(("-5x1", "2x2+x3", "-x1", "0"))
-    assert standard_matrix(t) == Matrix([[-5, 0, 0], [0, 2, 1], [-1, 0, 0], [0, 0, 0]])
+    assert t.matrix == Matrix([[-5, 0, 0], [0, 2, 1], [-1, 0, 0], [0, 0, 0]])
 
 
 def test_standard_matrix_of_identity_map():
     t = from_matrix(Matrix.identity(4))
-    assert standard_matrix(t) == Matrix.identity(4)
-    assert t((3, -1, 2, 9)) == (3, -1, 2, 9)
+    assert t.matrix == Matrix.identity(4)
+    assert t.apply((3, -1, 2, 9)) == (3, -1, 2, 9)
 
 
 def test_standard_matrix_passes_plain_matrices_through():
     m = Matrix([[1, 2], [3, 4]])
-    assert standard_matrix(m) is m
+    assert from_matrix(m).matrix is m
 
 
 def test_apply_walks_the_matrix():
     t = from_forms(("-5x1", "2x2+x3", "-x1", "0"))
     assert t.apply((3, 2, 1)) == (-15, 5, -3, 0)
-    assert t((0, 0, 0)) == (0, 0, 0, 0)
+    assert t.apply((0, 0, 0)) == (0, 0, 0, 0)
     with pytest.raises(DimensionMismatch):
-        t((1, 2))
+        t.apply((1, 2))
 
 
 # ---- from_basis_images -----------------------------------------------------------
@@ -127,18 +126,18 @@ def test_apply_walks_the_matrix():
 def test_from_basis_images_two_points():
     t = from_basis_images([((2, 0), (0, 1, 4)), ((-1, 1), (2, 1, 5))])
     # the given points map to the given images...
-    assert t((2, 0)) == (0, 1, 4)
-    assert t((-1, 1)) == (2, 1, 5)
+    assert t.apply((2, 0)) == (0, 1, 4)
+    assert t.apply((-1, 1)) == (2, 1, 5)
     # ...and everything else follows by linearity
-    assert t((3, 5)) == (10, 9, 41)
-    assert standard_matrix(t) == Matrix(
+    assert t.apply((3, 5)) == (10, 9, 41)
+    assert t.matrix == Matrix(
         [[0, 2], [Q(1, 2), Q(3, 2)], [2, 7]]
     )
 
 
 def test_from_basis_images_one_dimensional():
     t = from_basis_images([((1,), (3,))])
-    assert t((5,)) == (15,)
+    assert t.apply((5,)) == (15,)
 
 
 def test_from_basis_images_standard_basis_reconstructs_the_matrix():
@@ -152,7 +151,7 @@ def test_from_basis_images_standard_basis_reconstructs_the_matrix():
             for k in range(n)
         ]
         t = from_basis_images(pairs)
-        assert standard_matrix(t) == target
+        assert t.matrix == target
 
 
 def test_from_basis_images_input_validation():
@@ -229,7 +228,7 @@ def test_range_builds_only_the_column_space(monkeypatch):
 def test_kernel_vectors_actually_die():
     t = from_forms(("-5x1", "2x2+x3", "-x1", "0"))
     for v in t.kernel().basis:
-        assert t(v) == (0, 0, 0, 0)
+        assert t.apply(v) == (0, 0, 0, 0)
 
 
 def test_identity_map_kernel_and_range():
@@ -241,7 +240,7 @@ def test_identity_map_kernel_and_range():
 def test_matrix_valued_codomain_through_coordinates():
     # T(x1,x2,x3) = [[x1, x1], [x3, x2]] read row-major as a 4-vector
     t = from_forms(("x1", "x1", "x3", "x2"))
-    assert standard_matrix(t) == Matrix([[1, 0, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert t.matrix == Matrix([[1, 0, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0]])
     # all three columns are independent, so nothing is lost
     assert t.kernel().is_zero
     assert t.range().same_space(
@@ -270,9 +269,9 @@ def test_rank_nullity_for_random_maps():
         ker, rng_space = t.kernel(), t.range()
         assert ker.dimension + rng_space.dimension == n
         for v in ker.basis:
-            assert all(c == 0 for c in t(v))
+            assert all(c == 0 for c in t.apply(v))
         for k in range(n):
-            assert standard_matrix(t).col(k) in rng_space
+            assert t.matrix.col(k) in rng_space
 
 
 # ---- polynomial coordinates ------------------------------------------------------
@@ -312,12 +311,12 @@ def test_polynomial_dependence_through_coordinates():
 
 def test_integral_functional_matrix_and_values():
     t = integral_functional(2)
-    assert standard_matrix(t) == Matrix([[1, Q(1, 2)]])
+    assert t.matrix == Matrix([[1, Q(1, 2)]])
     assert t.domain_kind == "polynomial"
     # 2x - 1 integrates to zero over [0, 1]
-    assert t(poly_to_coords(Polynomial([-1, 2]), 2)) == (0,)
+    assert t.apply(poly_to_coords(Polynomial([-1, 2]), 2)) == (0,)
     # the constant 1 integrates to 1
-    assert t(poly_to_coords(Polynomial([1]), 2)) == (1,)
+    assert t.apply(poly_to_coords(Polynomial([1]), 2)) == (1,)
 
 
 def test_integral_functional_kernel_on_linear_polynomials():
@@ -328,7 +327,7 @@ def test_integral_functional_kernel_on_linear_polynomials():
 
 def test_integral_functional_kernel_on_quadratics():
     t = integral_functional(3)
-    assert standard_matrix(t) == Matrix([[1, Q(1, 2), Q(1, 3)]])
+    assert t.matrix == Matrix([[1, Q(1, 2), Q(1, 3)]])
     ker = t.kernel()
     expected = Subspace(3, ((Q(-1, 2), 1, 0), (Q(-1, 3), 0, 1)))
     assert ker.same_space(expected)
@@ -355,8 +354,8 @@ def test_linearity_law_property():
         v1 = tuple(oracles.rand_fraction(rng) for _ in range(n))
         v2 = tuple(oracles.rand_fraction(rng) for _ in range(n))
         mixed = tuple(alpha * a + b for a, b in zip(v1, v2))
-        lhs = t(mixed)
-        rhs = tuple(alpha * a + b for a, b in zip(t(v1), t(v2)))
+        lhs = t.apply(mixed)
+        rhs = tuple(alpha * a + b for a, b in zip(t.apply(v1), t.apply(v2)))
         assert lhs == rhs
         checked += 1
     assert checked == 100
@@ -375,6 +374,6 @@ def test_linearity_law_on_the_fixture_maps():
             v1 = tuple(oracles.rand_fraction(rng) for _ in range(t.domain_dim))
             v2 = tuple(oracles.rand_fraction(rng) for _ in range(t.domain_dim))
             mixed = tuple(alpha * a + b for a, b in zip(v1, v2))
-            assert t(mixed) == tuple(
-                alpha * a + b for a, b in zip(t(v1), t(v2))
+            assert t.apply(mixed) == tuple(
+                alpha * a + b for a, b in zip(t.apply(v1), t.apply(v2))
             )
