@@ -188,7 +188,7 @@ def inverse_adjoint(a: Matrix) -> Matrix:
     """Inverse as adjoint over determinant: n reductions, one per cofactor row,
     with det(A) expanded along row 0 of them as sum_j a_0j C_0j."""
     if not a.is_square:
-        raise NotSquare("determinants need a square matrix")
+        raise NotSquare(f"{a.rows}x{a.cols} matrix has no inverse")
     cof = [_cofactor_row(a, i) for i in range(a.rows)]
     d = sum(map(mul, a.row(0), cof[0]))
     if d == 0:

@@ -10,11 +10,11 @@ polynomial has an empty coefficient tuple.
 start to end.  The squarefree part s = q / gcd(q, q') comes from one integer
 gcd (GCDHEU): the balanced base-xi digits of gcd(q(xi), q'(xi)) give a
 candidate h, accepted only when checked exact division shows h | q and
-h | q'; after a few refused tries the gcd comes from integer
-pseudo-remainders instead.  Each root of s modulo one small prime is lifted
-p-adically to a candidate y/L, and a candidate is a root exactly when the
-integer factor L x - y divides out.  The residual is rescaled to the input's
-leading coefficient once, at the end.
+h | q'; a refused candidate grows xi, and a resultant bounds the number of
+tries.  Each root of s modulo one small prime is lifted p-adically to a
+candidate y/L, and a candidate is a root exactly when the integer factor
+L x - y divides out.  The residual is rescaled to the input's leading
+coefficient once, at the end.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .scalars import _cleared, _ratio, _render_sum, as_scalar
-
-# GCDHEU evaluation points tried before the pseudo-remainder chain
-_GCDHEU_TRIES = 4
 
 
 class Polynomial:
@@ -112,17 +109,6 @@ def _primitive(cs) -> tuple[int, ...]:
     return tuple(c // g for c in cs)
 
 
-def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive form of lead(b)^(deg a - deg b + 1) * (a mod b)."""
-    rem = list(a)
-    for top in range(len(a) - 1, len(b) - 2, -1):
-        f, shift = rem[top], top - len(b) + 1
-        rem = [b[-1] * x for x in rem[:top]]
-        for j, y in enumerate(b[:-1]):
-            rem[shift + j] -= f * y
-    return _primitive(rem)
-
-
 def _exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
     """a / b for integer polynomials (ascending), or None when b does not
     divide a over the integers: a quotient step that does not divide
@@ -161,15 +147,6 @@ def _divide_root(q: tuple[int, ...], y: int, den: int) -> tuple[int, ...]:
     return tuple(reversed(quot))
 
 
-def _derivative_gcd(q: tuple[int, ...]) -> tuple[int, ...]:
-    """A primitive multiple of gcd(q, q'): the last nonzero term of the
-    primitive pseudo-remainder sequence that starts q, q'."""
-    a, b = q, _primitive([k * c for k, c in enumerate(q)][1:])
-    while len(b) > 1 and (rem := _pseudo_rem(a, b)):
-        a, b = b, rem
-    return b
-
-
 def _balanced_digits(n: int, base: int) -> list[int]:
     """The digits of n in base ``base``, lowest first, each in (-base/2, base/2]."""
     digits = []
@@ -193,18 +170,24 @@ def _squarefree_part(q: tuple[int, ...]) -> tuple[int, ...]:
     gcd = h c, c(xi) divides gamma / h(xi) = cont(G), at most xi/2, while
     every root of c is below 1 + m <= xi/2 (Cauchy), so |c(xi)| > xi/2
     unless c = ±1.  An accepted proper divisor would leave repeated roots, and
-    :func:`_simple_roots_mod_prime` would find no prime.  Each refused try
-    grows xi; after the last, the pseudo-remainder chain gives the gcd.
+    :func:`_simple_roots_mod_prime` would find no prime.
+
+    Each refused try grows xi to 2 xi + 1, and some try is accepted: write
+    q = g c1 and q' = g c2 with c1, c2 coprime.  Then gamma = |g(xi)| e, where
+    e = gcd(c1(xi), c2(xi)) divides Res(c1, c2) != 0, so once
+    xi > 2 |e| |g| the balanced digits are those of ±e g, and the candidate
+    is g.  As xi >= 4 at least doubles per try, at most
+    ceil(log2(|Res(c1, c2)| |g|)) + 1 tries are made: polynomial in the
+    degree and the bit size, by Hadamard's bound on the resultant.
     """
     dq = _primitive([k * c for k, c in enumerate(q)][1:])
     xi = 2 * min(max(map(abs, q)), max(map(abs, dq))) + 2
-    for _ in range(_GCDHEU_TRIES):
+    while True:
         gamma = gcd(_value(q, xi), _value(dq, xi))
         h = _primitive(_balanced_digits(gamma, xi))
         if (s := _exact_div(q, h)) and _exact_div(dq, h):
             return s
         xi = 2 * xi + 1
-    return _exact_div(q, _derivative_gcd(q))
 
 
 def _value(cs, x: int) -> int:
@@ -288,11 +271,12 @@ def rational_roots(p: Polynomial) -> tuple[tuple[tuple[Fraction, int], ...], Pol
     ``p`` splits over the rationals.  The roots are those of the squarefree
     part s = p / gcd(p, p'), with the gcd read off one integer gcd of p and p'
     at a large enough point (GCDHEU), accepted only after checked exact
-    division, else taken from integer pseudo-remainders.  They are found
-    modulo the first prime p at which they are all simple (at most
-    log2|lead(s) disc(s)| + 1 primes are tried) and lifted by Newton steps
-    that double the p-adic precision, O(log b) steps for b-bit coefficients:
-    time polynomial in the degree and the bit size.
+    division; a refused point is about doubled, and a resultant bounds the
+    tries (:func:`_squarefree_part`).  They are found modulo the first prime
+    p at which they are all simple (at most log2|lead(s) disc(s)| + 1 primes
+    are tried) and lifted by Newton steps that double the p-adic precision,
+    O(log b) steps for b-bit coefficients: time polynomial in the degree and
+    the bit size.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")

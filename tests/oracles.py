@@ -364,10 +364,10 @@ def char_poly_by_interpolation(rows):
     return tuple(coeffs)
 
 
-def poly_product(*factors, roots=()) -> Polynomial:
-    """The ``Polynomial`` of the product of the ascending coefficient lists
-    ``factors`` and of (x - r)^m for each (r, m) in ``roots``, multiplied out
-    by schoolbook convolution (1 when there is no factor)."""
+def _multiplied_out(factors, roots) -> list:
+    """Ascending ``Fraction`` coefficients of the product of the coefficient
+    lists ``factors`` and of (x - r)^m for each (r, m) in ``roots``, by
+    schoolbook convolution ([1] when there is no factor)."""
     out = [Fraction(1)]
     for f in [*factors, *([-r, 1] for r, m in roots for _ in range(m))]:
         product = [Fraction(0)] * (len(out) + len(f) - 1)
@@ -375,7 +375,48 @@ def poly_product(*factors, roots=()) -> Polynomial:
             for j, b in enumerate(f):
                 product[i + j] += a * b
         out = product
-    return Polynomial(out)
+    return out
+
+
+def poly_product(*factors, roots=()) -> Polynomial:
+    """The ``Polynomial`` of the product of the ascending coefficient lists
+    ``factors`` and of (x - r)^m for each (r, m) in ``roots``, multiplied out
+    by schoolbook convolution (1 when there is no factor)."""
+    return Polynomial(_multiplied_out(factors, roots))
+
+
+def companion(roots, rest=(1,)):
+    """The companion matrix of p(x) = prod (x - r)^m * rest(x) / lead(rest),
+    over (r, m) in ``roots``, and p's ascending coefficients (its leading 1
+    last).  Row i > 0 has a 1 at column i - 1, and the last column is
+    -c_0, ..., -c_{n-1}, so det(x I - C) = p(x)."""
+    p = [Fraction(c) / Fraction(rest[-1]) for c in _multiplied_out([rest], roots)]
+    n = len(p) - 1
+    rows = [[Fraction(int(j == i - 1)) for j in range(n - 1)] + [-p[i]] for i in range(n)]
+    return rows, tuple(p)
+
+
+def poly_gcd(a, b) -> tuple:
+    """The monic gcd over Q of the ascending coefficient lists ``a`` and
+    ``b``, not both zero, by Euclid's algorithm on ``Fraction`` remainders."""
+    a, b = _stripped(a), _stripped(b)
+    while b:
+        rem = a
+        while len(rem) >= len(b):
+            f = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            rem = _stripped([x - f * (b[i - shift] if i >= shift else 0)
+                             for i, x in enumerate(rem)][:-1])
+        a, b = b, rem
+    return tuple(c / a[-1] for c in a)
+
+
+def _stripped(cs) -> list:
+    """``Fraction`` coefficients without high zeros."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
 
 
 def first_vanishing(rows):

@@ -253,7 +253,7 @@ def test_adjoint_guards():
         adjoint(Matrix.parse("5"))
     with pytest.raises(NotInvertible):
         inverse_adjoint(Matrix.parse("2 3; 4 6"))
-    with pytest.raises(NotSquare):
+    with pytest.raises(NotSquare, match=r"^2x3 matrix has no inverse$"):
         inverse_adjoint(Matrix.parse("1 2 3; 4 5 6"))
 
 

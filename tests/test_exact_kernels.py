@@ -26,11 +26,11 @@ from qlinalg.eigen import _eigenspace
 from qlinalg.elimination import FORMS, Swap, _FractionFree, reduce
 from qlinalg.matrix import _integer_image
 from qlinalg.poly import (
-    _derivative_gcd,
     _distinct_rational_roots,
     _divide_root,
     _exact_div,
     _rational_roots,
+    _squarefree_part,
 )
 
 import oracles
@@ -338,7 +338,7 @@ def test_a_candidate_with_no_rational_root_above_it_is_refused_and_dropped(
 ):
     p = oracles.poly_product(rest.coefficients, roots=roots.items())
     q = p.primitive_integer_coefficients()
-    candidates = _distinct_rational_roots(_exact_div(q, _derivative_gcd(q)))
+    candidates = _distinct_rational_roots(_squarefree_part(q))
     false = [c for c in candidates if c not in roots]
     assert len(false) == 2 and all(p(c) != 0 for c in false)
     attempts = []

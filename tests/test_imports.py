@@ -240,9 +240,9 @@ _INTEGER_KERNELS = {
     "__matmul__", "__pow__", "_integer_image", "_int_product",  # matrix.py
     "char_poly", "_char_poly", "_adjugate_column", "_eigenspace",  # eigen.py
     "_cleared", "_ratio",  # scalars.py
-    "_primitive", "_pseudo_rem", "_exact_div", "_divide_root", "_derivative_gcd",
-    "_balanced_digits", "_squarefree_part", "_value", "_value_mod",
-    "_simple_roots_mod_prime", "_distinct_rational_roots", "_rescaled",  # poly.py
+    "_primitive", "_exact_div", "_divide_root", "_balanced_digits", "_squarefree_part",
+    "_value", "_value_mod", "_simple_roots_mod_prime", "_distinct_rational_roots",
+    "_rational_roots", "_rescaled",  # poly.py
 }
 
 
@@ -255,6 +255,17 @@ def test_every_integer_kernel_is_defined():
         if isinstance(node, (ast.ClassDef, ast.FunctionDef))
     }
     assert _INTEGER_KERNELS - defined == set()
+
+
+def test_every_private_function_of_poly_is_an_integer_kernel():
+    """poly.py computes on primitive integer coefficients throughout, so a
+    new private function there is checked for floats like the rest."""
+    tree = ast.parse((PACKAGE / "poly.py").read_text(encoding="utf-8"))
+    private = {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    }
+    assert private and private - _INTEGER_KERNELS == set()
 
 
 def _float_uses(source: str) -> list[str]:
@@ -317,7 +328,7 @@ def test_the_check_sees_a_float():
         "    def __matmul__(self, other):\n"
         "        return Fraction(sum(self) / other)\n"
         "def char_poly(a):\n    return [Fraction(c, d) for c, d in a], Fraction(a[0])\n"
-        "def _pseudo_rem(a, b):\n    return a[-1] / b[-1]\n"
+        "def _value_mod(a, b):\n    return a[-1] / b[-1]\n"
         "def _exact_div(a, b):\n    return a[-1] // b[-1]\n"
         "def _eigenspace(w, wf):\n    return [_ratio(x, wf) for x in w], _ratio(wf)\n"
     )
@@ -333,7 +344,7 @@ def test_the_check_sees_a_float():
         "/ in __matmul__ (line 14)",
         "Fraction(x) in __matmul__ (line 14)",
         "Fraction(x) in char_poly (line 16)",
-        "/ in _pseudo_rem (line 18)",
+        "/ in _value_mod (line 18)",
         "_ratio(x) in _eigenspace (line 22)",
     ]
 

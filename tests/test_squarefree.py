@@ -1,22 +1,24 @@
-"""The squarefree step of the root search: GCDHEU, and the pseudo-remainder
-chain as its only second path.
+"""The squarefree step of the root search: GCDHEU, its only path.
 
 ``poly._squarefree_part`` reads a candidate gcd off the balanced base-xi
 digits of gcd(q(xi), q'(xi)) and accepts it only after checked exact division
 of q and q'.  Every evaluation point must be at or above the bound that makes
-an accepted candidate the gcd.  With every candidate refused, the chain must
-give the same answers; on the eigen path, the chain must never be needed,
-not even for the x^k factor of a singular matrix.
+an accepted candidate the gcd.  With the first k candidates refused, the next
+point must be accepted and give the same answers.  The tries on the eigen
+path are pinned, and every try count, on inputs that need many and on
+cofactors that share roots modulo large primes, must stay within the
+resultant bound of ``_squarefree_part``'s docstring.
 """
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 import qlinalg.poly
-from qlinalg import Matrix, diagonalize, eigen_summary, eigenvalues, rational_roots
-from qlinalg.poly import _GCDHEU_TRIES, _exact_div, _primitive, _squarefree_part
+from qlinalg import Matrix, Polynomial, diagonalize, eigen_summary, eigenvalues, rational_roots
+from qlinalg.poly import _balanced_digits, _exact_div, _primitive, _squarefree_part, _value
 
 import oracles
 from test_eigen import PINNED, _conjugated, pinned_matrix
@@ -85,12 +87,18 @@ def _answers():
     ]
 
 
-def test_every_evaluation_point_is_at_or_above_the_bound(monkeypatch):
+def _points(monkeypatch):
+    """A list that gets each evaluation point as it is tried."""
     points = []
     digits = qlinalg.poly._balanced_digits
     monkeypatch.setattr(
         qlinalg.poly, "_balanced_digits", lambda n, xi: points.append(xi) or digits(n, xi)
     )
+    return points
+
+
+def test_every_evaluation_point_is_at_or_above_the_bound(monkeypatch):
+    points = _points(monkeypatch)
     for p in _polynomials():
         q = p.primitive_integer_coefficients()
         dq = _primitive([k * c for k, c in enumerate(q)][1:])
@@ -98,31 +106,167 @@ def test_every_evaluation_point_is_at_or_above_the_bound(monkeypatch):
         _squarefree_part(q)
         assert points and points[0] >= 2 * min(max(map(abs, q)), max(map(abs, dq))) + 2
         assert points == sorted(set(points))
+        assert _within_the_resultant_bound(q, len(points))
 
 
-def test_with_every_candidate_refused_the_chain_gives_the_same_answers(monkeypatch):
-    expected = _answers()
-    tries, chains = [], []
-
-    def refused(n, xi):
-        tries.append(xi)
-        return [1] * 64  # degree 63: it divides no polynomial here
-
-    chain = qlinalg.poly._derivative_gcd
-    monkeypatch.setattr(qlinalg.poly, "_balanced_digits", refused)
-    monkeypatch.setattr(qlinalg.poly, "_derivative_gcd", lambda q: chains.append(q) or chain(q))
-    assert _answers() == expected
-    assert chains and len(tries) == _GCDHEU_TRIES * len(chains)
+@pytest.fixture(scope="module")
+def answers():
+    return _answers()
 
 
-def test_the_eigen_path_never_needs_the_chain(monkeypatch):
-    def chain(q):
-        raise AssertionError(f"the pseudo-remainder chain ran on {q}")
+def _calls(monkeypatch, refuse=0):
+    """A list that gets (q, points tried) for each ``_squarefree_part``
+    call as it runs, with the first ``refuse`` candidates of each call
+    refused."""
+    calls = []
+    digits, squarefree = qlinalg.poly._balanced_digits, qlinalg.poly._squarefree_part
 
-    monkeypatch.setattr(qlinalg.poly, "_derivative_gcd", chain)
+    def counted_digits(n, xi):
+        points = calls[-1][1]
+        points.append(xi)
+        return [1] * 64 if len(points) <= refuse else digits(n, xi)  # [1] * 64 divides nothing here
+
+    def counted(q):
+        calls.append((q, []))
+        return squarefree(q)
+
+    monkeypatch.setattr(qlinalg.poly, "_balanced_digits", counted_digits)
+    monkeypatch.setattr(qlinalg.poly, "_squarefree_part", counted)
+    return calls
+
+
+def _candidate(q, xi):
+    """The primitive part of the balanced base-xi digits of gcd(q(xi), q'(xi))."""
+    dq = _primitive([k * c for k, c in enumerate(q)][1:])
+    return _primitive(_balanced_digits(gcd(_value(q, xi), _value(dq, xi)), xi))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_with_the_first_k_candidates_refused_the_first_later_gcd_is_accepted(
+    k, answers, monkeypatch
+):
+    calls = _calls(monkeypatch, refuse=k)
+    assert _answers() == answers
+    monkeypatch.undo()
+    late = 0
+    for q, points in calls:
+        g = _exact_div(q, _squarefree_part(q))
+        assert len(points) > k
+        assert all(b == 2 * a + 1 for a, b in zip(points, points[1:]))
+        assert [_candidate(q, xi) in (g, tuple(-c for c in g)) for xi in points[k:]] == [
+            False
+        ] * (len(points) - k - 1) + [True]
+        late += len(points) > k + 1
+    # the candidate at point k + 1 is not always the gcd: acceptance is not
+    # monotone in xi, as e = gcd(c1(xi), c2(xi)) can grow
+    assert late == {1: 7, 2: 12, 4: 6}.get(k, 0)
+
+
+# Tries per matrix of _matrices(), the same for eigen_summary, diagonalize
+# and eigenvalues: the eigen-small slots twice over, then the pinned matrices
+_EIGEN_TRIES = [1, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1]
+
+
+def test_the_tries_on_the_eigen_path_are_pinned(monkeypatch):
+    calls = _calls(monkeypatch)
+    per_matrix = []
     for a in _matrices():
         for f in (eigen_summary, diagonalize, eigenvalues):
             f(a)
+        per_matrix.append([len(points) for _, points in calls])
+        calls.clear()
+    assert per_matrix == [[t] * 3 for t in _EIGEN_TRIES]
+
+
+def _sylvester(a, b):
+    """The Sylvester matrix of the integer polynomials ``a`` and ``b``
+    (ascending), of degrees m and n: n shifted rows of a, then m of b."""
+    m, n = len(a) - 1, len(b) - 1
+    return [[0] * i + list(reversed(a)) + [0] * (n - 1 - i) for i in range(n)] + [
+        [0] * i + list(reversed(b)) + [0] * (m - 1 - i) for i in range(m)
+    ]
+
+
+def _cofactors(q):
+    """g = the primitive gcd of q and q', and c1 = q / g, c2 = q' / g, with
+    q' = the primitive derivative; g from Euclid over Q (``oracles``)."""
+    dq = _primitive([k * c for k, c in enumerate(q)][1:])
+    monic = oracles.poly_gcd(q, dq)
+    g = [int(c * lcm(*(c.denominator for c in monic))) for c in monic]
+    g = [c // gcd(*g) for c in g]
+    return g, _divided_over_q(q, g), _divided_over_q(dq, g)
+
+
+def _within_the_resultant_bound(q, tries):
+    """tries <= ceil(log2(H |g|)) + 1, for g, c1, c2 from :func:`_cofactors`,
+    |g| in max norm, and H >= |Res(c1, c2)| the Hadamard bound of their
+    Sylvester matrix.  In ints: tries - 2 < log2(H |g|), that is
+    4^(tries - 2) < H^2 |g|^2."""
+    g, c1, c2 = _cofactors(q)
+    h2 = 1
+    for row in _sylvester(c1, c2):
+        h2 *= sum(x * x for x in row)
+    return tries == 1 or 4 ** (tries - 2) < h2 * max(map(abs, g)) ** 2
+
+
+# Products of small rational roots that take five or six points; the first
+# is 2 (x + 1)^4 (x - 1/2)(x - 1), the characteristic polynomial of the 6x6
+# companion matrix in test_companion.py
+_MANY_TRIES = [
+    ({Q(-1): 4, Q(1, 2): 1, Q(1): 1}, [14, 29, 59, 119, 239]),
+    ({Q(-1): 4, Q(1): 1, Q(2): 1}, [14, 29, 59, 119, 239, 479]),
+    ({Q(-1): 3, Q(1): 2, Q(2): 4}, [98, 197, 395, 791, 1583]),
+    ({Q(-1): 3, Q(1, 2): 2, Q(1, 3): 2}, [98, 197, 395, 791, 1583]),
+    ({Q(-1): 4, Q(2): 3, Q(1, 2): 3}, [398, 797, 1595, 3191, 6383]),
+    ({Q(-1): 4, Q(2): 3, Q(1, 2): 4}, [806, 1613, 3227, 6455, 12911]),
+]
+
+
+@pytest.mark.parametrize("roots, expected", _MANY_TRIES)
+def test_many_tries_end_on_the_squarefree_part_within_the_bound(roots, expected, monkeypatch):
+    points = _points(monkeypatch)
+    q = oracles.poly_product(roots=roots.items()).primitive_integer_coefficients()
+    s = _squarefree_part(q)
+    assert points == expected
+    assert s == oracles.poly_product(roots=[(r, 1) for r in roots]).primitive_integer_coefficients()
+    assert _within_the_resultant_bound(q, len(points))
+
+
+def test_rational_roots_of_the_first_many_tries_case(monkeypatch):
+    points = _points(monkeypatch)
+    found = rational_roots(Polynomial([1, 1, -4, -6, 1, 5, 2]))
+    assert found == (((Q(1), 1), (Q(1, 2), 1), (Q(-1), 4)), Polynomial([2]))
+    assert points == _MANY_TRIES[0][1]
+
+
+def _sharing_modulo_primes():
+    """Seeded products with two or three roots congruent modulo a large prime
+    P (so c1 and c2 share a root mod P), multiplicities 1-4, and sometimes a
+    further root; each with its P."""
+    rng = random.Random(16104)
+    primes = (1_000_003, 2_147_483_647, 2 ** 61 - 1, 2 ** 89 - 1)
+    for case in range(24):
+        prime = primes[case % 4]
+        a = Q(rng.randint(-50, 50), rng.choice((1, 1, 2, 3)))
+        roots = {a + prime * u: rng.randint(1, 4) for u in (0, rng.randint(1, 3))}
+        if case % 3 == 0:
+            roots[a - prime * rng.randint(1, 3)] = rng.randint(1, 4)
+        if case % 2 == 0:
+            roots.setdefault(Q(rng.randint(-9, 9)), rng.randint(1, 2))
+        yield prime, oracles.poly_product(roots=roots.items()).primitive_integer_coefficients()
+
+
+def test_cofactors_sharing_roots_modulo_large_primes_stay_within_the_bound(monkeypatch):
+    points = _points(monkeypatch)
+    tries = []
+    for prime, q in _sharing_modulo_primes():
+        g, c1, c2 = _cofactors(q)
+        assert oracles.det_by_elimination(_sylvester(c1, c2)) % prime == 0
+        points.clear()
+        assert _exact_div(q, _squarefree_part(q)) in (tuple(g), tuple(-c for c in g))
+        assert _within_the_resultant_bound(q, len(points))
+        tries.append(len(points))
+    assert max(tries) == 1
 
 
 @pytest.mark.parametrize("q", [(1, -2, 1), (0, 0, 0, 0, -1, 1), (-3, -1, 6, 2)])
