@@ -12,8 +12,8 @@ class _Record:
     It behaves as ``@dataclass(frozen=True)`` would (same ``__init__``
     signature, repr, equality, hash and ``match`` pattern) without importing
     ``dataclasses`` and generating code per class, which together cost every
-    one-shot CLI run about 30 ms of import.  A field's class attribute is its
-    default; ``__post_init__``, when defined, runs after the fields are set.
+    one-shot CLI run about 30 ms of import.  Every field must be given;
+    ``__post_init__``, when defined, runs after the fields are set.
     """
 
     _fields: tuple[str, ...] = ()
@@ -30,8 +30,6 @@ class _Record:
         for name in fields[len(args):]:
             if name in kwargs:
                 values[name] = kwargs.pop(name)
-            elif name in vars(cls):
-                values[name] = vars(cls)[name]
             else:
                 raise TypeError(f"{cls.__name__} is missing field {name!r}")
         if kwargs:

@@ -37,8 +37,8 @@ class OrthogonalityReport(_Record):
     """Truthy when pairwise orthogonal; otherwise names the first bad pair."""
 
     ok: bool
-    pair: tuple[int, int] | None = None
-    value: Fraction | None = None
+    pair: tuple[int, int] | None
+    value: Fraction | None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -55,7 +55,7 @@ def is_orthogonal_set(vectors) -> OrthogonalityReport:
             d = dot(vecs[i], vecs[j])
             if d != 0:
                 return OrthogonalityReport(ok=False, pair=(i, j), value=d)
-    return OrthogonalityReport(ok=True)
+    return OrthogonalityReport(ok=True, pair=None, value=None)
 
 
 class OrthogonalBasis(_Record):

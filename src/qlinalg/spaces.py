@@ -183,16 +183,15 @@ def span_contains(space: Subspace, q) -> tuple[Fraction, ...] | None:
     raise AssertionError("independent columns cannot give infinitely many answers")
 
 
-def extend_to_basis(vectors, n: int | None = None) -> Subspace:
-    """Grow an independent set to a basis of Q^n by appending standard vectors.
+def extend_to_basis(vectors) -> Subspace:
+    """Grow an independent set to a basis of Q^n, n the vectors' length, by
+    appending standard vectors.
 
     The pivot columns of one reduction of [v1 .. vk | e1 .. en] are the greedy
     left-to-right choice; the inputs must all be pivots, and stay in front.
     """
     vecs = _family(vectors)
     ambient = len(vecs[0])
-    if n is not None and n != ambient:
-        raise DimensionMismatch(f"vectors live in Q^{ambient}, not Q^{n}")
     units = tuple(tuple(Q(int(i == j)) for j in range(ambient)) for i in range(ambient))
     columns = vecs + units
     kept = _FractionFree(Matrix.from_columns(columns)).pivots

@@ -44,16 +44,9 @@ class NotLinear(_Record):
 
 
 class LinearMap(_Record):
-    """A linear map Q^n -> Q^m as its standard matrix (m x n).
-
-    ``domain_kind`` / ``codomain_kind`` record how coordinates should be
-    read back: "euclidean" (plain vectors) or "polynomial" (ascending
-    coefficients).
-    """
+    """A linear map Q^n -> Q^m as its standard matrix (m x n)."""
 
     matrix: Matrix
-    domain_kind: str = "euclidean"
-    codomain_kind: str = "euclidean"
 
     @property
     def domain_dim(self) -> int:
@@ -130,8 +123,9 @@ def from_basis_images(pairs) -> LinearMap:
     if len(pts) < n:
         count = "1 point" if len(pts) == 1 else f"{len(pts)} points"
         raise NotSpanning(f"{count} cannot determine a map on Q^{n}")
-    run = _FractionFree(Matrix._of(tuple(p + y for p, y in zip(pts, imgs))))
-    if len(pts) > n or run.pivots != list(range(n)):
+    # more than n points of Q^n are dependent without a reduction to show it
+    rows = tuple(p + y for p, y in zip(pts, imgs))
+    if len(pts) > n or (run := _FractionFree(Matrix._of(rows))).pivots != list(range(n)):
         raise DependentPoints("the domain points must form a basis")
     columns = run.reduced(range(n, n + len(imgs[0])))  # the right half, T^T
     return LinearMap(matrix=Matrix._of(tuple(zip(*columns))))
@@ -159,8 +153,4 @@ def integral_functional(n: int) -> LinearMap:
     if n < 1:
         raise EmptyInput("need at least the constant polynomials")
     row = [Q(1, k + 1) for k in range(n)]
-    return LinearMap(
-        matrix=Matrix([row]),
-        domain_kind="polynomial",
-        codomain_kind="euclidean",
-    )
+    return LinearMap(matrix=Matrix([row]))

@@ -10,7 +10,7 @@ product over as the library's ``Polynomial`` value.
 import re
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import comb, factorial, gcd, prod
 
 from qlinalg import Polynomial
 
@@ -492,6 +492,71 @@ def same_span_by_membership(ambient_a, basis_a, ambient_b, basis_b) -> bool:
         and all(in_span(basis_a, v) for v in basis_b)
         and all(in_span(basis_b, v) for v in basis_a)
     )
+
+
+# ---- closed-form families: each matrix and its answers from a formula ------------
+
+
+def cauchy(xs, ys):
+    """The Cauchy matrix [1/(x_i + y_j)]."""
+    return [[1 / Fraction(x + y) for y in ys] for x in xs]
+
+
+def cauchy_det(xs, ys) -> Fraction:
+    """prod_{i<j} (x_j - x_i)(y_j - y_i) / prod_{i,j} (x_i + y_j)."""
+    n = len(xs)
+    num = prod((xs[j] - xs[i]) * (ys[j] - ys[i]) for i in range(n) for j in range(i + 1, n))
+    return Fraction(num) / prod(Fraction(x + y) for x in xs for y in ys)
+
+
+def cauchy_inverse(xs, ys):
+    """(C^-1)_ij = -a(-y_i) b(x_j) / ((x_j + y_i) a'(x_j) b'(-y_i)) with
+    a(t) = prod (t - x_k) and b(t) = prod (t + y_k): the Lagrange form of the
+    inverse of a Cauchy matrix."""
+    one = Fraction(1)
+    a_at = [prod((-y - x for x in xs), start=one) for y in ys]  # a(-y_i)
+    b_at = [prod((x + y for y in ys), start=one) for x in xs]  # b(x_j)
+    da = [prod((x - u for u in xs if u != x), start=one) for x in xs]  # a'(x_j)
+    db = [prod((u - y for u in ys if u != y), start=one) for y in ys]  # b'(-y_i)
+    return [
+        [-a_at[i] * b_at[j] / ((x + y) * da[j] * db[i]) for j, x in enumerate(xs)]
+        for i, y in enumerate(ys)
+    ]
+
+
+def hilbert(n):
+    """H_n = [1/(i + j - 1)] for 1 <= i, j <= n: the Cauchy matrix of
+    x = (1, ..., n), y = (0, ..., n - 1)."""
+    return [[Fraction(1, i + j - 1) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def hilbert_det(n) -> Fraction:
+    """c_n^4 / c_2n with c_n = prod_{k<n} k!."""
+    c_n, c_2n = (prod(map(factorial, range(m))) for m in (n, 2 * n))
+    return Fraction(c_n ** 4, c_2n)
+
+
+def hilbert_inverse(n):
+    """(H_n^-1)_ij = (-1)^(i+j) (i + j - 1) C(n + i - 1, n - j) C(n + j - 1, n - i)
+    C(i + j - 2, i - 1)^2 (M.-D. Choi, Amer. Math. Monthly 90, 1983): integers."""
+    return [
+        [
+            (-1) ** (i + j) * (i + j - 1) * comb(n + i - 1, n - j) * comb(n + j - 1, n - i)
+            * comb(i + j - 2, i - 1) ** 2
+            for j in range(1, n + 1)
+        ]
+        for i in range(1, n + 1)
+    ]
+
+
+def hadamard(n):
+    """Sylvester's Hadamard matrix of order n = 2^k: H_2m = [[H_m, H_m], [H_m, -H_m]].
+    H H^T = n I, so |det H| = n^(n/2) and H^-1 = H / n (H is symmetric)."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    assert len(h) == n, "the order must be a power of 2"
+    return h
 
 
 def rand_fraction(rng, lo=-6, hi=6, denominators=(1, 1, 1, 2, 3)) -> Fraction:

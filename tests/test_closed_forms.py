@@ -1,0 +1,94 @@
+"""Hilbert, Cauchy and Sylvester-Hadamard matrices as closed-form oracles.
+
+Each matrix and each answer checked here comes from a formula in
+``tests/oracles.py`` with no call into the package: the determinant, the
+inverse, and the solution x = 1 of A x = A 1.  The sizes reach 32, where
+the Hilbert and Cauchy inverses have entries of 150 to 250 bits.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qlinalg import Matrix, Unique, det, inverse_adjoint, inverse_gauss_jordan, solve
+
+import oracles
+
+Q = Fraction
+SIZES = (1, 2, 3, 4, 5, 8, 13, 21, 32)
+
+
+def _cauchy_points(n):
+    """Seeded distinct x's and y's, integers in -99..99 and p/q's with q <= 4,
+    with every x_i + y_j nonzero.  Each row then clears to a few hundred bits;
+    64-bit points would make the 32x32 inverse take over 20 s."""
+    rng = random.Random(f"closed-forms/cauchy/{n}")
+
+    def draw():
+        p = rng.randint(-99, 99)
+        return rng.choice((p, Q(p, rng.randint(1, 4))))
+
+    while True:
+        xs, ys = [draw() for _ in range(n)], [draw() for _ in range(n)]
+        if len({*xs}) == len({*ys}) == n and all(x + y for x in xs for y in ys):
+            return xs, ys
+
+
+def _family(name, n):
+    """(rows, det, inverse) of one family at size n, all from formulas."""
+    if name == "hilbert":
+        return oracles.hilbert(n), oracles.hilbert_det(n), oracles.hilbert_inverse(n)
+    if name == "cauchy":
+        xs, ys = _cauchy_points(n)
+        rows = oracles.cauchy(xs, ys)
+        return rows, oracles.cauchy_det(xs, ys), oracles.cauchy_inverse(xs, ys)
+    rows = oracles.hadamard(n)
+    sign = -1 if n == 2 else 1  # det H_2m = (-2)^m det(H_m)^2
+    return rows, sign * Q(n) ** (n // 2), [[Q(x, n) for x in row] for row in rows]
+
+
+CASES = [
+    *((name, n) for name in ("hilbert", "cauchy") for n in SIZES),
+    *(("hadamard", 2 ** k) for k in range(6)),
+]
+
+
+@pytest.mark.parametrize("name, n", CASES)
+def test_det_inverse_and_solve_match_the_closed_forms(name, n):
+    rows, d, inverse = _family(name, n)
+    a = Matrix(rows)
+    assert det(a) == d
+    assert inverse_gauss_jordan(a) == Matrix(inverse)
+    ones = [sum(row, Q(0)) for row in rows]  # A 1
+    assert solve(a, ones) == Unique((Q(1),) * n)
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name, n in CASES if 2 <= n <= 8])
+def test_the_adjoint_inverse_matches_the_closed_forms(name, n):
+    rows, _, inverse = _family(name, n)
+    assert inverse_adjoint(Matrix(rows)) == Matrix(inverse)
+
+
+def test_the_formulas_agree_where_the_families_meet():
+    # H_n is the Cauchy matrix of x = (1..n), y = (0..n-1), so the two
+    # determinant and inverse formulas must give the same numbers
+    for n in SIZES:
+        xs, ys = list(range(1, n + 1)), list(range(n))
+        assert oracles.cauchy(xs, ys) == oracles.hilbert(n)
+        assert oracles.cauchy_det(xs, ys) == oracles.hilbert_det(n)
+        assert oracles.cauchy_inverse(xs, ys) == oracles.hilbert_inverse(n)
+    # and H H^T = n I for every Sylvester order
+    for k in range(6):
+        h = oracles.hadamard(2 ** k)
+        assert oracles.naive_matmul(h, h) == [
+            [2 ** k * (i == j) for j in range(2 ** k)] for i in range(2 ** k)
+        ]
+
+
+def test_the_determinants_are_the_known_numbers():
+    # small cases worked by hand, so the formulas themselves are pinned
+    assert [oracles.hilbert_det(n) for n in (1, 2, 3)] == [1, Q(1, 12), Q(1, 2160)]
+    assert oracles.hilbert_inverse(2) == [[4, -6], [-6, 12]]
+    assert oracles.cauchy_det([1, 2], [3, 5]) == Q(1 * 2, 4 * 6 * 5 * 7)
+    assert oracles.hadamard(2) == [[1, 1], [1, -1]]

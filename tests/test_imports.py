@@ -1,8 +1,9 @@
 """Every module under src/qlinalg uses every name it imports, every
-module-level private name is used by some module of the package, and no
-module computes with floats.  The public names and the methods of the public
-classes are pinned, importing the CLI loads no module it does not need, and
-importing compiles no pattern that only a coordinate formula uses."""
+module-level private name is used by some module of the package, no record
+field has a default, and no module computes with floats.  The public names
+and the methods of the public classes are pinned, importing the CLI loads no
+module it does not need, and importing compiles no pattern that only a
+coordinate formula uses."""
 
 import ast
 import importlib
@@ -189,6 +190,56 @@ def test_the_check_sees_a_dead_private_name():
         "b.py": "from .a import _Kept\n",
     }
     assert _dead_privates(sources) == ["a.py: _UNUSED", "a.py: _walk"]
+
+
+def _record_defaults(sources: dict[str, str]) -> list[str]:
+    """Annotated fields given a value in a ``_Record`` subclass (one named
+    in any of the modules counts): the record base takes no defaults, so
+    such a value would only look like one."""
+    classes = [
+        (module, node)
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    ]
+    records, grown = {"_Record"}, True
+    while grown:
+        found = {node.name for _, node in classes
+                 if any(getattr(base, "id", None) in records for base in node.bases)}
+        grown = not found <= records
+        records |= found
+    return [
+        f"{module}: {node.name}.{stmt.target.id} (line {stmt.lineno})"
+        for module, node in classes
+        if node.name in records - {"_Record"}
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+    ]
+
+
+def test_no_record_field_has_a_default():
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert _record_defaults(sources) == []
+
+
+def test_the_check_sees_a_record_default():
+    sources = {
+        "a.py": (
+            "class _Record:\n    _fields: tuple = ()\n"
+            "class Report(_Record):\n    ok: bool\n    pair: tuple | None = None\n"
+            "class Plain:\n    limit: int = 3\n"
+        ),
+        "b.py": (
+            "from .a import Report\n"
+            "class Detailed(Report):\n    note: str = ''\n    extra = 1\n"
+        ),
+    }
+    assert _record_defaults(sources) == [
+        "a.py: Report.pair (line 5)", "b.py: Detailed.note (line 3)",
+    ]
 
 
 # The record fields of an elimination run; callers read pivots, free, order and minor().

@@ -8,6 +8,7 @@ class's own annotations.
 
 import copy
 import dataclasses
+import gc
 import pickle
 from fractions import Fraction
 
@@ -114,14 +115,26 @@ def test_keyword_and_positional_construction_agree(cls):
     assert repr(by_keyword) == repr(by_position)
 
 
-def test_class_attribute_defaults_fill_missing_fields():
-    assert OrthogonalityReport(True) == OrthogonalityReport(True, None, None)
-    assert repr(OrthogonalityReport(ok=True)) == (
+def test_a_class_attribute_is_not_a_default():
+    class R(_Record):
+        x: int = 5
+
+    try:
+        with pytest.raises(TypeError):
+            R()
+        assert R(1).x == 1
+    finally:
+        # leave _Record.__subclasses__() as the reachability law reads it
+        del R
+        gc.collect()
+    assert set(RECORDS) == set(_Record.__subclasses__())
+    assert repr(OrthogonalityReport(ok=True, pair=None, value=None)) == (
         "OrthogonalityReport(ok=True, pair=None, value=None)"
     )
+    with pytest.raises(TypeError):
+        OrthogonalityReport(True)
     m = Matrix([[1, 2]])
-    assert LinearMap(m) == LinearMap(m, "euclidean", "euclidean")
-    assert LinearMap(m, codomain_kind="polynomial").domain_kind == "euclidean"
+    assert repr(LinearMap(m)) == f"LinearMap(matrix={m!r})"
 
 
 @pytest.mark.parametrize("cls", [c for c in RECORDS if fields(c)], ids=lambda c: c.__name__)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import qlinalg.elimination
+import qlinalg.transform
 from qlinalg import (
     DegreeTooHigh,
     DependentPoints,
@@ -171,6 +172,24 @@ def test_from_basis_images_input_validation():
         from_basis_images([((1, 0), (1,)), ((0, 1), (2, 3))])
 
 
+def test_too_many_points_are_refused_before_any_reduction(monkeypatch):
+    # n + 1 points of Q^n are dependent by counting; no sweep is needed to say so
+    runs = []
+    original = qlinalg.transform._FractionFree
+    monkeypatch.setattr(
+        qlinalg.transform, "_FractionFree", lambda *args: runs.append(args) or original(*args)
+    )
+    for n in range(1, 5):
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        points = [*units, tuple(range(1, n + 1))]
+        with pytest.raises(DependentPoints, match="the domain points must form a basis"):
+            from_basis_images([(p, (k,)) for k, p in enumerate(points)])
+    assert runs == []
+    # a basis is still read off one run
+    assert from_basis_images([((1, 0), (3,)), ((1, 1), (5,))]).matrix == Matrix([[3, 2]])
+    assert len(runs) == 1
+
+
 def test_an_empty_domain_point_is_empty_input():
     # with no coordinates there is no Q^n for the point to span, and one
     # point is not "one too many" for a basis of nothing
@@ -312,7 +331,6 @@ def test_polynomial_dependence_through_coordinates():
 def test_integral_functional_matrix_and_values():
     t = integral_functional(2)
     assert t.matrix == Matrix([[1, Q(1, 2)]])
-    assert t.domain_kind == "polynomial"
     # 2x - 1 integrates to zero over [0, 1]
     assert t.apply(poly_to_coords(Polynomial([-1, 2]), 2)) == (0,)
     # the constant 1 integrates to 1
