@@ -1,23 +1,23 @@
 """Eigenvalues, eigenspaces, and diagonalization — all over the rationals.
 
 The characteristic polynomial det(A - x I) is computed exactly by Berkowitz's
-division-free algorithm, and its rational roots are lifted p-adically from
-its roots modulo one small prime (:func:`qlinalg.poly.rational_roots`); both
-take time polynomial in n and in the entry bit size.  Each public call clears
-A once, to its integer image B = d A with d the lcm of A's denominators, and
+division-free algorithm, and its rational roots are lifted p-adically from its
+roots modulo one small prime (:func:`qlinalg.poly.rational_roots`); both take
+time polynomial in n and in the entry bit size.  Each public call clears A
+once, to its integer image B = d A with d the lcm of A's denominators, and
 everything in the call reads B: Berkowitz runs on B and hands the root search
-the polynomial's primitive integer coefficients.  The eigenspace of a root
-lam = p/q is null(mu I - B), mu = d lam, which holds every column of
-adj(mu I - B); when the last one, read off Berkowitz's last step, is nonzero,
-the eigenspace is the line through it.  When it is zero and lam is a simple
-root, adj(mu I - B) has rank 1, and the line is read off adj(mu I - B) z for
-z = (n, n - 1, ..., 1) instead.  Otherwise (a repeated root whose last
-column is zero, or the rare u z = 0 for the left eigenvector u) it is the
-null space of the integer rows q B - p d I, swept by fraction-free
-elimination.  Each coefficient, root and basis entry becomes a ``Fraction``
-once, at the end.  Irrational or complex eigenvalues cannot be represented
-here; in that case the honest answer is a :class:`NotSplit` verdict carrying
-whatever rational roots were found and the unfactored remainder.
+the polynomial's primitive integer coefficients.  det(x I - B) is monic over
+Z, so each rational root lam has an integer image mu = d lam, and every column
+of adj(mu I - B) lies in the eigenspace null(B - mu I).  When the last one,
+read off Berkowitz's last step, is nonzero, the eigenspace is the line through
+it; when it is zero and lam is simple, the line through adj(mu I - B) z, z =
+(n, n - 1, ..., 1).  Otherwise (a repeated root whose column is zero, or the
+rare u z = 0 for the left eigenvector u) the rows B - mu I are swept by
+fraction-free elimination; the public ``eigenspace`` answers a lam with d lam
+not an integer as the zero subspace, unswept.  Each coefficient, root and
+basis entry becomes a ``Fraction`` once, at the end.  Irrational or complex
+eigenvalues cannot be represented here: the answer is then a :class:`NotSplit`
+verdict carrying the rational roots found and the unfactored remainder.
 
 Eigenvalues are always reported in decreasing order, and the diagonal factor
 of a diagonalization lists them that way.  ``eigenvalues``, ``diagonalize``
@@ -95,22 +95,20 @@ def _krylov_rows(g: list[list[int]]) -> list[tuple[int, ...]]:
     return list(zip(*_krylov(g, list(range(len(g), 0, -1)), len(g))))
 
 
-def _adjugate_column(chi: list[int], rows: list, p: int, q: int) -> list[int]:
-    """[q^m sum_k h_k(mu) X^k v ; q^m chi(mu)] at mu = p/q, for chi =
-    det(x I - X) = sum a_j x^j of degree m, h_k = sum_(j>k) a_j x^(j-k-1)
-    its Horner partial sums, and ``rows`` the rows of the Krylov matrix
-    [v, X v, ..., X^(m-1) v].  Since adj(x I - X) = sum_k h_k(x) X^k, the
-    sum is q^m adj(mu I - X) v.  Berkowitz's last step on B = [[M, C], [R,
-    b]] gives X = M, v = C, and the list is q^(n-1) times the last column
-    of adj(mu I - B); X = B and v = z give q^n adj(mu I - B) z, and at a
-    root q^n chi(mu) = 0.  With G_i = q^i times the i-th Horner sum at mu,
-    q^m h_k(mu) = q^(k+1) G_(m-1-k) and q^m chi(mu) = G_m.
+def _adjugate_column(chi: list[int], rows: list, mu: int) -> list[int]:
+    """[sum_k h_k(mu) X^k v ; chi(mu)] for chi = det(x I - X) = sum a_j x^j,
+    monic of degree m, h_k = sum_(j>k) a_j x^(j-k-1) its Horner partial sums,
+    and ``rows`` the rows of the Krylov matrix [v, X v, ..., X^(m-1) v].
+    Since adj(x I - X) = sum_k h_k(x) X^k, the sum is adj(mu I - X) v.
+    Berkowitz's last step on B = [[M, C], [R, b]] gives X = M, v = C, and the
+    list is the last column of adj(mu I - B); X = B and v = z give adj(mu I -
+    B) z, and at a root chi(mu) = 0.
     """
     horner = [1]
-    for i, a in enumerate(chi[1:], 1):
-        horner.append(horner[-1] * p + a * q**i)
-    scale = [q ** (k + 1) * g for k, g in enumerate(reversed(horner[:-1]))]
-    return [sum(map(mul, scale, row)) for row in rows] + [horner[-1]]
+    for a in chi[1:]:
+        horner.append(horner[-1] * mu + a)
+    h = horner[-2::-1]
+    return [sum(map(mul, h, row)) for row in rows] + [horner[-1]]
 
 
 class Split(_Record):
@@ -157,12 +155,12 @@ def _spectrum(a: Matrix) -> tuple[tuple[int, ...], EigenvalueVerdict, Iterator]:
 
     def space(lam: Fraction, alg: int) -> Subspace:
         nonlocal z_rows
-        p, q = lam.numerator * d, lam.denominator
-        w = _adjugate_column(chi, rows, p, q)
+        mu = lam.numerator * d // lam.denominator
+        w = _adjugate_column(chi, rows, mu)
         if alg == 1 and not any(w):
             z_rows = z_rows or _krylov_rows(b)
-            w = _adjugate_column(coeffs, z_rows, p, q)[:-1]
-        return _eigenspace(b, d, lam, w)
+            w = _adjugate_column(coeffs, z_rows, mu)[:-1]
+        return _eigenspace(b, mu, w)
 
     spectrum = ((lam, alg, space(lam, alg)) for lam, alg in roots)
     if residual.degree <= 0:
@@ -179,30 +177,29 @@ def eigenspace(a: Matrix, lam) -> Subspace:
     """Null space of A - lam I (zero-dimensional when lam is no eigenvalue)."""
     if not a.is_square:
         raise NotSquare("eigenspaces need a square matrix")
-    return _eigenspace(*_integer_image(a), as_scalar(lam))
+    b, d = _integer_image(a)
+    lam = as_scalar(lam)
+    mu, rest = divmod(lam.numerator * d, lam.denominator)
+    return Subspace._trusted(len(b), ()) if rest else _eigenspace(b, mu)
 
 
-def _eigenspace(b: list[list[int]], d: int, lam: Fraction, w: Sequence[int] = ()) -> Subspace:
-    """The null space of A - lam I for A = B / d, B the integer rows ``b``.
+def _eigenspace(b: list[list[int]], mu: int, w: Sequence[int] = ()) -> Subspace:
+    """The null space of B - mu I (of A - lam I for A = B / d, mu = d lam).
 
-    ``w`` is empty or a multiple of adj(mu I - B) v for some vector v, mu =
-    d lam and lam a root; it lies in null(mu I - B), since (mu I - B) adj(mu
-    I - B) = det(mu I - B) I = 0.  If w != 0, adj(mu I - B) != 0, so mu I - B
-    has rank n - 1 and the null space is the line through w; the null-space
-    reader's basis vector is w / w_f, f the last index with w_f != 0 (the one
-    free column).  For a simple root adj(mu I - B) = c v' u' (c != 0, v' and
-    u' the right and left eigenvectors), so w = 0 only when u' v = 0; for a
-    repeated root it is 0 also when the geometric multiplicity is 2 or more.
-    Then, as for any lam without ``w``, sweep the integer rows q B - p d I
-    (lam = p/q), that is q d (A - lam I), with the same null space.
+    ``w`` is empty or adj(mu I - B) v for a root mu; as (mu I - B) adj(mu I -
+    B) = det(mu I - B) I = 0, it lies in that null space.  If w != 0, B - mu I
+    has rank n - 1 and the null space is the line through w, scaled as the
+    null-space reader scales it: w / w_f, f the last index with w_f != 0.  For
+    a simple root adj(mu I - B) = c v' u' (c != 0, v' and u' the right and
+    left eigenvectors), so w = 0 only when u' v = 0; for a repeated root also
+    when the geometric multiplicity is 2 or more.  Then sweep the rows B - mu I.
     """
     for wf in reversed(w):
         if wf:
             return Subspace._trusted(len(b), (tuple(_ratio(x, wf) for x in w),))
-    p, q = lam.numerator * d, lam.denominator
-    rows = [[q * x for x in row] for row in b]
+    rows = [row[:] for row in b]
     for i, row in enumerate(rows):
-        row[i] -= p
+        row[i] -= mu
     return _null_space(_FractionFree(rows))
 
 

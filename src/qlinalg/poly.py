@@ -74,6 +74,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
+        if len(self._coeffs) <= 1:  # a constant hashes as the scalar it equals
+            return hash(sum(self._coeffs))
         return hash(("Polynomial", self._coeffs))
 
     def __repr__(self):

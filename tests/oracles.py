@@ -559,6 +559,18 @@ def hadamard(n):
     return h
 
 
+def vandermonde(xs):
+    """The Vandermonde matrix [x_i^j], 0 <= j < n, of the nodes ``xs``."""
+    return [[Fraction(x) ** j for j in range(len(xs))] for x in xs]
+
+
+def vandermonde_det(xs) -> Fraction:
+    """prod_{i<j} (x_j - x_i): zero exactly when two nodes are equal."""
+    n = len(xs)
+    diffs = (Fraction(xs[j]) - xs[i] for i in range(n) for j in range(i + 1, n))
+    return prod(diffs, start=Fraction(1))
+
+
 def rand_fraction(rng, lo=-6, hi=6, denominators=(1, 1, 1, 2, 3)) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.choice(denominators))
 

@@ -1,9 +1,11 @@
-"""Hilbert, Cauchy and Sylvester-Hadamard matrices as closed-form oracles.
+"""Hilbert, Cauchy, Sylvester-Hadamard and Vandermonde matrices as
+closed-form oracles.
 
 Each matrix and each answer checked here comes from a formula in
 ``tests/oracles.py`` with no call into the package: the determinant, the
-inverse, and the solution x = 1 of A x = A 1.  The sizes reach 32, where
-the Hilbert and Cauchy inverses have entries of 150 to 250 bits.
+inverse, and the solution x = 1 of A x = A 1; for Vandermonde matrices, the
+determinant, the interpolating coefficients and the rank.  The sizes reach
+32, where the Hilbert and Cauchy inverses have entries of 150 to 250 bits.
 """
 
 import random
@@ -11,7 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from qlinalg import Matrix, Unique, det, inverse_adjoint, inverse_gauss_jordan, solve
+from qlinalg import (
+    Matrix,
+    Unique,
+    det,
+    fundamental_subspaces,
+    inverse_adjoint,
+    inverse_gauss_jordan,
+    solve,
+)
 
 import oracles
 
@@ -92,3 +102,42 @@ def test_the_determinants_are_the_known_numbers():
     assert oracles.hilbert_inverse(2) == [[4, -6], [-6, 12]]
     assert oracles.cauchy_det([1, 2], [3, 5]) == Q(1 * 2, 4 * 6 * 5 * 7)
     assert oracles.hadamard(2) == [[1, 1], [1, -1]]
+    assert oracles.vandermonde([2, 3]) == [[1, 2], [1, 3]]
+    assert oracles.vandermonde_det([1, 2, 4]) == (2 - 1) * (4 - 1) * (4 - 2)
+
+
+# ---- Vandermonde matrices: det and interpolation ----------------------------------
+
+
+def _nodes(n, kind):
+    """n seeded distinct nodes: integers in -99..99, or p/q's with q <= 4."""
+    rng = random.Random(f"closed-forms/vandermonde/{kind}/{n}")
+    nodes = set()
+    while len(nodes) < n:
+        p = rng.randint(-99, 99)
+        nodes.add(Q(p) if kind == "int" else Q(p, rng.randint(1, 4)))
+    return rng.sample(sorted(nodes), n)
+
+
+@pytest.mark.parametrize("kind", ("int", "pq"))
+@pytest.mark.parametrize("n", SIZES)
+def test_vandermonde_det_and_interpolation_match_the_closed_forms(n, kind):
+    xs = _nodes(n, kind)
+    v = Matrix(oracles.vandermonde(xs))
+    assert det(v) == oracles.vandermonde_det(xs)
+    # V c = (f(x_1), ..., f(x_n)) for f = sum c_j x^j of degree < n: solving
+    # it interpolates f, whose coefficients are the unique answer
+    rng = random.Random(f"closed-forms/interpolate/{kind}/{n}")
+    coeffs = tuple(Q(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n))
+    values = [sum(c * x**j for j, c in enumerate(coeffs)) for x in xs]
+    assert solve(v, values) == Unique(coeffs)
+
+
+def test_vandermonde_rank_is_the_number_of_distinct_nodes():
+    rng = random.Random("closed-forms/vandermonde/repeated")
+    for n in range(1, 13):
+        pool = _nodes(max(1, n // 2), "pq")
+        xs = [rng.choice(pool) for _ in range(n)]
+        rank = fundamental_subspaces(Matrix(oracles.vandermonde(xs))).rank
+        assert rank == len(set(xs)), xs
+        assert (rank < n) is (oracles.vandermonde_det(xs) == 0)

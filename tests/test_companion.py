@@ -39,6 +39,22 @@ _CASES = [
     ({Q(2): 3, Q(0): 1}, (-3, 0, 2)),
     ({Q(-1, 3): 2}, (-2, 0, 0, 1)),
     ({}, (5, 5, 0, 0, 3)),
+    # n = 11 to 24: roots over 3, 5, 7, 11 and 13 with 20-160-bit numerators,
+    # so that d and each mu = d lam run to hundreds of bits
+    ({Q(2**20 + 7, 3): 1, Q(-(2**24 + 1), 5): 1, Q(2**28 - 3, 7): 1,
+      Q(-(2**32 + 9), 11): 1, Q(2**36 + 5, 13): 1, Q(1, 3): 1, Q(-2, 5): 1,
+      Q(3, 7): 1, Q(-4, 11): 1, Q(5, 13): 1, Q(-1): 1}, (1,)),
+    ({Q(2**40 + 3, 7): 4, Q(-(2**60 + 11), 13): 1, Q(2**22 + 1, 3): 2,
+      Q(-(2**30), 5): 1, Q(7, 11): 1, Q(0): 1, Q(-5, 3): 2}, (1,)),
+    # 3 x^4 + 5 x + 10 is irreducible (Eisenstein at 5)
+    ({Q(3**50 + 2, 5): 1, Q(-(2**80 + 1), 11): 2, Q(2**100 + 9, 13): 1,
+      Q(5**40, 7): 1, Q(-1, 3): 1, Q(9, 13): 3, Q(2**26 + 1, 3): 1,
+      Q(-(7**30), 11): 1, Q(4, 5): 1}, (10, 5, 0, 0, 3)),
+    ({**{Q((-1) ** b * (2**b + 2 * b + 1), den): 1
+         for b, den in zip((20, 50, 80, 110, 140, 160), (3, 5, 7, 11, 13, 3))},
+      **{Q(k, (3, 5, 7, 11, 13)[k % 5]): 1 for k in range(-7, 7)}}, (1,)),
+    ({Q(2**160 + 1, 13): 5, Q(-(2**120 + 3), 11): 3, Q(2**64 + 5, 7): 2,
+      **{Q(k, (3, 5, 7, 11, 13)[k % 5]): 1 for k in range(1, 15)}}, (1,)),
 ]
 
 

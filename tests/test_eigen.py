@@ -26,12 +26,14 @@ from qlinalg import (
     eigen_summary,
     eigenspace,
     eigenvalues,
+    fundamental_subspaces,
     inverse_gauss_jordan,
     matrix_power,
     rational_roots,
 )
 
 import oracles
+from test_companion import _CASES as COMPANION_CASES
 
 Q = Fraction
 
@@ -423,9 +425,9 @@ def test_eigenspaces_are_built_only_as_far_as_the_answer_reads(monkeypatch, a, c
     calls = []
     inner = qlinalg.eigen._eigenspace
 
-    def counted(b, d, lam, w=()):
-        calls.append(lam)
-        return inner(b, d, lam, w)
+    def counted(b, mu, w=()):
+        calls.append(mu)  # both matrices are integer (d = 1), so mu is lam
+        return inner(b, mu, w)
 
     monkeypatch.setattr(qlinalg.eigen, "_eigenspace", counted)
     call(a)
@@ -657,11 +659,51 @@ def test_only_a_vanishing_adjugate_column_runs_a_sweep(call, a, expected, monkey
     assert len(runs) == expected
 
 
-def test_the_public_eigenspace_always_sweeps(monkeypatch):
+def test_the_public_eigenspace_sweeps_exactly_when_d_lam_is_an_integer(monkeypatch):
     runs = _sweeps(monkeypatch)  # lam need not be a root, so no line is read
     for lam in (2, 1, -1, 7):
         eigenspace(A_TRI, lam)
     assert len(runs) == 4
+    eigenspace(A_TRI, Q(1, 2))  # d = 1: mu = 1/2 is no root of a monic integer chi
+    assert len(runs) == 4
+
+
+def _route_and_companion_matrices():
+    """The seeded ``_ROUTE_FAMILIES`` grids and ``test_companion``'s cases."""
+    for family in _ROUTE_FAMILIES:
+        rng = random.Random(f"route/{family}")
+        for case in range(18):
+            yield Matrix(_route_grid(rng, case % 6 + 1, family))
+    for roots, f in COMPANION_CASES:
+        yield Matrix(oracles.companion(roots.items(), f)[0])
+
+
+def test_each_eigenvalue_times_d_is_an_integer():
+    # det(x I - d A) is monic over Z, so by the rational root theorem each
+    # rational eigenvalue lam of A has d lam in Z, d the lcm of A's denominators
+    fractional = 0
+    for a in _route_and_companion_matrices():
+        d = lcm(*(x.denominator for row in a.entries for x in row))
+        for lam, _ in eigen_summary(a).roots:
+            assert (d * lam).denominator == 1, (a, lam)
+            fractional += lam.denominator > 1
+    assert fractional > 0
+
+
+def test_a_lam_with_d_lam_off_the_integers_is_answered_unswept(monkeypatch):
+    grid = oracles.rand_grid(random.Random("eigenspace/off-z"), 4, 4, denominators=_DENOMINATORS)
+    d = lcm(*(x.denominator for row in grid for x in row))
+    assert d > 1
+    cases = [(A_TRI, Q(1, 2)), (Matrix(grid), Q(1, d + 1))]
+    expected = [
+        fundamental_subspaces(a - lam * Matrix.identity(a.rows)).null for a, lam in cases
+    ]
+    runs = _sweeps(monkeypatch)
+    for (a, lam), null in zip(cases, expected):
+        space = eigenspace(a, lam)
+        assert space == Subspace.zero(a.rows) == null
+        assert repr(space) == repr(null)
+    assert runs == []
 
 
 # A = P^-1 diag(1, 2, 3) P, P's rows the left eigenvectors u = (2, -3, 0),
@@ -676,9 +718,9 @@ def test_a_simple_root_with_u_z_zero_is_still_swept(call, monkeypatch):
     runs, lines = _sweeps(monkeypatch), []
     inner = qlinalg.eigen._eigenspace
 
-    def counted(b, d, lam, w=()):
-        lines.append((lam, any(w)))
-        return inner(b, d, lam, w)
+    def counted(b, mu, w=()):
+        lines.append((mu, any(w)))  # d = 1, so mu is lam
+        return inner(b, mu, w)
 
     monkeypatch.setattr(qlinalg.eigen, "_eigenspace", counted)
     assert call(_LEFT_ZERO)

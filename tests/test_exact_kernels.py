@@ -525,7 +525,7 @@ def test_eigen_calls_leave_the_integer_image_alone(a, monkeypatch):
     b, d = _integer_image(a)
     before = copy.deepcopy(b)
     for lam, _ in summary.roots:
-        _eigenspace(b, d, lam)
+        _eigenspace(b, lam.numerator * d // lam.denominator)
     assert b == before
 
 

@@ -22,6 +22,20 @@ def test_degree_and_coefficient_access():
     assert p.coefficient(5) == 0
 
 
+def test_a_constant_hashes_as_the_scalar_it_equals():
+    # equal objects must hash equal, so a constant finds and is found by
+    # its scalar in dicts and sets, either way round
+    for c in (0, 3, Q(-1, 2)):
+        p = Polynomial([c])
+        assert p == c and hash(p) == hash(c)
+        assert {c: "s"}.get(p) == "s" and {p: "p"}.get(c) == "p"
+        assert p in {c} and c in {p}
+        assert len({p, c}) == 1
+    assert hash(Polynomial()) == hash(0)
+    assert Polynomial([1, 2]) in {Polynomial([1, 2])}
+    assert Polynomial([1, 2]) not in {1, 2, (1, 2)}
+
+
 def test_evaluation_is_exact():
     p = Polynomial([-2, 1, 2, -1])
     # -2 + 3 + 18 - 27
