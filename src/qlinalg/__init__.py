@@ -103,7 +103,7 @@ from .orthogonal import (
     is_orthogonal_set,
 )
 from .poly import Polynomial, rational_roots
-from .scalars import Q, as_scalar, format_scalar, parse_scalar
+from .scalars import as_scalar, format_scalar, parse_scalar
 from .spaces import (
     Dependent,
     Fundamentals,
@@ -126,7 +126,6 @@ from .transform import (
     coords_to_poly,
     from_basis_images,
     from_forms,
-    from_matrix,
     integral_functional,
     poly_to_coords,
 )

@@ -86,7 +86,7 @@ from .spaces import (
     span_contains,
     subspace_from_forms,
 )
-from .transform import NotLinear, from_basis_images, from_forms, from_matrix
+from .transform import LinearMap, NotLinear, from_basis_images, from_forms
 
 # n! products: n = 8 answers in under a second, n = 10 takes nearly a minute.
 _COFACTOR_MAX_N = 8
@@ -166,7 +166,7 @@ def _linear_map(arg: str):
         return from_basis_images(pairs)
     if re.search(r"[A-Za-z]", text):
         return from_forms(_split_rows(text))
-    return from_matrix(Matrix.parse(text))
+    return LinearMap(Matrix.parse(text))
 
 
 def _parse_entry(text: str) -> tuple[int, int]:

@@ -35,7 +35,7 @@ from .elimination import _FractionFree, inverse_gauss_jordan
 from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
 from .matrix import Matrix, _integer_image
 from .poly import Polynomial, _primitive, _rational_roots, _rescaled
-from .scalars import Q, _ratio, as_scalar
+from .scalars import _ratio, as_scalar
 from .spaces import Subspace, _null_space
 
 
@@ -246,7 +246,7 @@ def diagonalize(a: Matrix) -> DiagonalizeVerdict:
             )
         columns.extend(space.basis)
         diag.extend([lam] * alg)
-    zero, n = Q(0), len(diag)
+    zero, n = Fraction(0), len(diag)
     scale = Matrix._of(
         tuple(tuple(x if i == j else zero for j in range(n)) for i, x in enumerate(diag))
     )

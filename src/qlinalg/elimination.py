@@ -58,6 +58,14 @@ from .scalars import _cleared, _ratio, as_scalar, format_scalar
 # its fields in its own __init__, faster than _Record's generic one.
 
 
+def _check_row_types(*rows) -> None:
+    """Refuse a row index that is not an int, or is a bool, as ``as_scalar``
+    refuses a float or a bool."""
+    for r in rows:
+        if isinstance(r, bool) or not isinstance(r, int):
+            raise TypeError(f"a row index must be an int, got {r!r}")
+
+
 class Scale(_Record):
     """alpha * R[row], alpha nonzero."""
 
@@ -65,6 +73,7 @@ class Scale(_Record):
     row: int
 
     def __init__(self, alpha, row):
+        _check_row_types(row)
         alpha = as_scalar(alpha)
         if alpha == 0:
             raise ZeroScale("scaling a row by zero is not a row operation")
@@ -81,6 +90,7 @@ class AddMultiple(_Record):
     target: int
 
     def __init__(self, alpha, source, target):
+        _check_row_types(source, target)
         alpha = as_scalar(alpha)
         if alpha == 0:
             raise ZeroScale("adding zero times a row is not a row operation")
@@ -98,6 +108,7 @@ class Swap(_Record):
     second: int
 
     def __init__(self, first, second):
+        _check_row_types(first, second)
         if first == second:
             raise ValueError("swapping a row with itself is not a row operation")
         if min(first, second) < 0:

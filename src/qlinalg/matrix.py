@@ -37,7 +37,7 @@ class Matrix:
         Matrix([[1, "1/2"], ["0.25", -3]])
 
     Arithmetic is by operator: ``A + B``, ``A - B``, ``-A``, ``alpha * A``,
-    ``A @ B`` (also ``A * B`` for products), ``A ** k`` for k >= 0.
+    ``A @ B``, ``A ** k`` for k >= 0.
     """
 
     __slots__ = ("_data",)
@@ -174,17 +174,11 @@ class Matrix:
                 f"{self.rows}x{self.cols} {op} {other.rows}x{other.cols}"
             )
 
-    def scale(self, alpha) -> "Matrix":
+    def __mul__(self, alpha) -> "Matrix":
         alpha = as_scalar(alpha)
         return Matrix._of(tuple(tuple(alpha * a for a in r) for r in self._data))
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self @ other
-        return self.scale(other)
-
-    def __rmul__(self, alpha) -> "Matrix":
-        return self.scale(alpha)
+    __rmul__ = __mul__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):

@@ -69,6 +69,8 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self._coeffs == other._coeffs
+        if isinstance(other, bool):  # a bool is no scalar, as in as_scalar
+            return NotImplemented
         if isinstance(other, (int, Fraction)):
             return self == Polynomial([other])
         return NotImplemented

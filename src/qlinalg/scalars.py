@@ -12,8 +12,6 @@ from math import gcd, lcm
 
 from .errors import MalformedScalar, ZeroDenominator
 
-Q = Fraction
-
 # the unsigned scalar of parse_scalar's grammar, for coordinate formulas
 _NUMBER = r"(\d+)(?:/(\d+)|\.(\d+))?"
 

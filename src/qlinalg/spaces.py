@@ -17,14 +17,7 @@ import re
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .elimination import (
-    Inconsistent,
-    RowOp,
-    Swap,
-    Unique,
-    _FractionFree,
-    solve,
-)
+from .elimination import RowOp, Swap, _FractionFree
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -36,7 +29,7 @@ from .errors import (
     _Record,
 )
 from .matrix import Matrix, as_vector
-from .scalars import _NUMBER, Q, _render_sum, as_scalar, format_scalar, parse_scalar
+from .scalars import _NUMBER, _render_sum, as_scalar, format_scalar, parse_scalar
 
 Vector = tuple[Fraction, ...]
 
@@ -163,24 +156,21 @@ def basis_of_span(vectors) -> Subspace:
 
 
 def span_contains(space: Subspace, q) -> tuple[Fraction, ...] | None:
-    """Coefficients of ``q`` against the basis, or None when outside.
-
-    An empty tuple answers yes for the zero vector in the zero subspace.
+    """Coefficients of ``q`` against the basis, or None when outside: one
+    reduction of the columns [b1 .. bk | q], where ``q`` is outside exactly
+    when column k is a pivot.  An empty tuple answers yes for the zero
+    vector in the zero subspace.
     """
     qv = as_vector(q)
     if len(qv) != space.ambient:
         raise DimensionMismatch(
             f"vector of length {len(qv)} against ambient {space.ambient}"
         )
-    if space.is_zero:
-        return () if all(x == 0 for x in qv) else None
-    system = Matrix.from_columns(space.basis)
-    sol = solve(system, qv)
-    if isinstance(sol, Unique):
-        return sol.values
-    if isinstance(sol, Inconsistent):
+    k = space.dimension
+    run = _FractionFree(Matrix._of(tuple(zip(*space.basis, qv))))
+    if k in run.pivots:
         return None
-    raise AssertionError("independent columns cannot give infinitely many answers")
+    return tuple(x for (x,) in run.reduced((k,)))
 
 
 def extend_to_basis(vectors) -> Subspace:
@@ -192,7 +182,7 @@ def extend_to_basis(vectors) -> Subspace:
     """
     vecs = _family(vectors)
     ambient = len(vecs[0])
-    units = tuple(tuple(Q(int(i == j)) for j in range(ambient)) for i in range(ambient))
+    units = tuple(tuple(Fraction(int(i == j)) for j in range(ambient)) for i in range(ambient))
     columns = vecs + units
     kept = _FractionFree(Matrix.from_columns(columns)).pivots
     if kept[: len(vecs)] != list(range(len(vecs))):
@@ -227,7 +217,7 @@ class LinearForm(_Record):
         for n, c in self.terms:
             if n == name:
                 return c
-        return Q(0)
+        return Fraction(0)
 
     def evaluate(self, assignment) -> Fraction:
         """The value at ``assignment`` (name -> value); names the form does not
@@ -236,7 +226,7 @@ class LinearForm(_Record):
         if missing:
             raise DimensionMismatch(f"no value for parameter {', '.join(missing)}")
         return self.constant + sum(
-            (c * as_scalar(assignment[n]) for n, c in self.terms), Q(0)
+            (c * as_scalar(assignment[n]) for n, c in self.terms), Fraction(0)
         )
 
     def __str__(self):
@@ -257,28 +247,28 @@ def parse_linear_form(text: str) -> LinearForm:
     tokens = re.findall(_TOKEN, text)
     if "".join(tokens) != text:
         raise MalformedForm(f"cannot read {text!r}")
-    constant = Q(0)
+    constant = Fraction(0)
     order: list[str] = []
     coeffs: dict[str, Fraction] = {}
     for token in map(str.strip, tokens):
-        sign = Q(1)
+        sign = Fraction(1)
         body = token
         if body[0] in "+-":
-            sign = Q(-1) if body[0] == "-" else Q(1)
+            sign = Fraction(-1) if body[0] == "-" else Fraction(1)
             body = body[1:].lstrip()
         m = re.match(_TERM, body)
         if not m or (m.group("coef") is None and m.group("name") is None):
             if re.search(_NONLINEAR, body):
                 raise NonLinearCoordinate(f"nonlinear term {token!r} in {text!r}")
             raise MalformedForm(f"cannot read term {token!r} in {text!r}")
-        coef = sign * (parse_scalar(m.group("coef")) if m.group("coef") else Q(1))
+        coef = sign * (parse_scalar(m.group("coef")) if m.group("coef") else Fraction(1))
         name = m.group("name")
         if name is None:
             constant += coef
         else:
             if name not in coeffs:
                 order.append(name)
-                coeffs[name] = Q(0)
+                coeffs[name] = Fraction(0)
             coeffs[name] += coef
     return LinearForm(constant=constant, terms=tuple((n, coeffs[n]) for n in order))
 

@@ -1,7 +1,7 @@
 """Linear maps between coordinate spaces, held as standard matrices.
 
 A map is built from coordinate formulas, from enough point-image pairs, or
-directly from a matrix.  Polynomial spaces ride along through the ascending
+directly from a matrix, as ``LinearMap(m)``.  Polynomial spaces ride along through the ascending
 coefficient isomorphism: a polynomial of degree < n is the vector
 (a_0, ..., a_{n-1}).
 """
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .matrix import Matrix, as_vector
 from .poly import Polynomial
-from .scalars import Q, format_scalar
+from .scalars import _ratio, format_scalar
 from .spaces import Subspace, _null_space, _read_forms
 
 
@@ -48,19 +48,11 @@ class LinearMap(_Record):
 
     matrix: Matrix
 
-    @property
-    def domain_dim(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.matrix.rows
-
     def apply(self, v) -> tuple[Fraction, ...]:
         vec = as_vector(v)
-        if len(vec) != self.domain_dim:
+        if len(vec) != self.matrix.cols:
             raise DimensionMismatch(
-                f"map takes vectors of length {self.domain_dim}, got {len(vec)}"
+                f"map takes vectors of length {self.matrix.cols}, got {len(vec)}"
             )
         return as_vector(self.matrix @ Matrix.column_vector(vec))
 
@@ -73,10 +65,6 @@ class LinearMap(_Record):
         columns at the pivots of one reduction."""
         m = self.matrix
         return Subspace._trusted(m.rows, tuple(map(m.col, _FractionFree(m).pivots)))
-
-
-def from_matrix(m: Matrix) -> LinearMap:
-    return LinearMap(matrix=m)
 
 
 def from_forms(forms, variables=None) -> Union[LinearMap, NotLinear]:
@@ -152,5 +140,5 @@ def integral_functional(n: int) -> LinearMap:
     """
     if n < 1:
         raise EmptyInput("need at least the constant polynomials")
-    row = [Q(1, k + 1) for k in range(n)]
+    row = [_ratio(1, k + 1) for k in range(n)]
     return LinearMap(matrix=Matrix([row]))

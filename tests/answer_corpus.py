@@ -24,6 +24,7 @@ from pathlib import Path
 from qlinalg import (
     FORMS,
     LinAlgError,
+    LinearMap,
     Matrix,
     adjoint,
     basis_of_span,
@@ -38,7 +39,6 @@ from qlinalg import (
     eigen_summary,
     extend_to_basis,
     from_basis_images,
-    from_matrix,
     fundamental_subspaces,
     gram_schmidt,
     independence,
@@ -239,8 +239,8 @@ SUITE = {
     "diagonalize": (EIGEN, 20, _on_square(diagonalize)),
     "matrix_power": (EIGEN, 5, _matrix_power),
     "gram_schmidt": (ANY, 20, _on_rows(gram_schmidt)),
-    "LinearMap.kernel": (ANY, 20, _on_any(lambda a: from_matrix(a).kernel())),
-    "LinearMap.range": (ANY, 20, _on_any(lambda a: from_matrix(a).range())),
+    "LinearMap.kernel": (ANY, 20, _on_any(lambda a: LinearMap(a).kernel())),
+    "LinearMap.range": (ANY, 20, _on_any(lambda a: LinearMap(a).range())),
     "parse_linear_form": (COEFFICIENTS, 40, _parse_linear_form),
     "from_basis_images": (ANY, 20, _from_basis_images),
 }

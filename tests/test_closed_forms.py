@@ -4,8 +4,10 @@ closed-form oracles.
 Each matrix and each answer checked here comes from a formula in
 ``tests/oracles.py`` with no call into the package: the determinant, the
 inverse, and the solution x = 1 of A x = A 1; for Vandermonde matrices, the
-determinant, the interpolating coefficients and the rank.  The sizes reach
-32, where the Hilbert and Cauchy inverses have entries of 150 to 250 bits.
+determinant, the interpolating coefficients and the rank; the fundamental
+subspaces of each invertible family and of [M | M]; and the spectrum of
+Sylvester's H_n, which is +-sqrt(n), each n/2 times.  The sizes reach 32,
+where the Hilbert and Cauchy inverses have entries of 150 to 250 bits.
 """
 
 import random
@@ -14,9 +16,13 @@ from fractions import Fraction
 import pytest
 
 from qlinalg import (
+    Diagonalizable,
     Matrix,
+    NotSplit,
     Unique,
     det,
+    diagonalize,
+    eigen_summary,
     fundamental_subspaces,
     inverse_adjoint,
     inverse_gauss_jordan,
@@ -141,3 +147,68 @@ def test_vandermonde_rank_is_the_number_of_distinct_nodes():
         rank = fundamental_subspaces(Matrix(oracles.vandermonde(xs))).rank
         assert rank == len(set(xs)), xs
         assert (rank < n) is (oracles.vandermonde_det(xs) == 0)
+
+
+# ---- fundamental subspaces of the invertible families -----------------------------
+
+
+def _invertible(name, n):
+    if name == "hilbert":
+        return oracles.hilbert(n)
+    if name == "cauchy":
+        return oracles.cauchy(*_cauchy_points(n))
+    return oracles.vandermonde(_nodes(n, name.partition("-")[2]))
+
+
+INVERTIBLE = [
+    (name, n)
+    for name in ("hilbert", "cauchy", "vandermonde-int", "vandermonde-pq")
+    for n in SIZES
+]
+
+
+@pytest.mark.parametrize("name, n", INVERTIBLE)
+def test_an_invertible_family_has_full_rank_and_no_null_space(name, n):
+    f = fundamental_subspaces(Matrix(_invertible(name, n)))
+    assert (f.rank, f.nullity) == (n, 0)
+    assert f.null.basis == () and f.null.ambient == n
+
+
+@pytest.mark.parametrize("name, n", INVERTIBLE)
+def test_a_doubled_family_has_the_null_basis_minus_e_j_plus_e_j(name, n):
+    # [M | M] (x, y) = M (x + y) = 0 exactly when y = -x; the free columns
+    # are the right half, and column n + j pairs with pivot column j
+    rows = _invertible(name, n)
+    f = fundamental_subspaces(Matrix([row + row for row in rows]))
+    assert (f.rank, f.nullity) == (n, n)
+    unit = [[Q(int(i == j)) for i in range(n)] for j in range(n)]
+    assert f.null.basis == tuple(tuple([-x for x in e] + e) for e in unit)
+
+
+# ---- the spectrum of Sylvester's H_n ----------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_hadamard_eigenvalues_are_plus_and_minus_sqrt_n(n):
+    # H^2 = n I and trace H = 0, so det(x I - H) = (x^2 - n)^(n/2): rational
+    # roots +-sqrt(n) for n = 4 and 16, none for n = 2, 8 and 32
+    rows = oracles.hadamard(n)
+    a = Matrix(rows)
+    char = oracles.poly_product(*[[-n, 0, 1]] * (n // 2))
+    summary, verdict = eigen_summary(a), diagonalize(a)
+    assert summary.char == char
+    root = next((r for r in range(n + 1) if r * r == n), None)
+    if root is None:
+        assert (summary.split, summary.roots, summary.residual) == (False, (), char)
+        assert verdict == NotSplit(found=(), residual=char)
+        return
+    assert summary.split and summary.diagonalizable
+    assert summary.roots == ((root, n // 2), (-root, n // 2))
+    assert isinstance(verdict, Diagonalizable)
+    lower, diag = verdict.L.entries, verdict.D.entries
+    assert diag == tuple(
+        tuple(Q(root if i < n // 2 else -root) * (i == j) for j in range(n))
+        for i in range(n)
+    )
+    assert oracles.naive_matmul(rows, lower) == oracles.naive_matmul(lower, diag)
+    assert oracles.rank(lower) == n

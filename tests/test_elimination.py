@@ -48,6 +48,7 @@ from qlinalg import (
     satisfies_form,
     solve,
     solve_with_trace,
+    span_contains,
     split_augmented,
 )
 
@@ -817,6 +818,10 @@ _REDUCTIONS = {
     ),
     "same_space": (lambda: _PLANE_A.same_space(_PLANE_B), 1),
     "same_space, zero": (lambda: _ZERO.same_space(_ZERO), 0),
+    # one reduction of [basis | q] answers inside, outside and the zero subspace
+    "span_contains": (lambda: span_contains(_PLANE_A, (2, -3, 2, -3)), 1),
+    "span_contains, outside": (lambda: span_contains(_PLANE_A, (1, 0, 0, 0)), 1),
+    "span_contains, zero": (lambda: span_contains(_ZERO, (0, 0, 0, 0)), 1),
     "from_basis_images": (
         lambda: from_basis_images([((2, 0), (0, 1)), ((-1, 1), (2, 1))]),
         1,

@@ -1,7 +1,8 @@
 """Every module under src/qlinalg uses every name it imports, every
 module-level private name is used by some module of the package, no record
 field has a default, and no module computes with floats.  The public names
-and the methods of the public classes are pinned, importing the CLI loads no
+and the methods of the public classes are pinned, every public class and
+function is defined in the package, importing the CLI loads no
 module it does not need, and importing compiles no pattern that only a
 coordinate formula uses."""
 
@@ -12,6 +13,8 @@ import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import qlinalg
@@ -33,6 +36,29 @@ def test_public_names_are_pinned():
         if not isinstance(getattr(qlinalg, name), types.ModuleType)
     ]
     assert names == sorted(public + module_attributes)
+
+
+def _foreign_exports(namespace: dict, names) -> list[str]:
+    """Public classes and functions defined outside the package: a
+    re-exported ``Fraction`` or ``gcd`` would be a second name for a concept
+    the standard library already names."""
+    kinds = (type, types.FunctionType, types.BuiltinFunctionType)
+    return [
+        f"{name} ({value.__module__})"
+        for name in names
+        if isinstance(value := namespace[name], kinds)
+        and not value.__module__.startswith("qlinalg.")
+    ]
+
+
+def test_every_public_class_and_function_is_defined_in_the_package():
+    assert _foreign_exports(vars(qlinalg), qlinalg.__all__) == []
+
+
+def test_the_check_sees_a_reexported_name():
+    planted = dict(vars(qlinalg), Q=Fraction, gcd=gcd)
+    names = [*qlinalg.__all__, "Q", "gcd"]
+    assert _foreign_exports(planted, names) == ["Q (fractions)", "gcd (math)"]
 
 
 def _public_methods() -> list[str]:

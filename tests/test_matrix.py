@@ -282,7 +282,7 @@ C123 = Matrix.parse("-3 2 5; 1 7 3")
 
 def test_scalar_multiple():
     assert 3 * A123 == Matrix.parse("6 3 9; 0 3 15")
-    assert A123.scale(3) == 3 * A123
+    assert A123 * 3 == 3 * A123
     assert A123 * Q(1, 2) == Matrix.parse("1 1/2 3/2; 0 1/2 5/2")
 
 
@@ -308,7 +308,6 @@ def test_product_both_orders():
     ab = A33 @ B33
     assert ab == Matrix.parse("1 5 3; 3 15 9; 1 3 2")
     assert ab[1, 2] == 9
-    assert A33 * B33 == ab
     assert B33 @ A33 == Matrix.parse("5 9; 7 13")
 
 
@@ -420,7 +419,8 @@ def test_hstack():
         (lambda: Matrix.zero(0, 2), EmptyInput),
         (lambda: A123 + 1, TypeError),
         (lambda: A123 @ 2, TypeError),
-        (lambda: A33 * A33, DimensionMismatch),
+        (lambda: A33 @ A33, DimensionMismatch),
+        (lambda: A33 * B33, TypeError),
         (lambda: A123 ** 2, NotSquare),
         (lambda: A123.trace(), NotSquare),
         (lambda: A123.take_columns(1, 4), IndexOutOfRange),
@@ -430,7 +430,7 @@ def test_hstack():
         (lambda: rational_roots(Polynomial([])), ValueError),
     ],
     ids=[
-        "identity-0", "zero-rows", "add-int", "matmul-int", "mul-shapes",
+        "identity-0", "zero-rows", "add-int", "matmul-int", "mul-shapes", "mul-matrix",
         "power-not-square", "trace-not-square", "take-columns-range",
         "split-boundary", "as-scalar-object", "subspace-ambient-0", "roots-of-zero",
     ],

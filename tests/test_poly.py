@@ -36,6 +36,17 @@ def test_a_constant_hashes_as_the_scalar_it_equals():
     assert Polynomial([1, 2]) not in {1, 2, (1, 2)}
 
 
+def test_a_bool_is_not_compared_as_a_constant():
+    # a bool is no scalar, so equality falls back to identity instead of
+    # raising from the coercion
+    p = Polynomial([1])
+    assert not p == True  # noqa: E712
+    assert p != True  # noqa: E712
+    assert p not in [True]
+    assert {True: "a"}.get(p) is None
+    assert Polynomial() != False  # noqa: E712
+
+
 def test_evaluation_is_exact():
     p = Polynomial([-2, 1, 2, -1])
     # -2 + 3 + 18 - 27

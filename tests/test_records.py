@@ -214,6 +214,26 @@ def test_row_operations_still_refuse_what_is_not_a_row_operation():
         Swap(0, -2)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda r: Scale(3, r),
+        lambda r: AddMultiple(2, r, 0),
+        lambda r: AddMultiple(2, 0, r),
+        lambda r: Swap(0, r),
+        lambda r: Swap(r, 0),
+    ],
+    ids=["Scale", "AddMultiple-source", "AddMultiple-target", "Swap-second", "Swap-first"],
+)
+@pytest.mark.parametrize(
+    "row", [1.5, True, False, Q(1), "1", None],
+    ids=["float", "True", "False", "Fraction", "str", "None"],
+)
+def test_row_operations_refuse_a_row_index_that_is_not_an_int(build, row):
+    with pytest.raises(TypeError, match="a row index must be an int"):
+        build(row)
+
+
 def test_row_operations_coerce_their_scalar():
     assert Scale("3/6", 0).alpha == Q(1, 2)
     assert AddMultiple(alpha=2, source=0, target=1) == AddMultiple(Q(2), 0, 1)
