@@ -7,7 +7,6 @@ Gram-Schmidt — every answer exact, no floats anywhere.
 """
 
 from .determinant import (
-    DetEffectLog,
     Expansion,
     adjoint,
     cofactor_expand,
@@ -15,7 +14,7 @@ from .determinant import (
     cramer_solve,
     det,
     det_cofactor,
-    det_with_effects,
+    det_with_trace,
     inverse_2x2,
     inverse_adjoint,
     inverse_entry,

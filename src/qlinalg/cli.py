@@ -34,8 +34,9 @@ from .determinant import (
     cramer_solve,
     det,
     det_cofactor,
-    det_with_effects,
+    det_with_trace,
     inverse_entry,
+    row_op_det_effect,
 )
 from .eigen import (
     Diagonalizable,
@@ -333,9 +334,9 @@ def _cmd_det(args):
         return _scalar_result(det_cofactor(m), method="cofactor")
     if not args.trace:
         return _scalar_result(det(m), method="rowred")
-    value, log, _ = det_with_effects(m)
+    value, trace = det_with_trace(m)
     _, payload = _scalar_result(value, method="rowred")
-    steps = [(render_row_op(op), f) for op, f in log.steps]
+    steps = [(render_row_op(op), row_op_det_effect(op)) for op in trace]
     lines = [f"{op} :: factor {format_scalar(f)}" for op, f in steps]
     lines.append(f"det = {format_scalar(value)}")
     payload["effects"] = [{"op": op, "factor": f} for op, f in steps]

@@ -2,12 +2,13 @@
 
 Two independent routes to the same number:
 
-* :func:`det` / :func:`det_with_effects` -- both read the same run's minor:
+* :func:`det` / :func:`det_with_trace` -- both read the same run's minor:
   one fraction-free elimination on integers, its last pivot signed by its
-  swaps over its row scales.  The traced route also logs how each row
-  operation scales the determinant (scaling by alpha multiplies it by alpha,
-  a swap flips its sign, adding a multiple of one row to another changes
-  nothing);
+  swaps over its row scales.  The traced route also returns the run's trace;
+  :func:`row_op_det_effect` reads off it how each operation scales the
+  determinant (scaling by alpha multiplies it by alpha, a swap flips its
+  sign, adding a multiple of one row to another changes nothing), so
+  ``det(trace.end) == prod(map(row_op_det_effect, trace)) * det(A)``;
 * :func:`det_cofactor` / :func:`cofactor_expand` -- one recursive signed-minor
   expansion: the terms along row 0, along a chosen row, or along a chosen
   column as the same row of the transpose.
@@ -21,9 +22,7 @@ expands det(A) along a line of those cofactors instead of reducing A again.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from operator import mul
-from typing import Iterable
 
 from .elimination import RowOp, Scale, Swap, Trace, _FractionFree
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     WrongSize,
     _Record,
 )
-from .matrix import Matrix, as_vector
+from .matrix import Matrix, _check_indices, as_vector
 
 
 def row_op_det_effect(op: RowOp) -> Fraction:
@@ -47,28 +46,12 @@ def row_op_det_effect(op: RowOp) -> Fraction:
     return Fraction(1)
 
 
-class DetEffectLog(_Record):
-    """Per-operation determinant factors, in order, with their product.
-
-    If ops carry A to B then ``det(B) == factor * det(A)``.
-    """
-
-    steps: tuple[tuple[RowOp, Fraction], ...]
-    factor: Fraction
-
-    @classmethod
-    def from_ops(cls, ops: Iterable[RowOp]) -> "DetEffectLog":
-        steps = tuple((op, row_op_det_effect(op)) for op in ops)
-        return cls(steps=steps, factor=prod((f for _, f in steps), start=Fraction(1)))
-
-
-def det_with_effects(a: Matrix) -> tuple[Fraction, DetEffectLog, Trace]:
-    """Determinant via elimination, plus the effect log and the trace behind it."""
+def det_with_trace(a: Matrix) -> tuple[Fraction, Trace]:
+    """Determinant via elimination, and the trace of the run it was read off."""
     if not a.is_square:
         raise NotSquare("determinants need a square matrix")
     run = _FractionFree(a)
-    trace = run.trace(a, 0)
-    return run.minor(), DetEffectLog.from_ops(trace), trace
+    return run.minor(), run.trace(a, 0)
 
 
 def det(a: Matrix) -> Fraction:
@@ -121,6 +104,7 @@ def cofactor_expand(a: Matrix, row: int | None = None, col: int | None = None) -
         raise ValueError("give exactly one of row= or col=")
     n = a.rows
     line = row if row is not None else col
+    _check_indices("row" if row is not None else "column", line)
     if not 0 <= line < n:
         raise IndexOutOfRange(f"line {line} outside 0..{n - 1}")
     grid = a.entries if row is not None else tuple(zip(*a.entries))
@@ -205,6 +189,8 @@ def inverse_entry(a: Matrix, i: int, k: int) -> Fraction:
         raise NotSquare("inverse entries need a square matrix")
     if a.rows < 2:
         raise WrongSize("single-entry inverse needs n >= 2")
+    _check_indices("row", i)
+    _check_indices("column", k)
     n = a.rows
     if not (0 <= i < n and 0 <= k < n):
         raise IndexOutOfRange(f"entry ({i}, {k}) outside a {n}x{n} matrix")

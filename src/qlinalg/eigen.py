@@ -27,9 +27,9 @@ it is read: ``diagonalize`` stops at the first deficient eigenvalue.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Sequence, Union
 
 from .elimination import _FractionFree, inverse_gauss_jordan
 from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
@@ -139,7 +139,7 @@ class NotSplit(_Record):
         return False
 
 
-EigenvalueVerdict = Union[Split, NotSplit]
+EigenvalueVerdict = Split | NotSplit
 
 
 def _spectrum(a: Matrix) -> tuple[tuple[int, ...], EigenvalueVerdict, Iterator]:
@@ -225,7 +225,7 @@ class NotDiagonalizable(_Record):
         return False
 
 
-DiagonalizeVerdict = Union[Diagonalizable, NotDiagonalizable, NotSplit]
+DiagonalizeVerdict = Diagonalizable | NotDiagonalizable | NotSplit
 
 
 def diagonalize(a: Matrix) -> DiagonalizeVerdict:

@@ -38,7 +38,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import prod
 from operator import mul
-from typing import Union
 
 from .errors import (
     DimensionMismatch,
@@ -48,7 +47,7 @@ from .errors import (
     ZeroScale,
     _Record,
 )
-from .matrix import Matrix, as_vector, hstack
+from .matrix import Matrix, _check_indices, as_vector, hstack
 from .scalars import _cleared, _ratio, as_scalar, format_scalar
 
 
@@ -58,14 +57,6 @@ from .scalars import _cleared, _ratio, as_scalar, format_scalar
 # its fields in its own __init__, faster than _Record's generic one.
 
 
-def _check_row_types(*rows) -> None:
-    """Refuse a row index that is not an int, or is a bool, as ``as_scalar``
-    refuses a float or a bool."""
-    for r in rows:
-        if isinstance(r, bool) or not isinstance(r, int):
-            raise TypeError(f"a row index must be an int, got {r!r}")
-
-
 class Scale(_Record):
     """alpha * R[row], alpha nonzero."""
 
@@ -73,7 +64,7 @@ class Scale(_Record):
     row: int
 
     def __init__(self, alpha, row):
-        _check_row_types(row)
+        _check_indices("row", row)
         alpha = as_scalar(alpha)
         if alpha == 0:
             raise ZeroScale("scaling a row by zero is not a row operation")
@@ -90,7 +81,7 @@ class AddMultiple(_Record):
     target: int
 
     def __init__(self, alpha, source, target):
-        _check_row_types(source, target)
+        _check_indices("row", source, target)
         alpha = as_scalar(alpha)
         if alpha == 0:
             raise ZeroScale("adding zero times a row is not a row operation")
@@ -108,7 +99,7 @@ class Swap(_Record):
     second: int
 
     def __init__(self, first, second):
-        _check_row_types(first, second)
+        _check_indices("row", first, second)
         if first == second:
             raise ValueError("swapping a row with itself is not a row operation")
         if min(first, second) < 0:
@@ -116,7 +107,7 @@ class Swap(_Record):
         self.__dict__.update(first=first, second=second)
 
 
-RowOp = Union[Scale, AddMultiple, Swap]
+RowOp = Scale | AddMultiple | Swap
 
 
 def _fold_coefficient(alpha: Fraction) -> str:
@@ -189,7 +180,8 @@ class Trace(_Record):
     """What an elimination did: the ordered row operations carrying start to end.
 
     Iterating a trace yields its operations.  The elementary matrix of a step
-    is ``elementary_matrix(op, trace.start.rows)``, built only when asked for.
+    is ``elementary_matrix(op, trace.start.rows)`` and its determinant factor
+    ``row_op_det_effect(op)``, each derived only when asked for.
     """
 
     start: Matrix
@@ -573,7 +565,7 @@ class Infinite(_Record):
         return self.at([0] * len(self.free))
 
 
-SolutionSet = Union[Inconsistent, Unique, Infinite]
+SolutionSet = Inconsistent | Unique | Infinite
 
 
 def _augmented(a: Matrix, b) -> Matrix:

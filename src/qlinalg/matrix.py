@@ -15,9 +15,9 @@ augmented matrix splits into coefficients and constants::
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -27,6 +27,14 @@ from .errors import (
     RaggedRows,
 )
 from .scalars import _cleared, _ratio, as_scalar, format_scalar, parse_scalar
+
+
+def _check_indices(kind: str, *indices) -> None:
+    """Refuse an index that is not an int, or is a bool, as ``as_scalar``
+    refuses a float or a bool: ``True`` is not row 1."""
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise TypeError(f"a {kind} index must be an int, got {i!r}")
 
 
 class Matrix:
@@ -129,10 +137,12 @@ class Matrix:
         return self._data[i][j]
 
     def _check_row(self, i: int) -> None:
+        _check_indices("row", i)
         if not 0 <= i < self.rows:
             raise IndexOutOfRange(f"row {i} outside 0..{self.rows - 1}")
 
     def _check_col(self, j: int) -> None:
+        _check_indices("column", j)
         if not 0 <= j < self.cols:
             raise IndexOutOfRange(f"column {j} outside 0..{self.cols - 1}")
 
@@ -227,6 +237,7 @@ class Matrix:
         return sum((self._data[i][i] for i in range(self.rows)), Fraction(0))
 
     def take_columns(self, start: int, stop: int) -> "Matrix":
+        _check_indices("column", start, stop)
         if not (0 <= start < stop <= self.cols):
             raise IndexOutOfRange(f"column slice {start}:{stop} outside 0..{self.cols}")
         return Matrix._of(tuple(r[start:stop] for r in self._data))

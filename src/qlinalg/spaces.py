@@ -14,8 +14,8 @@ the zero vector is missing and the set is no subspace at all.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .elimination import RowOp, Swap, _FractionFree
 from .errors import (
@@ -64,7 +64,7 @@ class Dependent(_Record):
         return False
 
 
-IndependenceVerdict = Union[Independent, Dependent]
+IndependenceVerdict = Independent | Dependent
 
 
 def independence(vectors) -> IndependenceVerdict:
@@ -333,7 +333,7 @@ class NotSubspace(_Record):
         )
 
 
-def subspace_from_forms(forms, parameters=None) -> Union[Subspace, NotSubspace]:
+def subspace_from_forms(forms, parameters=None) -> Subspace | NotSubspace:
     """The set of all (form_1, ..., form_m) over all parameter values.
 
     Homogeneous forms give a subspace: one generator per parameter (that

@@ -9,7 +9,6 @@ coefficient isomorphism: a polynomial of degree < n is the vector
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .elimination import _FractionFree
 from .errors import (
@@ -67,7 +66,7 @@ class LinearMap(_Record):
         return Subspace._trusted(m.rows, tuple(map(m.col, _FractionFree(m).pivots)))
 
 
-def from_forms(forms, variables=None) -> Union[LinearMap, NotLinear]:
+def from_forms(forms, variables=None) -> LinearMap | NotLinear:
     """Build T from coordinate formulas like ``("3a1+a2", "a2", "-a1")``.
 
     Variables order the columns; when not given it is inferred (numeric

@@ -34,7 +34,7 @@ from qlinalg import (
     cramer_solve,
     det,
     det_cofactor,
-    det_with_effects,
+    det_with_trace,
     diagonalize,
     eigen_summary,
     extend_to_basis,
@@ -216,7 +216,7 @@ def _from_basis_images(rng, regime):
 # name -> (regimes, calls per regime, one draw's answers)
 SUITE = {
     "det": (SQUARE, 20, _on_square(det)),
-    "det_with_effects": (SQUARE, 20, _on_square(det_with_effects)),
+    "det_with_trace": (SQUARE, 20, _on_square(det_with_trace)),
     "det_cofactor": (SQUARE, 20, _on_square(det_cofactor, top=6)),
     "cofactor_expand": (SQUARE, 20, _cofactor_expand),
     "cofactor_matrix": (SQUARE, 20, _on_square(cofactor_matrix)),

@@ -6,14 +6,15 @@ counts, and the command-line golden transcripts.  Every assertion is exact
 rational equality.
 """
 
+import functools
 import json
 import random
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 from qlinalg import (
     AddMultiple,
-    DetEffectLog,
     Diagonalizable,
     Inconsistent,
     Infinite,
@@ -52,6 +53,7 @@ from qlinalg import (
     is_orthogonal_set,
     matrix_power,
     parse_matrix_text,
+    row_op_det_effect,
     solve,
     span_contains,
     split_augmented,
@@ -155,9 +157,10 @@ def test_closed_form_inverse_of_a_two_by_two():
 
 
 def test_row_scalings_compound_on_the_determinant():
-    log = DetEffectLog.from_ops([Scale(2, 0), Scale(3, 2), Scale(-2, 3)])
-    assert log.factor == -12
-    assert log.factor * Q(4) == -48
+    ops = [Scale(2, 0), Scale(3, 2), Scale(-2, 3)]
+    assert prod(map(row_op_det_effect, ops)) == -12
+    a = Matrix.parse("1 0 0 0; 0 1 0 0; 0 0 2 0; 0 0 0 2")  # det 4
+    assert det(functools.reduce(apply_row_op, ops, a)) == -12 * Q(4) == -48
 
 
 def test_cramer_rule_coordinates():

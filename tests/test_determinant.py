@@ -1,13 +1,14 @@
+import functools
 import operator
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 import qlinalg.matrix
 from qlinalg import (
     AddMultiple,
-    DetEffectLog,
     DimensionMismatch,
     IndexOutOfRange,
     Matrix,
@@ -19,17 +20,19 @@ from qlinalg import (
     Unique,
     WrongSize,
     adjoint,
+    apply_row_op,
     cofactor_expand,
     cofactor_matrix,
     cramer_solve,
     det,
     det_cofactor,
-    det_with_effects,
+    det_with_trace,
     hstack,
     inverse_2x2,
     inverse_adjoint,
     inverse_entry,
     inverse_gauss_jordan,
+    reduce,
     row_op_det_effect,
     solve,
     split_augmented,
@@ -65,7 +68,7 @@ def test_det_rejects_rectangles():
     with pytest.raises(NotSquare):
         det_cofactor(Matrix.parse("1 2 3; 4 5 6"))
     with pytest.raises(NotSquare):
-        det_with_effects(Matrix.parse("1 2 3; 4 5 6"))
+        det_with_trace(Matrix.parse("1 2 3; 4 5 6"))
 
 
 def test_singular_det_is_zero():
@@ -130,6 +133,24 @@ def test_cofactor_expand_validates_arguments():
             cofactor_expand(a, **kw)
 
 
+@pytest.mark.parametrize(
+    "expand",
+    [
+        lambda a, i: cofactor_expand(a, row=i),
+        lambda a, i: cofactor_expand(a, col=i),
+        lambda a, i: inverse_entry(a, i, 0),
+        lambda a, i: inverse_entry(a, 0, i),
+    ],
+    ids=["cofactor_expand-row", "cofactor_expand-col", "inverse_entry-i", "inverse_entry-k"],
+)
+@pytest.mark.parametrize(
+    "index", [True, False, 1.0, Q(1), "1"], ids=["True", "False", "float", "Fraction", "str"]
+)
+def test_cofactor_lines_refuse_an_index_that_is_not_an_int(expand, index):
+    with pytest.raises(TypeError, match="index must be an int"):
+        expand(Matrix.parse("1 2 3; 4 5 6; 7 8 10"), index)
+
+
 # ---- row-operation effects on determinants ------------------------------------
 
 
@@ -140,25 +161,61 @@ def test_row_op_det_effect():
 
 
 def test_effect_log_accumulates():
-    log = DetEffectLog.from_ops([Scale(2, 0), Scale(3, 2), Scale(-2, 3)])
-    assert [f for _, f in log.steps] == [2, 3, -2]
-    assert log.factor == -12
-    assert log.factor * Q(4) == -48
+    ops = [Scale(2, 0), Scale(3, 2), Scale(-2, 3)]
+    assert [row_op_det_effect(op) for op in ops] == [2, 3, -2]
+    assert prod(map(row_op_det_effect, ops)) == -12
+    a = Matrix.parse("1 0 0 0; 0 1 0 0; 0 0 2 0; 0 0 0 2")
+    assert det(functools.reduce(apply_row_op, ops, a)) == -12 * det(a) == -48
 
 
 def test_addmultiple_preserves_det():
     a = Matrix.parse("1 2 3; 0 4 1; 2 0 1")
-    log = DetEffectLog.from_ops([AddMultiple(7, 0, 2)])
-    assert log.factor * det(a) == det(a)
+    op = AddMultiple(7, 0, 2)
+    assert row_op_det_effect(op) == 1
+    assert det(apply_row_op(a, op)) == det(a)
 
 
-def test_det_with_effects_explains_itself():
+def test_det_with_trace_explains_itself():
     a = Matrix.parse("0 2; 3 1")  # forces a swap
-    value, log, trace = det_with_effects(a)
+    value, trace = det_with_trace(a)
     assert value == -6
-    # the triangular end of the trace has det == factor * det(a)
+    assert trace.steps[0] == Swap(0, 1)
+    # the triangular end of the trace has det == (product of factors) * det(a)
     tri = trace.end
-    assert tri[0, 0] * tri[1, 1] == log.factor * value
+    assert tri[0, 0] * tri[1, 1] == prod(map(row_op_det_effect, trace)) * value
+
+
+def _det_law_inputs():
+    """Seeded square matrices: small integers, p/q entries, 64-bit integers,
+    singular ones, and ones whose top-left entry is 0, so that the
+    elimination must swap (one swap, then a cycle of n - 1)."""
+    rng = random.Random(4040)
+    for n in range(1, 6):
+        for _ in range(4):
+            ints = oracles.rand_grid(rng, n, n, lo=-9, hi=9, denominators=(1,))
+            yield ints
+            yield oracles.rand_grid(rng, n, n, denominators=(2, 3, 5, 7))
+            yield [[rng.choice((-1, 1)) * rng.getrandbits(64) for _ in range(n)] for _ in range(n)]
+            if n > 1:
+                yield [*ints[:-1], [x + y for x, y in zip(ints[0], ints[-2])]]
+                yield [[0, *ints[0][1:]], [1 + abs(ints[1][0]), *ints[1][1:]], *ints[2:]]
+                upper = [[rng.randint(1, 9) if i <= j else 0 for j in range(n)] for i in range(n)]
+                yield upper[1:] + upper[:1]
+
+
+def test_det_with_trace_is_det_and_the_semi_reduced_trace():
+    for rows in _det_law_inputs():
+        a = Matrix(rows)
+        assert det_with_trace(a) == (det(a), reduce(a, "semi_reduced")[1])
+
+
+def test_the_traced_factors_carry_the_determinant_to_the_end():
+    swapped = 0
+    for rows in _det_law_inputs():
+        value, trace = det_with_trace(Matrix(rows))
+        assert det(trace.replay()) == prod(map(row_op_det_effect, trace)) * value
+        swapped += value != 0 and sum(isinstance(op, Swap) for op in trace) % 2
+    assert swapped  # an odd number of swaps on a nonzero determinant is seen
 
 
 def test_det_agreement_property():

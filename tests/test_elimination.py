@@ -28,7 +28,7 @@ from qlinalg import (
     cramer_solve,
     det,
     det_cofactor,
-    det_with_effects,
+    det_with_trace,
     eigenspace,
     elementary_matrix,
     extend_to_basis,
@@ -581,7 +581,7 @@ def _assert_matches_oracle(a: Matrix, b) -> None:
     if a.is_square:
         value = oracles.det_by_elimination(rows)
         assert repr(det(a)) == repr(value)
-        traced_value, _, trace = det_with_effects(a)
+        traced_value, trace = det_with_trace(a)
         assert repr(traced_value) == repr(value)
         _assert_trace_is(trace, oracles.eliminate(rows, 0))
         inverse = oracles.inverse_by_elimination(rows)
@@ -859,7 +859,7 @@ _REDUCTIONS = {
         1,
     ),
     "reduce": (lambda: reduce(_A), 1),
-    "det_with_effects": (lambda: det_with_effects(_A), 1),
+    "det_with_trace": (lambda: det_with_trace(_A), 1),
     # the adjoint route: one reduction per row of cofactors, 3 rows in _A
     "cofactor_matrix": (lambda: cofactor_matrix(_A), 3),
     "inverse_entry": (lambda: inverse_entry(_A, 0, 2), 1),

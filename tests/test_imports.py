@@ -102,8 +102,9 @@ def test_importing_the_cli_loads_no_introspection_modules():
     # dataclasses pulls in inspect, which pulls in ast, dis and tokenize: import
     # time every one-shot run would pay for nothing an answer uses.  -S keeps
     # site (and whatever its .pth files import) out of the count.  json is
-    # imported only when --format json output is written.
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+    # imported only when --format json output is written.  Annotations need no
+    # typing: they stay strings, and the union aliases are ``A | B``.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json", "typing")
     code = f"import qlinalg.cli, sys; print(sorted(set({heavy!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(

@@ -254,6 +254,32 @@ def test_indexing_bounds():
         m[0, 5]
 
 
+_M3 = Matrix.parse("1 2 3; 4 5 6; 7 8 10")
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda i: _M3[i, 0],
+        lambda i: _M3[0, i],
+        _M3.row,
+        _M3.col,
+        lambda i: _M3.drop(row=i),
+        lambda i: _M3.drop(col=i),
+        lambda i: _M3.take_columns(i, 3),
+        lambda i: _M3.take_columns(0, i),
+    ],
+    ids=["getitem-row", "getitem-col", "row", "col", "drop-row", "drop-col",
+         "take_columns-start", "take_columns-stop"],
+)
+@pytest.mark.parametrize(
+    "index", [True, False, 1.0, Q(1), "1"], ids=["True", "False", "float", "Fraction", "str"]
+)
+def test_matrix_indices_refuse_what_is_not_an_int(read, index):
+    with pytest.raises(TypeError, match="index must be an int"):
+        read(index)
+
+
 def test_equality_and_hash():
     a = Matrix.parse("1 2; 3 4")
     b = Matrix([[1, 2], [3, 4]])

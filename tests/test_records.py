@@ -67,7 +67,7 @@ def twin(record):
 
 
 def test_every_record_class_is_reachable_from_the_public_names():
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 23
     assert set(RECORDS) == set(_Record.__subclasses__())
 
 
