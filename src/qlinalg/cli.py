@@ -89,9 +89,6 @@ from .spaces import (
 )
 from .transform import LinearMap, NotLinear, from_basis_images, from_forms
 
-# n! products: n = 8 answers in under a second, n = 10 takes nearly a minute.
-_COFACTOR_MAX_N = 8
-
 # Bits of A^k's entries, as |k| * log2(n * max|numerator| * common denominator);
 # printing one costs time quadratic in them, so each entry has a limit, and so
 # has the whole answer.  An 8x8 of -9..9 at both limits: 1.5 s.
@@ -326,11 +323,6 @@ def _cmd_det(args):
     if args.method == "cofactor":
         if args.trace:
             raise UsageError("--trace goes with --method rowred")
-        if m.rows > _COFACTOR_MAX_N:
-            raise UsageError(
-                f"--method cofactor takes at most {_COFACTOR_MAX_N} rows "
-                f"(n! work); use --method rowred for this {m.rows}x{m.cols} input"
-            )
         return _scalar_result(det_cofactor(m), method="cofactor")
     if not args.trace:
         return _scalar_result(det(m), method="rowred")

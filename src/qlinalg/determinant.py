@@ -1,6 +1,6 @@
 """Determinants and everything classical built on them.
 
-Two independent routes to the same number:
+Two routes to the same number:
 
 * :func:`det` / :func:`det_with_trace` -- both read the same run's minor:
   one fraction-free elimination on integers, its last pivot signed by its
@@ -9,12 +9,13 @@ Two independent routes to the same number:
   determinant (scaling by alpha multiplies it by alpha, a swap flips its
   sign, adding a multiple of one row to another changes nothing), so
   ``det(trace.end) == prod(map(row_op_det_effect, trace)) * det(A)``;
-* :func:`det_cofactor` / :func:`cofactor_expand` -- one recursive signed-minor
-  expansion: the terms along row 0, along a chosen row, or along a chosen
-  column as the same row of the transpose.
+* :func:`det_cofactor` / :func:`cofactor_expand` -- the expansion along one
+  line, det(A) = sum_j a_ij C_ij: along row 0, along a chosen row, or along a
+  chosen column as the same row of the transpose.  The line's cofactors come
+  from one fraction-free reduction of A without that line (:func:`_cofactor_row`).
 
 On top of these: the 2x2 shortcut inverse, and the cofactor matrix, one
-reduction per row, with the adjoint, the adjoint-route inverse, single
+such reduction per row, with the adjoint, the adjoint-route inverse, single
 inverse entries and Cramer's rule read off its rows.  Each of the last three
 expands det(A) along a line of those cofactors instead of reducing A again.
 """
@@ -34,7 +35,8 @@ from .errors import (
     WrongSize,
     _Record,
 )
-from .matrix import Matrix, _check_indices, as_vector
+from .matrix import Matrix, as_vector
+from .scalars import _check_ints
 
 
 def row_op_det_effect(op: RowOp) -> Fraction:
@@ -61,25 +63,11 @@ def det(a: Matrix) -> Fraction:
     return _FractionFree(a).minor()
 
 
-def _expansion(grid, i: int) -> list[Fraction]:
-    """The signed terms (-1)^(i+j) a_ij det(minor_ij) along row i of a square
-    grid, 0 for a zero entry, each minor expanded along its first row (n! work).
-    A 1x1's one term is its entry: the empty minor's determinant is 1."""
-    if len(grid) == 1:
-        return [grid[0][0]]
-    rest = grid[:i] + grid[i + 1:]
-    return [
-        (-a if (i + j) % 2 else a) * sum(_expansion([r[:j] + r[j + 1:] for r in rest], 0))
-        if a else Fraction(0)
-        for j, a in enumerate(grid[i])
-    ]
-
-
 def det_cofactor(a: Matrix) -> Fraction:
-    """Determinant by full recursive cofactor expansion (n! work)."""
+    """Determinant by cofactor expansion along row 0: sum_j a_0j C_0j."""
     if not a.is_square:
         raise NotSquare("determinants need a square matrix")
-    return sum(_expansion(a.entries, 0), Fraction(0))
+    return cofactor_expand(a, row=0).value
 
 
 class Expansion(_Record):
@@ -94,21 +82,20 @@ class Expansion(_Record):
 def cofactor_expand(a: Matrix, row: int | None = None, col: int | None = None) -> Expansion:
     """Expand along one row or one column (exactly one must be given).
 
-    Term k is the signed product entry * cofactor at position k of the chosen
-    line; minors are themselves computed by cofactor expansion.  Column j of A
+    Term k is entry * cofactor at position k of the chosen line, the line's
+    cofactors read off one reduction (:func:`_cofactor_row`).  Column j of A
     is row j of its transpose, whose minors are A's transposed: same determinants.
     """
     if not a.is_square:
         raise NotSquare("cofactor expansion needs a square matrix")
     if (row is None) == (col is None):
         raise ValueError("give exactly one of row= or col=")
-    n = a.rows
     line = row if row is not None else col
-    _check_indices("row" if row is not None else "column", line)
-    if not 0 <= line < n:
-        raise IndexOutOfRange(f"line {line} outside 0..{n - 1}")
-    grid = a.entries if row is not None else tuple(zip(*a.entries))
-    terms = tuple(_expansion(grid, line))
+    _check_ints("a row index" if row is not None else "a column index", line)
+    if not 0 <= line < a.rows:
+        raise IndexOutOfRange(f"line {line} outside 0..{a.rows - 1}")
+    b = a if row is not None else a.transpose()
+    terms = tuple(map(mul, b.row(line), _cofactor_row(b, line)))
     return Expansion(terms=terms, value=sum(terms, Fraction(0)), row=row, col=col)
 
 
@@ -189,8 +176,8 @@ def inverse_entry(a: Matrix, i: int, k: int) -> Fraction:
         raise NotSquare("inverse entries need a square matrix")
     if a.rows < 2:
         raise WrongSize("single-entry inverse needs n >= 2")
-    _check_indices("row", i)
-    _check_indices("column", k)
+    _check_ints("a row index", i)
+    _check_ints("a column index", k)
     n = a.rows
     if not (0 <= i < n and 0 <= k < n):
         raise IndexOutOfRange(f"entry ({i}, {k}) outside a {n}x{n} matrix")

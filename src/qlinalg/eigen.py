@@ -35,7 +35,7 @@ from .elimination import _FractionFree, inverse_gauss_jordan
 from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
 from .matrix import Matrix, _integer_image
 from .poly import Polynomial, _primitive, _rational_roots, _rescaled
-from .scalars import _ratio, as_scalar
+from .scalars import _check_ints, _ratio, as_scalar
 from .spaces import Subspace, _null_space
 
 
@@ -259,6 +259,7 @@ def matrix_power(a: Matrix, k: int) -> Matrix:
     A negative k takes the Gauss-Jordan inverse first, so A must be
     invertible.
     """
+    _check_ints("the exponent k", k)
     if not a.is_square:
         raise NotSquare("powers need a square matrix")
     if k < 0:

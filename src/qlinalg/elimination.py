@@ -47,8 +47,8 @@ from .errors import (
     ZeroScale,
     _Record,
 )
-from .matrix import Matrix, _check_indices, as_vector, hstack
-from .scalars import _cleared, _ratio, as_scalar, format_scalar
+from .matrix import Matrix, as_vector, hstack
+from .scalars import _check_ints, _cleared, _ratio, as_scalar, format_scalar
 
 
 # ---- the three operations ----------------------------------------------------
@@ -64,7 +64,7 @@ class Scale(_Record):
     row: int
 
     def __init__(self, alpha, row):
-        _check_indices("row", row)
+        _check_ints("a row index", row)
         alpha = as_scalar(alpha)
         if alpha == 0:
             raise ZeroScale("scaling a row by zero is not a row operation")
@@ -81,7 +81,7 @@ class AddMultiple(_Record):
     target: int
 
     def __init__(self, alpha, source, target):
-        _check_indices("row", source, target)
+        _check_ints("a row index", source, target)
         alpha = as_scalar(alpha)
         if alpha == 0:
             raise ZeroScale("adding zero times a row is not a row operation")
@@ -99,7 +99,7 @@ class Swap(_Record):
     second: int
 
     def __init__(self, first, second):
-        _check_indices("row", first, second)
+        _check_ints("a row index", first, second)
         if first == second:
             raise ValueError("swapping a row with itself is not a row operation")
         if min(first, second) < 0:

@@ -26,15 +26,7 @@ from .errors import (
     NotSquare,
     RaggedRows,
 )
-from .scalars import _cleared, _ratio, as_scalar, format_scalar, parse_scalar
-
-
-def _check_indices(kind: str, *indices) -> None:
-    """Refuse an index that is not an int, or is a bool, as ``as_scalar``
-    refuses a float or a bool: ``True`` is not row 1."""
-    for i in indices:
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise TypeError(f"a {kind} index must be an int, got {i!r}")
+from .scalars import _check_ints, _cleared, _ratio, as_scalar, format_scalar, parse_scalar
 
 
 class Matrix:
@@ -72,6 +64,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
+        _check_ints("the size n", n)
         if n < 1:
             raise EmptyInput("identity needs n >= 1")
         one, zero = Fraction(1), Fraction(0)
@@ -81,6 +74,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
+        _check_ints("a dimension", rows, cols)
         if rows < 1 or cols < 1:
             raise EmptyInput("zero matrix needs positive dimensions")
         return cls([[0] * cols for _ in range(rows)])
@@ -137,12 +131,12 @@ class Matrix:
         return self._data[i][j]
 
     def _check_row(self, i: int) -> None:
-        _check_indices("row", i)
+        _check_ints("a row index", i)
         if not 0 <= i < self.rows:
             raise IndexOutOfRange(f"row {i} outside 0..{self.rows - 1}")
 
     def _check_col(self, j: int) -> None:
-        _check_indices("column", j)
+        _check_ints("a column index", j)
         if not 0 <= j < self.cols:
             raise IndexOutOfRange(f"column {j} outside 0..{self.cols - 1}")
 
@@ -209,6 +203,7 @@ class Matrix:
         """A^k = B^k / d^k for the integer image B = d A: B is squared on
         ints, left to right over the bits of k, and each entry becomes a
         ``Fraction`` once, at the end."""
+        _check_ints("the exponent k", k)
         if not self.is_square:
             raise NotSquare("powers need a square matrix")
         if k < 0:
@@ -237,7 +232,7 @@ class Matrix:
         return sum((self._data[i][i] for i in range(self.rows)), Fraction(0))
 
     def take_columns(self, start: int, stop: int) -> "Matrix":
-        _check_indices("column", start, stop)
+        _check_ints("a column index", start, stop)
         if not (0 <= start < stop <= self.cols):
             raise IndexOutOfRange(f"column slice {start}:{stop} outside 0..{self.cols}")
         return Matrix._of(tuple(r[start:stop] for r in self._data))

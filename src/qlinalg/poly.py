@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .scalars import _cleared, _ratio, _render_sum, as_scalar
+from .scalars import _check_ints, _cleared, _ratio, _render_sum, as_scalar
 
 
 class Polynomial:
@@ -54,6 +54,7 @@ class Polynomial:
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x^k (zero beyond the stored degree)."""
+        _check_ints("the power k", k)
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
         return Fraction(0)

@@ -93,6 +93,14 @@ def as_scalar(value) -> Fraction:
     raise TypeError(f"cannot make an exact scalar from {type(value).__name__}")
 
 
+def _check_ints(what: str, *values) -> None:
+    """Refuse a value that is not an int, or is a bool, as :func:`as_scalar`
+    refuses a float or a bool: ``True`` is neither row 1 nor size 1."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"{what} must be an int, got {v!r}")
+
+
 def _cleared(values) -> tuple[list[int], int]:
     """Integers ``ints`` and the lcm ``s`` of the denominators of the
     sequence of ``Fraction``s ``values``, with ``values[i] == ints[i] / s``."""

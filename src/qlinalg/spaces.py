@@ -29,7 +29,7 @@ from .errors import (
     _Record,
 )
 from .matrix import Matrix, as_vector
-from .scalars import _NUMBER, _render_sum, as_scalar, format_scalar, parse_scalar
+from .scalars import _NUMBER, _check_ints, _render_sum, as_scalar, format_scalar, parse_scalar
 
 Vector = tuple[Fraction, ...]
 
@@ -100,6 +100,7 @@ class Subspace(_Record):
     basis: tuple[Vector, ...]
 
     def __post_init__(self):
+        _check_ints("the ambient dimension", self.ambient)
         object.__setattr__(
             self, "basis", tuple(as_vector(v) for v in self.basis)
         )

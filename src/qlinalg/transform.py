@@ -22,7 +22,7 @@ from .errors import (
 )
 from .matrix import Matrix, as_vector
 from .poly import Polynomial
-from .scalars import _ratio, format_scalar
+from .scalars import _check_ints, _ratio, format_scalar
 from .spaces import Subspace, _null_space, _read_forms
 
 
@@ -123,6 +123,7 @@ def from_basis_images(pairs) -> LinearMap:
 
 def poly_to_coords(p: Polynomial, n: int) -> tuple[Fraction, ...]:
     """Ascending coefficients of ``p`` padded to length ``n``."""
+    _check_ints("the coordinate count n", n)
     if p.degree >= n:
         raise DegreeTooHigh(f"degree {p.degree} does not fit in {n} coordinates")
     return tuple(p.coefficient(k) for k in range(n))
@@ -137,6 +138,7 @@ def integral_functional(n: int) -> LinearMap:
 
     In coordinates it is the 1 x n row (1, 1/2, ..., 1/n).
     """
+    _check_ints("the size n", n)
     if n < 1:
         raise EmptyInput("need at least the constant polynomials")
     row = [_ratio(1, k + 1) for k in range(n)]

@@ -1,6 +1,7 @@
 """Differential checks of the cofactor route against sympy, where installed:
-cofactor determinants and expansions, the adjoint, the adjoint-route inverse
-and Cramer's rule.
+cofactor determinants and expansions, the adjoint (against sympy's
+``DomainMatrix`` adjugate, read off the characteristic polynomial rather than
+off minors), the adjoint-route inverse and Cramer's rule.
 
 sympy is not a dependency of the package; without it this module is skipped.
 """
@@ -60,6 +61,12 @@ def _cases():
             for singular in (False, True):
                 for _ in range(3 if n < 6 else 1):
                     yield _grid(rng, n, denominators, singular)
+    # larger sizes: one reduction per line keeps each case cheap
+    for n, denominators, singular in (
+        (9, INTEGER, False), (9, RATIONAL, True), (12, RATIONAL, False),
+        (12, INTEGER, True), (16, INTEGER, False), (16, RATIONAL, False),
+    ):
+        yield _grid(rng, n, denominators, singular)
 
 
 @pytest.mark.parametrize("grid", list(_cases()))
@@ -73,7 +80,7 @@ def test_cofactor_route_matches_sympy(grid):
         assert cofactor_expand(a, row=k).value == want
         assert cofactor_expand(a, col=k).value == want
     if n > 1:
-        assert adjoint(a) == Matrix(_from_sympy(s.adjugate()))
+        assert adjoint(a) == Matrix(_from_sympy(s.to_DM().adjugate().to_Matrix()))
     b = [Q(k - 2, 1 + k % 3) for k in range(n)]
     if want == 0:
         with pytest.raises(NotInvertible):

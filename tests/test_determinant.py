@@ -95,29 +95,47 @@ def test_cofactor_expansion_along_a_row():
     assert sum(exp.terms) == 16
 
 
-def test_every_expansion_line_agrees():
-    # each term, not only the total: term k of a line is the signed entry
-    # times the Leibniz determinant of its minor (that of the empty minor is 1)
+def _expansion_grids():
+    """Seeded n x n grids, n = 1..5, integer and p/q: dense ones; ones of rank
+    at most n - 2, every (n-1)-minor of which is 0; and ones with a zero
+    column j: along a row, A without that row has j as its free column; along
+    another column, A's transpose without that row keeps a zero row, so the
+    whole line is 0."""
     rng = random.Random(9001)
     for n in range(1, 6):
         for denominators in ((1,), (1, 1, 2, 3, 5)):
             for _ in range(6):
+                yield oracles.rand_grid(rng, n, n, denominators=denominators)
+            if n >= 2:
+                for _ in range(2):
+                    left = oracles.rand_grid(rng, n, n - 2, denominators=denominators)
+                    right = oracles.rand_grid(rng, n - 2, n, denominators=denominators)
+                    yield oracles.naive_matmul(left, right) if n > 2 else [[Fraction(0)] * n] * n
                 grid = oracles.rand_grid(rng, n, n, denominators=denominators)
-                a = Matrix(grid)
-                want = oracles.leibniz_det(grid)
-                for k in range(n):
-                    for exp in (cofactor_expand(a, row=k), cofactor_expand(a, col=k)):
-                        assert exp.value == want
-                        assert len(exp.terms) == n
-                        for m, term in enumerate(exp.terms):
-                            i, j = (k, m) if exp.row is not None else (m, k)
-                            minor = [
-                                [x for c, x in enumerate(r) if c != j]
-                                for r_i, r in enumerate(grid)
-                                if r_i != i
-                            ]
-                            sign = -1 if (i + j) % 2 else 1
-                            assert term == sign * grid[i][j] * oracles.leibniz_det(minor)
+                j = rng.randrange(n)
+                yield [[Fraction(0) if c == j else x for c, x in enumerate(r)] for r in grid]
+
+
+def test_every_expansion_line_agrees():
+    # each term, not only the total: term k of a line is the signed entry
+    # times the Leibniz determinant of its minor (that of the empty minor is 1)
+    for grid in _expansion_grids():
+        n = len(grid)
+        a = Matrix(grid)
+        want = oracles.leibniz_det(grid)
+        for k in range(n):
+            for exp in (cofactor_expand(a, row=k), cofactor_expand(a, col=k)):
+                assert exp.value == want
+                assert len(exp.terms) == n
+                for m, term in enumerate(exp.terms):
+                    i, j = (k, m) if exp.row is not None else (m, k)
+                    minor = [
+                        [x for c, x in enumerate(r) if c != j]
+                        for r_i, r in enumerate(grid)
+                        if r_i != i
+                    ]
+                    sign = -1 if (i + j) % 2 else 1
+                    assert term == sign * grid[i][j] * oracles.leibniz_det(minor)
 
 
 def test_cofactor_expand_validates_arguments():

@@ -24,6 +24,7 @@ from qlinalg import (
     ZeroScale,
     apply_row_op,
     basis_of_span,
+    cofactor_expand,
     cofactor_matrix,
     cramer_solve,
     det,
@@ -711,7 +712,7 @@ def test_run_records_its_pivot_columns_free_columns_and_pivot_minor(kind):
         assert run.pivots == [j for _, j in oracles.eliminate(grid, 0)[2]]
         expected = Q(0)
         if len(run.pivots) == rows:
-            expected = det_cofactor(Matrix([[row[j] for j in run.pivots] for row in grid]))
+            expected = oracles.leibniz_det([[row[j] for j in run.pivots] for row in grid])
         minor = run.minor()
         assert isinstance(minor, Fraction) and minor == expected
 
@@ -809,6 +810,7 @@ _A = Matrix.parse("2 1 0; 1 3 1; 0 1 4")
 _PLANE_A = basis_of_span([(1, 0, 1, 0), (0, 1, 0, 1)])
 _PLANE_B = basis_of_span([(1, 1, 1, 1), (1, -1, 1, -1)])
 _ZERO = basis_of_span([(0, 0, 0, 0)])
+_DENSE_16 = Matrix(oracles.rand_grid(random.Random(16), 16, 16, denominators=(1, 2, 3)))
 
 # Each question and the number of reductions it costs.
 _REDUCTIONS = {
@@ -866,6 +868,10 @@ _REDUCTIONS = {
     "cramer_solve": (lambda: cramer_solve(_A, [3, 5, 5]), 3),
     # det(A) read off the first cofactor row, not reduced again
     "inverse_adjoint": (lambda: inverse_adjoint(_A), 3),
+    # one line of cofactors, whatever n: one reduction of A without that line
+    "det_cofactor, 16x16": (lambda: det_cofactor(_DENSE_16), 1),
+    "cofactor_expand row, 16x16": (lambda: cofactor_expand(_DENSE_16, row=7), 1),
+    "cofactor_expand col, 16x16": (lambda: cofactor_expand(_DENSE_16, col=15), 1),
 }
 
 

@@ -4,7 +4,7 @@ field has a default, and no module computes with floats.  The public names
 and the methods of the public classes are pinned, every public class and
 function is defined in the package, importing the CLI loads no
 module it does not need, and importing compiles no pattern that only a
-coordinate formula uses."""
+coordinate formula uses.  No function calls itself."""
 
 import ast
 import importlib
@@ -424,6 +424,74 @@ def test_the_check_sees_a_float():
         "Fraction(x) in char_poly (line 16)",
         "/ in _value_mod (line 18)",
         "_ratio(x) in _eigenspace (line 22)",
+    ]
+
+
+def _self_calls(source: str) -> list[str]:
+    """Every function that calls itself by name: a function as ``f(...)``, a
+    method as ``self.f(...)``, ``cls.f(...)`` or ``Class.f(...)``.  Each
+    algorithm is a loop over a sweep, not a recursion whose depth and cost grow
+    with n; a method calling a module function of its own name is not a self-call."""
+    tree = ast.parse(source)
+    owner = {
+        id(f): cls.name
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for f in cls.body if isinstance(f, ast.FunctionDef)
+    }
+    found = []
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        cls = owner.get(id(f))
+        for call in ast.walk(f):
+            if not isinstance(call, ast.Call):
+                continue
+            fn = call.func
+            if cls is None:
+                hit = isinstance(fn, ast.Name) and fn.id == f.name
+            else:
+                hit = (
+                    isinstance(fn, ast.Attribute) and fn.attr == f.name
+                    and getattr(fn.value, "id", None) in ("self", "cls", cls)
+                )
+            if hit:
+                found.append((call.lineno, f.name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_no_function_calls_itself():
+    recursive = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := _self_calls(path.read_text(encoding="utf-8")))
+    }
+    assert recursive == {}
+
+
+def test_the_check_sees_a_recursion():
+    source = (
+        "def _expansion(grid, i):\n"
+        "    return [sum(_expansion(grid[1:], 0)) for a in grid[i]]\n"
+        "def det(a):\n    return _expansion(a, 0)\n"
+        "class Polynomial:\n"
+        "    def derivative(self, k):\n"
+        "        return self.derivative(k - 1) if k else self\n"
+        "    @classmethod\n"
+        "    def zero(cls, n):\n"
+        "        return Polynomial.zero(n - 1), cls.zero(n - 1)\n"
+        "    def det(self):\n"
+        "        return det(self)\n"
+        "def outer(n):\n"
+        "    def walk(k):\n"
+        "        return walk(k - 1) if k else 0\n"
+        "    return walk(n)\n"
+    )
+    assert _self_calls(source) == [
+        "_expansion (line 2)",
+        "derivative (line 7)",
+        "zero (line 10)",
+        "zero (line 10)",
+        "walk (line 15)",
     ]
 
 

@@ -14,15 +14,20 @@ from qlinalg import (
     NotSquare,
     Polynomial,
     RaggedRows,
+    Scale,
     Subspace,
     SymmetryClass,
     ZeroDenominator,
     as_scalar,
     as_vector,
     classify_symmetry,
+    elementary_matrix,
     hstack,
+    integral_functional,
+    matrix_power,
     parse_matrix_text,
     parse_scalar,
+    poly_to_coords,
     product_as_combination,
     rational_roots,
     render_block,
@@ -278,6 +283,32 @@ _M3 = Matrix.parse("1 2 3; 4 5 6; 7 8 10")
 def test_matrix_indices_refuse_what_is_not_an_int(read, index):
     with pytest.raises(TypeError, match="index must be an int"):
         read(index)
+
+
+# a size, a dimension or an exponent, each call's answer for the int 1
+_SIZED = {
+    "identity": (Matrix.identity, Matrix.parse("1")),
+    "zero-rows": (lambda v: Matrix.zero(v, 2), Matrix.parse("0 0")),
+    "zero-cols": (lambda v: Matrix.zero(2, v), Matrix.parse("0; 0")),
+    "pow": (lambda v: _M3 ** v, _M3),
+    "matrix_power": (lambda v: matrix_power(_M3, v), _M3),
+    "elementary_matrix": (lambda v: elementary_matrix(Scale(2, 0), v), Matrix.parse("2")),
+    "integral_functional": (lambda v: integral_functional(v).matrix, Matrix.parse("1")),
+    "Polynomial.coefficient": (Polynomial([1, 2, 3]).coefficient, 2),
+    "Subspace.zero": (lambda v: Subspace.zero(v).ambient, 1),
+    "poly_to_coords": (lambda v: poly_to_coords(Polynomial([5]), v), (5,)),
+}
+
+
+@pytest.mark.parametrize("name", _SIZED)
+@pytest.mark.parametrize(
+    "value", [True, False, 1.0, Q(1), "1"], ids=["True", "False", "float", "Fraction", "str"]
+)
+def test_sizes_and_exponents_refuse_what_is_not_an_int(name, value):
+    call, at_one = _SIZED[name]
+    assert call(1) == at_one
+    with pytest.raises(TypeError, match="must be an int"):
+        call(value)
 
 
 def test_equality_and_hash():
