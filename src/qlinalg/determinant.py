@@ -160,12 +160,12 @@ def inverse_adjoint(a: Matrix) -> Matrix:
     with det(A) expanded along row 0 of them as sum_j a_0j C_0j."""
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols} matrix has no inverse")
+    if a.rows < 2:
+        raise WrongSize("cofactor matrix needs n >= 2")
     cof = [_cofactor_row(a, i) for i in range(a.rows)]
     d = sum(map(mul, a.row(0), cof[0]))
     if d == 0:
         raise NotInvertible("determinant is zero")
-    if a.rows < 2:
-        raise WrongSize("cofactor matrix needs n >= 2")
     return (Fraction(1) / d) * Matrix._of(tuple(zip(*cof)))
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import mul
 
 from .elimination import _FractionFree, inverse_gauss_jordan
-from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record
+from .errors import NegativePowerOfSingular, NotInvertible, NotSquare, _Record, _Verdict
 from .matrix import Matrix, _integer_image
 from .poly import Polynomial, _primitive, _rational_roots, _rescaled
 from .scalars import _check_ints, _ratio, as_scalar
@@ -129,14 +129,11 @@ class Split(_Record):
         return 0
 
 
-class NotSplit(_Record):
+class NotSplit(_Verdict):
     """The characteristic polynomial has an irreducible-over-Q part left."""
 
     found: tuple[tuple[Fraction, int], ...]
     residual: Polynomial
-
-    def __bool__(self) -> bool:
-        return False
 
 
 EigenvalueVerdict = Split | NotSplit
@@ -214,15 +211,12 @@ class Diagonalizable(_Record):
         return self.L @ self.D @ inverse_gauss_jordan(self.L)
 
 
-class NotDiagonalizable(_Record):
+class NotDiagonalizable(_Verdict):
     """Some eigenspace is too small."""
 
     eigenvalue: Fraction
     algebraic: int
     geometric: int
-
-    def __bool__(self) -> bool:
-        return False
 
 
 DiagonalizeVerdict = Diagonalizable | NotDiagonalizable | NotSplit

@@ -46,6 +46,7 @@ from .errors import (
     NotSquare,
     ZeroScale,
     _Record,
+    _Verdict,
 )
 from .matrix import Matrix, as_vector, hstack
 from .scalars import _check_ints, _cleared, _ratio, as_scalar, format_scalar
@@ -504,14 +505,11 @@ def satisfies_form(m: Matrix, form: str) -> bool:
 # ---- linear systems ------------------------------------------------------------
 
 
-class Inconsistent(_Record):
+class Inconsistent(_Verdict):
     """A row reduced to 0 = value with value nonzero."""
 
     row: int
     value: Fraction
-
-    def __bool__(self) -> bool:
-        return False
 
 
 class Unique(_Record):
@@ -536,9 +534,10 @@ class Infinite(_Record):
 
         ``assignment`` is a mapping from free-variable index to value, or a
         sequence aligned with ``self.free``.  A mapping must give exactly the
-        free variables, a sequence one value per free variable.
+        free variables, as ints, and a sequence one value per free variable.
         """
         if isinstance(assignment, Mapping):
+            _check_ints("a free variable", *assignment)
             if assignment.keys() != set(self.free):
                 raise DimensionMismatch(
                     f"free variables {self.free}, values for {tuple(assignment)}"

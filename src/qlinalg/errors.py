@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the base of its result records.
+"""Exception types shared across the package, and the bases of its result records.
 
+Every result is a frozen ``_Record``, and a "no" answer a falsy ``_Verdict``.
 Everything deliberate derives from LinAlgError so callers can catch the whole
 family at once; most are also ValueErrors (IndexOutOfRange is an IndexError).
 The errors whose values make a request impossible derive from _Impossible.
@@ -12,8 +13,8 @@ class _Record:
     It behaves as ``@dataclass(frozen=True)`` would (same ``__init__``
     signature, repr, equality, hash and ``match`` pattern) without importing
     ``dataclasses`` and generating code per class, which together cost every
-    one-shot CLI run about 30 ms of import.  Every field must be given;
-    ``__post_init__``, when defined, runs after the fields are set.
+    one-shot CLI run about 30 ms of import.  Every field must be given; a
+    record that checks its input does so in its own ``__init__``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -35,8 +36,6 @@ class _Record:
         if kwargs:
             raise TypeError(f"{cls.__name__} got unexpected or repeated {sorted(kwargs)}")
         self.__dict__.update(values)
-        if hasattr(self, "__post_init__"):
-            self.__post_init__()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -58,6 +57,13 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Verdict(_Record):
+    """A record that answers "no": falsy, so ``if verdict:`` reads the answer."""
+
+    def __bool__(self) -> bool:
+        return False
 
 
 class LinAlgError(Exception):

@@ -25,6 +25,7 @@ from .errors import (
     IndexOutOfRange,
     NotSquare,
     RaggedRows,
+    _Record,
 )
 from .scalars import _check_ints, _cleared, _ratio, as_scalar, format_scalar, parse_scalar
 
@@ -342,6 +343,7 @@ def parse_matrix_text(text: str) -> tuple[Matrix, int | None]:
 
 def split_augmented(m: Matrix, boundary: int) -> tuple[Matrix, Matrix]:
     """Cut an augmented matrix at the bar into (coefficients, constants)."""
+    _check_ints("the boundary", boundary)
     if not 0 < boundary < m.cols:
         raise DimensionMismatch(f"boundary {boundary} outside matrix of {m.cols} columns")
     return m.take_columns(0, boundary), m.take_columns(boundary, m.cols)
@@ -365,26 +367,30 @@ def render_block(m: Matrix) -> str:
 # ---- products as combinations ------------------------------------------------------
 
 
-class Combination:
+class Combination(_Record):
     """One column (or row) of a product, written as a linear combination.
 
-    ``result`` equals ``sum(c * g for c, g in zip(coefficients, generators))``
-    entrywise.
+    ``result``, derived when it is read, equals
+    ``sum(c * g for c, g in zip(coefficients, generators))`` entrywise.
     """
 
-    __slots__ = ("coefficients", "generators", "result")
+    coefficients: tuple[Fraction, ...]
+    generators: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, coefficients, generators):
-        self.coefficients = tuple(coefficients)
-        self.generators = tuple(tuple(g) for g in generators)
-        self.result = tuple(
-            sum((c * g[t] for c, g in zip(self.coefficients, self.generators)),
-                Fraction(0))
-            for t in range(len(self.generators[0]))
-        )
+        coefficients = as_vector(coefficients)
+        generators = tuple(as_vector(g) for g in generators)
+        if len({len(g) for g in generators}) != 1:
+            raise DimensionMismatch("a combination needs generators of one length")
+        if len(coefficients) != len(generators):
+            raise DimensionMismatch(
+                f"{len(coefficients)} coefficients for {len(generators)} generators"
+            )
+        self.__dict__.update(coefficients=coefficients, generators=generators)
 
-    def __repr__(self):
-        return f"Combination(coefficients={self.coefficients}, result={self.result})"
+    @property
+    def result(self) -> tuple[Fraction, ...]:
+        return tuple(sum(map(mul, self.coefficients, col)) for col in zip(*self.generators))
 
 
 def product_as_combination(a: Matrix, b: Matrix, axis: str = "columns") -> list[Combination]:

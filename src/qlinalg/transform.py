@@ -19,6 +19,7 @@ from .errors import (
     MixedDimensions,
     NotSpanning,
     _Record,
+    _Verdict,
 )
 from .matrix import Matrix, as_vector
 from .poly import Polynomial
@@ -26,14 +27,11 @@ from .scalars import _check_ints, _ratio, format_scalar
 from .spaces import Subspace, _null_space, _read_forms
 
 
-class NotLinear(_Record):
+class NotLinear(_Verdict):
     """A coordinate formula carries a nonzero constant, so zero does not map to zero."""
 
     coordinate: int
     constant: Fraction
-
-    def __bool__(self) -> bool:
-        return False
 
     def __str__(self):
         return (

@@ -339,11 +339,12 @@ def test_adjoint_identity_holds_even_when_singular():
 
 
 def test_one_by_one_adjoint_routes():
-    # det comes first, so a zero 1x1 is not invertible before it is too small
-    with pytest.raises(NotInvertible):
-        inverse_adjoint(Matrix.parse("0"))
-    with pytest.raises(WrongSize):
-        inverse_adjoint(Matrix.parse("5"))
+    # the size comes first, as for inverse_entry: a 1x1 is too small whatever its value
+    for text in ("0", "5"):
+        with pytest.raises(WrongSize):
+            inverse_adjoint(Matrix.parse(text))
+        with pytest.raises(WrongSize):
+            inverse_entry(Matrix.parse(text), 0, 0)
     # the cofactor of a 1x1 is that of the empty minor, 1
     assert cramer_solve(Matrix.parse("4"), [2]) == (Q(1, 2),)
     assert cramer_solve(Matrix.parse("-1/3"), [0]) == (Q(0),)

@@ -365,6 +365,17 @@ def test_infinite_solutions_with_two_free_variables():
             result.at(assignment)
 
 
+def test_a_mapping_assignment_is_keyed_by_ints():
+    result = solve(Matrix.parse("1 2 3; 2 4 6"), [1, 2])
+    assert result.free == (1, 2)
+    assert result.at({1: 5, 2: 0}) == (-9, 5, 0)
+    # True == 1 and 1.0 == 1 as dict keys, but neither names column 1
+    for key in (True, 1.0, Q(1), "1"):
+        with pytest.raises(TypeError, match="a free variable must be an int"):
+            result.at({key: 5, 2: 0})
+    assert result.at([5, 0]) == (-9, 5, 0)  # the sequence form is unchanged
+
+
 def test_inconsistent_keeps_the_raw_witness():
     a, b = _augmented("1 2 -1 | 2; 2 4 -2 | 6")
     result = solve(a, b)

@@ -2,11 +2,13 @@
 module-level private name is used by some module of the package, no record
 field has a default, and no module computes with floats.  The public names
 and the methods of the public classes are pinned, every public class and
-function is defined in the package, importing the CLI loads no
+function is defined in the package, every public class is a record, an
+error, an enumeration or a value type, importing the CLI loads no
 module it does not need, and importing compiles no pattern that only a
 coordinate formula uses.  No function calls itself."""
 
 import ast
+import enum
 import importlib
 import os
 import re
@@ -18,6 +20,7 @@ from math import gcd
 from pathlib import Path
 
 import qlinalg
+from qlinalg.errors import _Record
 
 PACKAGE = Path(qlinalg.__file__).parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,6 +62,34 @@ def test_the_check_sees_a_reexported_name():
     planted = dict(vars(qlinalg), Q=Fraction, gcd=gcd)
     names = [*qlinalg.__all__, "Q", "gcd"]
     assert _foreign_exports(planted, names) == ["Q (fractions)", "gcd (math)"]
+
+
+def _classes_off_the_pattern(namespace: dict, names) -> list[str]:
+    """Public classes that are none of a frozen result record, an error, an
+    enumeration, or one of the two value types: a class of its own kind
+    would carry its own equality, hashing, mutability and repr."""
+    kinds = (_Record, qlinalg.LinAlgError, enum.Enum, qlinalg.Matrix, qlinalg.Polynomial)
+    return [
+        name
+        for name in names
+        if isinstance(value := namespace[name], type) and not issubclass(value, kinds)
+    ]
+
+
+def test_every_public_class_follows_one_pattern():
+    assert _classes_off_the_pattern(vars(qlinalg), qlinalg.__all__) == []
+
+
+def test_the_check_sees_a_plain_class():
+    class Pair:
+        __slots__ = ("first", "second")
+
+    class Tagged(qlinalg.Combination):
+        pass
+
+    planted = dict(vars(qlinalg), Pair=Pair, Tagged=Tagged, Shade=qlinalg.SymmetryClass)
+    names = [*qlinalg.__all__, "Pair", "Tagged", "Shade"]
+    assert _classes_off_the_pattern(planted, names) == ["Pair"]
 
 
 def _public_methods() -> list[str]:

@@ -521,6 +521,36 @@ def test_combination_recomputes_result():
     assert c.result == (2, -1)
 
 
+def test_combination_is_an_exact_checked_record():
+    with pytest.raises(TypeError):
+        Combination([0.5], [(1, 2)])
+    with pytest.raises(TypeError):
+        Combination([True], [(1, 2)])
+    with pytest.raises(TypeError):
+        Combination([1], [(1, 0.5)])
+    with pytest.raises(DimensionMismatch):  # a short coefficient list is not truncated
+        Combination([1], [(1, 0), (0, 1)])
+    with pytest.raises(DimensionMismatch):
+        Combination([1, 2], [(1, 0)])
+    with pytest.raises(DimensionMismatch):
+        Combination([1, 2], [(1, 0), (0, 1, 2)])
+    with pytest.raises(DimensionMismatch):
+        Combination([], [])
+    a, b = Combination([2, "1/2"], [(1, 0), (0, 4)]), Combination(["2", Q(1, 2)], [[1, 0], [0, 4]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.coefficients == (Q(2), Q(1, 2)) and a.generators == ((1, 0), (0, 4))
+    assert type(a.result[0]) is Fraction
+    with pytest.raises(AttributeError):
+        a.coefficients = (1, 1)
+    assert repr(a) == (
+        f"Combination(coefficients={a.coefficients!r}, generators={a.generators!r})"
+    )
+    for combo, column in zip(product_as_combination(A33, B33), (A33 @ B33).transpose()):
+        assert combo.result == column
+    for combo, row in zip(product_as_combination(A33, B33, axis="rows"), A33 @ B33):
+        assert combo.result == row
+
+
 def test_product_as_combination_validates():
     with pytest.raises(DimensionMismatch):
         product_as_combination(B33, B33)
